@@ -4,13 +4,14 @@
 //! receive loop is bounded by the bytes moved, not by allocator traffic.
 //! This test pins that property in CI: after a short warmup (which grows
 //! the reusable read buffer to its steady-state capacity), receiving and
-//! decoding a frame over the loopback transport performs **zero** heap
-//! allocations on the receiving side.  The counting global allocator comes
+//! decoding a frame over the loopback transport or the shared-memory ring
+//! performs **zero** heap allocations on the receiving side.  The counting global allocator comes
 //! from the offline `allocation-counter` shim (see `shims/README.md`), so
 //! the check needs no crates.io dependency and runs in every `cargo test`.
 
 use allocation_counter::measure;
-use grasp_repro::grasp_core::transport::Acceptor;
+use grasp_repro::grasp_core::shm::{self, ShmRing};
+use grasp_repro::grasp_core::transport::{Acceptor, FrameSink, FrameSource};
 use grasp_repro::grasp_core::wire::{FrameView, WireMsg, PAYLOAD_SPIN};
 use grasp_repro::grasp_core::SchedulePolicy;
 use grasp_repro::grasp_exec::StealDeque;
@@ -74,6 +75,67 @@ fn steady_state_frame_receive_and_decode_allocates_nothing() {
     assert_eq!(
         info.count_total, 0,
         "steady-state recv_view must not touch the heap, but allocated \
+         {} times ({} bytes) over {MEASURED} frames: {info:?}",
+        info.count_total, info.bytes_total
+    );
+}
+
+#[test]
+fn steady_state_shm_ring_receive_and_decode_allocates_nothing() {
+    // The same pin over the shared-memory ring: positioned reads into the
+    // source's reused buffer, atomics on the mapped header and the futex
+    // wake path must all stay off the heap once the buffer has grown.
+    const WARMUP: u64 = 32;
+    const MEASURED: u64 = 64;
+    const PAYLOAD_LEN: usize = 4096;
+
+    let path = shm::ring_path("zero-alloc");
+    let master = ShmRing::create(&path, shm::DEFAULT_RING_CAPACITY).expect("create ring");
+    let worker = ShmRing::attach(&path).expect("attach ring");
+    let me = u64::from(std::process::id());
+    let (mut to_worker, _from_worker) = master.into_halves(me);
+    let (_to_master, mut from_master) = worker.into_halves(me);
+
+    // Pre-send every frame (≈ 400 KiB, well inside the 1 MiB ring), so no
+    // receive below has to wait for its producer.
+    let payload = vec![7u8; PAYLOAD_LEN];
+    for unit_id in 0..WARMUP + MEASURED {
+        to_worker
+            .send(&WireMsg::Task {
+                unit_id,
+                work: 1.0,
+                kind: PAYLOAD_SPIN,
+                payload: payload.clone(),
+            })
+            .expect("send task frame");
+    }
+
+    for expected in 0..WARMUP {
+        match from_master.recv_view().expect("warmup recv") {
+            Some(FrameView::Task { unit_id, .. }) => assert_eq!(unit_id, expected),
+            other => panic!("warmup expected a task frame, got {other:?}"),
+        }
+    }
+
+    let mut decoded = 0u64;
+    let mut payload_bytes = 0usize;
+    let info = measure(|| {
+        for _ in 0..MEASURED {
+            match from_master.recv_view() {
+                Ok(Some(FrameView::Task { payload, .. })) => {
+                    decoded += 1;
+                    payload_bytes += payload.len();
+                }
+                other => panic!("steady state expected a task frame, got {other:?}"),
+            }
+        }
+    });
+    ShmRing::cleanup(&path);
+    assert_eq!(decoded, MEASURED);
+    assert_eq!(payload_bytes, MEASURED as usize * PAYLOAD_LEN);
+    assert_eq!(
+        info.count_total, 0,
+        "steady-state shm recv_view must not touch the heap, but allocated \
          {} times ({} bytes) over {MEASURED} frames: {info:?}",
         info.count_total, info.bytes_total
     );
