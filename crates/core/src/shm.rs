@@ -33,21 +33,27 @@
 //! then publishes the head, both `SeqCst`, so the peer never observes a tail
 //! beyond valid data or a head beyond data already copied out.
 //!
-//! ## Waiting: spin, park, wake
+//! ## Waiting: park, wake
 //!
-//! A side that finds nothing to read (or no room to write) spins 300
-//! `spin_loop` rounds on the position it waits for, then parks on that
-//! ring's futex: it reads the sequence word, raises the parked flag,
-//! re-checks the position and the peer's closed flag (all `SeqCst`), and
-//! `FUTEX_WAIT`s on the sequence word for at most 10 ms.  The other side
-//! publishes its position and only then looks at the parked flag; if it is
-//! raised it bumps the sequence word and `FUTEX_WAKE`s.  Either the waiter's
-//! re-check sees the new position or the publisher sees the flag, and a bump
-//! between the waiter's read and its wait fails the futex compare — no wake
-//! is lost.  The data futex wakes a parked consumer on tail advances, the
-//! space futex a parked producer on head advances.  The futex calls use the
-//! shared (not process-private) form, so the kernel keys them by file page
-//! and a wake reaches the other process.
+//! A side that finds nothing to read (or no room to write) parks on that
+//! ring's futex straight away: it reads the sequence word, raises the
+//! parked flag, re-checks the position and the peer's closed flag (all
+//! `SeqCst`), and `FUTEX_WAIT`s on the sequence word for at most 10 ms.
+//! The other side publishes its position and only then looks at the parked
+//! flag; if it is raised it bumps the sequence word and `FUTEX_WAKE`s.
+//! Either the waiter's re-check sees the new position or the publisher sees
+//! the flag, and a bump between the waiter's read and its wait fails the
+//! futex compare — no wake is lost.  The data futex wakes a parked consumer
+//! on tail advances, the space futex a parked producer on head advances.
+//! The futex calls use the shared (not process-private) form, so the kernel
+//! keys them by file page and a wake reaches the other process.
+//!
+//! There is no spin before the park: on a 2-vCPU VM, parking at once beat
+//! a 300-round spin in 12 of 12 interleaved `grasp-benchmark` `proc-shm`
+//! pairs, on both units per second (median 50.1 k against 44.6 k) and CPU
+//! seconds per thousand units (0.036 against 0.042), because a spinning
+//! waiter burns CPU the worker kernels need.  The spin won only the ring's
+//! two-thread round-trip probe (3 µs against 14–15 µs).
 //!
 //! ## Death detection
 //!
@@ -87,13 +93,6 @@ const HEADER_LEN: u64 = 4096;
 
 /// Default per-direction ring capacity.
 pub const DEFAULT_RING_CAPACITY: u64 = 1 << 20;
-
-/// `spin_loop` rounds a waiter polls before it parks: about 6 µs on a
-/// 2-vCPU Xeon VM (19 ns a round).  The spin must outlast a parked peer's
-/// wake-up, or a request/response pair settles into both sides parking on
-/// every message; at 200 rounds the ring round trip did so in most runs
-/// (12–20 µs instead of 3–4 µs), at 250–500 in none.
-const SPIN_LIMIT: u32 = 300;
 
 /// Longest single park; one that runs out checks the peer is still alive,
 /// which bounds SIGKILL detection to about this.
@@ -441,20 +440,18 @@ impl ShmShared {
         }
     }
 
-    /// Block until `poll` yields a value: spin, then park on `parker`.
-    /// Returns `None` once the peer is gone and a final `poll` — after
-    /// everything the peer will ever publish is visible — still has nothing.
+    /// Block until `poll` yields a value, parking on `parker` while it has
+    /// none.  Returns `None` once the peer is gone and a final `poll` —
+    /// after everything the peer will ever publish is visible — still has
+    /// nothing.
     fn block_on<T>(
         &self,
         parker: &Parker,
         peer_pid_hint: u64,
         mut poll: impl FnMut() -> Result<Option<T>, GraspError>,
     ) -> Result<Option<T>, GraspError> {
-        for _ in 0..SPIN_LIMIT {
-            if let Some(v) = poll()? {
-                return Ok(Some(v));
-            }
-            std::hint::spin_loop();
+        if let Some(v) = poll()? {
+            return Ok(Some(v));
         }
         loop {
             let seq = parker.seq.load(SeqCst);
@@ -918,7 +915,7 @@ mod tests {
     fn ping_pong_parks_are_woken_not_timed_out() {
         // A lost wake-up turns every round trip that parks into a 10 ms
         // timeout.  The echo side naps now and then so the pinging side
-        // is sure to park, not only spin.
+        // is sure to park.
         const FRAMES: u64 = 20_000;
         let ((mut m_sink, mut m_src), (mut w_sink, mut w_src), path) = pair(1 << 16);
         let master = Arc::clone(&m_sink.shared);
