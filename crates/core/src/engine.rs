@@ -71,7 +71,15 @@ impl WallClock {
 
     /// Seconds elapsed since [`WallClock::start`], as a [`SimTime`].
     pub fn now(&self) -> SimTime {
-        SimTime::new(self.start.elapsed().as_secs_f64())
+        self.at(Instant::now())
+    }
+
+    /// The clock's reading at `instant` — for a caller that already read
+    /// the time (say, to time a unit of work), so one clock read serves as
+    /// both a duration's end and a timestamp.  Instants before the start
+    /// read as zero.
+    pub fn at(&self, instant: Instant) -> SimTime {
+        SimTime::new(instant.saturating_duration_since(self.start).as_secs_f64())
     }
 }
 
@@ -819,6 +827,16 @@ mod tests {
         let b = clock.now();
         assert!(b >= a);
         assert!(a.as_secs() >= 0.0);
+    }
+
+    #[test]
+    fn wall_clock_reads_a_caller_taken_instant() {
+        let before = Instant::now();
+        let clock = WallClock::start();
+        let later = Instant::now() + std::time::Duration::from_millis(250);
+        assert_eq!(clock.at(before), SimTime::ZERO, "before the start is zero");
+        let at = clock.at(later).as_secs();
+        assert!((0.25..0.5).contains(&at), "{at}");
     }
 
     #[test]

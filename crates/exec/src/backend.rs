@@ -32,7 +32,8 @@
 //! simulated load smooth wall-clock load (reported per worker in
 //! [`OutcomeDetail::ThreadFarm`]).
 
-use crate::farm::{RankTable, SpeculationPolicy, ThreadFarm, WorkerGate};
+use crate::farm::{RankTable, SpeculationPolicy, ThreadFarm, UnitObserver, UnitTiming, WorkerGate};
+use crate::padded::CachePadded;
 use crate::pipeline::ThreadPipeline;
 use grasp_core::adaptation::AdaptationLog;
 use grasp_core::config::{BackendConfig, ExecutionConfig, FaultInjection};
@@ -46,8 +47,9 @@ use gridmon::{MonitorRegistry, NodeObservation};
 use gridsim::NodeId;
 use parking_lot::Mutex;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// Spin for approximately `iters` iterations of optimisation-resistant
 /// integer work — the real computational kernel synthesised from a unit's
@@ -307,15 +309,17 @@ struct ThreadAdaptation {
     /// Best calibrated per-work-unit time as f64 bits (written once when
     /// the engine arms) — the load-estimate baseline.
     baseline_bits: AtomicU64,
-    /// Per-worker observation accumulators since the last flush:
-    /// `(sum of normalised times, count)`.  Each worker only ever touches
-    /// its own buffer, so the per-unit hot path takes **no shared lock** —
-    /// exactly the discipline PR 3 established for chunk weighting.  The
-    /// engine and registry locks are taken once per monitor interval, by
-    /// whichever worker wins the `next_due_micros` race.
-    buffers: Vec<Mutex<(f64, usize)>>,
+    /// Per-worker running observation totals, each on its own cache line
+    /// and written only by its worker, so recording an observation takes
+    /// no lock and no shared write.  The engine and registry locks are
+    /// taken once per monitor interval, by whichever worker wins the
+    /// `next_due_micros` race.
+    totals: Vec<CachePadded<ObsTotals>>,
+    /// Every worker's totals as of the previous flush (touched only while
+    /// flushing): the difference is exactly the interval's observations.
+    flushed: Mutex<Vec<(f64, u64)>>,
     /// Wall microseconds (on `clock`) when the next evaluation is due —
-    /// the hot path's lock-free gate.
+    /// the lock-free gate each worker checks against its cached copy.
     next_due_micros: AtomicU64,
     interval_micros: u64,
     min_active: usize,
@@ -340,7 +344,8 @@ impl ThreadAdaptation {
             calib_target: calib_target.max(1),
             armed: AtomicBool::new(false),
             baseline_bits: AtomicU64::new(f64::INFINITY.to_bits()),
-            buffers: (0..workers).map(|_| Mutex::new((0.0, 0))).collect(),
+            totals: (0..workers).map(|_| CachePadded::default()).collect(),
+            flushed: Mutex::new(vec![(0.0, 0); workers]),
             next_due_micros: AtomicU64::new(u64::MAX),
             interval_micros: (exec.monitor_interval_s * 1e6).max(1.0) as u64,
             min_active: exec.min_active_nodes.max(1),
@@ -348,78 +353,99 @@ impl ThreadAdaptation {
         }
     }
 
-    /// Worker-side report of one completed unit: `work` declared units took
-    /// `elapsed_s` wall seconds on worker `wid`.
+    /// Worker-side report of one completed unit: `work` declared units ran
+    /// on worker `wid` for the span `timing` the farm measured.
     ///
-    /// Hot path: one uncontended per-worker mutex plus one atomic load.
-    /// Once per monitor interval a single worker flushes every buffer into
-    /// the engine (the monitor evaluates per-interval per-worker *means*,
-    /// so buffering the interval's observations into one mean per worker is
-    /// the same table *T* the verdict would have computed) and applies the
-    /// resulting directives.
-    fn report(&self, wid: usize, work: f64, elapsed_s: f64, job_has_work: bool) {
+    /// Hot path: worker-local state only — `local`'s cached arming flag
+    /// and due time, and the worker's own padded totals (plain stores, no
+    /// lock, no read-modify-write); the stamp that ends the unit's timing
+    /// is also its observation time, so the report reads no clock.  Once
+    /// per monitor interval a single worker flushes every worker's totals
+    /// into the engine (the monitor evaluates per-interval per-worker
+    /// *means*, so accumulating the interval's observations into one mean
+    /// per worker is the same table *T* the verdict would have computed)
+    /// and applies the resulting directives.
+    fn report(
+        &self,
+        local: &mut ObsLocal,
+        wid: usize,
+        work: f64,
+        timing: &UnitTiming,
+        job_has_work: bool,
+    ) {
         // Unit selection mirrors the simulated farm: per-work-unit times
         // when the job has real work (zero-work units carry no signal in
         // that unit), raw seconds for an all-zero-work job.
         if work <= 0.0 && job_has_work {
             return;
         }
+        let elapsed_s = timing.elapsed().as_secs_f64();
         let t_norm = if work > 0.0 {
             elapsed_s / work
         } else {
             elapsed_s
         };
-        let now = self.clock.now();
-        if !self.armed.load(Ordering::Acquire) {
-            // Algorithm 1: the first `calib_target` observations are the
-            // calibration sample; completing it derives Z and starts the
-            // monitor interval.
-            let mut calib = self.calib.lock();
+        let now = self.clock.at(timing.finished);
+        if !local.armed {
             if !self.armed.load(Ordering::Acquire) {
-                calib.push(t_norm);
-                if calib.len() >= self.calib_target {
-                    self.engine.lock().calibrate(&calib, now);
-                    let best = calib.iter().copied().fold(f64::INFINITY, f64::min);
-                    self.baseline_bits.store(best.to_bits(), Ordering::Relaxed);
-                    self.next_due_micros
-                        .store(Self::micros(now) + self.interval_micros, Ordering::Relaxed);
-                    self.armed.store(true, Ordering::Release);
+                // Algorithm 1: the first `calib_target` observations are
+                // the calibration sample; completing it derives Z and
+                // starts the monitor interval.
+                let mut calib = self.calib.lock();
+                if !self.armed.load(Ordering::Acquire) {
+                    calib.push(t_norm);
+                    if calib.len() >= self.calib_target {
+                        self.engine.lock().calibrate(&calib, now);
+                        let best = calib.iter().copied().fold(f64::INFINITY, f64::min);
+                        self.baseline_bits.store(best.to_bits(), Ordering::Relaxed);
+                        self.next_due_micros
+                            .store(Self::micros(now) + self.interval_micros, Ordering::Relaxed);
+                        self.armed.store(true, Ordering::Release);
+                    }
+                    return;
                 }
-                return;
             }
+            local.armed = true;
         }
-        {
-            let mut buf = self.buffers[wid].lock();
-            buf.0 += t_norm;
-            buf.1 += 1;
-        }
-        // Lock-free due gate; the compare-exchange elects exactly one
-        // flusher per interval.
+        self.totals[wid].add(t_norm);
+        // Lock-free due gate, checked against this worker's cached copy
+        // first: the shared word only moves forward, so the cache is a
+        // lower bound and the shared word is read once per interval.  The
+        // compare-exchange elects exactly one flusher per interval.
         let now_micros = Self::micros(now);
+        if now_micros < local.due_micros {
+            return;
+        }
         let due = self.next_due_micros.load(Ordering::Relaxed);
-        if now_micros < due
-            || self
-                .next_due_micros
-                .compare_exchange(
-                    due,
-                    now_micros + self.interval_micros,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                )
-                .is_err()
+        if now_micros < due {
+            local.due_micros = due;
+            return;
+        }
+        if self
+            .next_due_micros
+            .compare_exchange(
+                due,
+                now_micros + self.interval_micros,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            )
+            .is_err()
         {
             return;
         }
         let mut engine = self.engine.lock();
-        // Flush every worker's buffered interval mean into the engine and
-        // the gridmon forecasters (the slowdown relative to the calibrated
+        // Flush every worker's interval mean into the engine and the
+        // gridmon forecasters (the slowdown relative to the calibrated
         // baseline becomes the load estimate).
         let baseline = f64::from_bits(self.baseline_bits.load(Ordering::Relaxed));
         let mut registry = self.registry.lock();
-        for (w, buffer) in self.buffers.iter().enumerate() {
-            let (sum, count) = std::mem::take(&mut *buffer.lock());
-            if count > 0 {
-                let mean = sum / count as f64;
+        let mut flushed = self.flushed.lock();
+        for (w, (totals, last)) in self.totals.iter().zip(flushed.iter_mut()).enumerate() {
+            let (sum, count) = totals.read();
+            let (interval_sum, interval_count) = (sum - last.0, count - last.1);
+            *last = (sum, count);
+            if interval_count > 0 {
+                let mean = interval_sum / interval_count as f64;
                 engine.observe(NodeId(w), mean);
                 registry.record(NodeObservation::from_wall_times(
                     NodeId(w),
@@ -429,6 +455,7 @@ impl ThreadAdaptation {
                 ));
             }
         }
+        drop(flushed);
         drop(registry);
         // Publish the refreshed calibration ranks (the engine's live
         // per-node means) before the evaluation clears the window, so the
@@ -534,6 +561,112 @@ impl SpeculationPolicy for ThreadAdaptation {
         self.engine
             .lock()
             .note_speculation_won(now, unit, NodeId(worker));
+    }
+}
+
+/// One farm worker's running observation totals: the cumulative sum of its
+/// normalised times and their count.  Written only by that worker, read by
+/// whichever worker flushes, as a sequence lock: the sequence word is odd
+/// while a write is in progress, and a reader retries until it reads the
+/// same even word before and after the two totals — so it never sees a sum
+/// without its count.
+#[derive(Debug, Default)]
+struct ObsTotals {
+    seq: AtomicU64,
+    sum_bits: AtomicU64,
+    count: AtomicU64,
+}
+
+impl ObsTotals {
+    /// Add one observation.  Owner only (single writer): loads and stores
+    /// on the owner's own cache line, no read-modify-write.
+    fn add(&self, t: f64) {
+        let seq = self.seq.load(Ordering::Relaxed);
+        self.seq.store(seq + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        let sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed)) + t;
+        self.sum_bits.store(sum.to_bits(), Ordering::Relaxed);
+        let count = self.count.load(Ordering::Relaxed);
+        self.count.store(count + 1, Ordering::Relaxed);
+        self.seq.store(seq + 2, Ordering::Release);
+    }
+
+    /// A consistent `(sum, count)` snapshot, from any thread.
+    fn read(&self) -> (f64, u64) {
+        loop {
+            let seq = self.seq.load(Ordering::Acquire);
+            let sum = self.sum_bits.load(Ordering::Relaxed);
+            let count = self.count.load(Ordering::Relaxed);
+            fence(Ordering::Acquire);
+            if seq % 2 == 0 && self.seq.load(Ordering::Relaxed) == seq {
+                return (f64::from_bits(sum), count);
+            }
+            // The owner is mid-write: a few instructions, unless it was
+            // preempted there.
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// One farm worker's cached view of the adaptation driver's shared gates.
+/// Both only ever move one way (armed stays armed, the due time only
+/// advances), so a stale copy is safe: it just sends the worker to the
+/// shared word, once per interval.
+#[derive(Debug, Default)]
+struct ObsLocal {
+    armed: bool,
+    due_micros: u64,
+}
+
+/// The thread backend's per-unit accounting, on the farm's own timing of
+/// each unit: the engine observation for every successful execution and,
+/// for the recorded one only, the worker's declared-work credit and — when
+/// the skeleton has composition spans to report — its completion stamp.
+struct FarmAccounting<'a> {
+    units: &'a [(usize, f64)],
+    adaptation: Option<&'a ThreadAdaptation>,
+    job_has_work: bool,
+    run_start: Instant,
+    stamp_completions: bool,
+}
+
+/// One farm worker's share of [`FarmAccounting`], owned by its thread.
+#[derive(Debug, Default)]
+struct WorkerAccount {
+    /// Declared work of the units this worker recorded, in micro-work-units.
+    work_micros: u64,
+    /// `(unit id, seconds since the run started)` of the units this worker
+    /// recorded; filled only when completions are stamped.
+    completions: Vec<(usize, f64)>,
+    obs: ObsLocal,
+}
+
+impl UnitObserver for FarmAccounting<'_> {
+    type Local = WorkerAccount;
+
+    fn unit_done(
+        &self,
+        account: &mut WorkerAccount,
+        worker: usize,
+        index: usize,
+        timing: UnitTiming,
+        recorded: bool,
+    ) {
+        let (id, work) = self.units[index];
+        // Every execution is real work on its worker, the losing copy of a
+        // speculated unit included: the engine sees them all.
+        if let Some(driver) = self.adaptation {
+            driver.report(&mut account.obs, worker, work, &timing, self.job_has_work);
+        }
+        // Work credit and completion only for the recorded copy: a
+        // superseded straggler must not be charged to its worker.
+        if recorded {
+            account.work_micros += (work * 1e6) as u64;
+            if self.stamp_completions {
+                let done = timing.finished.saturating_duration_since(self.run_start);
+                account.completions.push((id, done.as_secs_f64()));
+            }
+        }
     }
 }
 
@@ -644,45 +777,38 @@ impl Backend for ThreadBackend {
                             farm.with_speculation(Arc::clone(driver) as Arc<dyn SpeculationPolicy>);
                     }
                 }
-                let run_start = std::time::Instant::now();
-                // Declared work per worker: the outcome reports it so
-                // experiments can judge schedule balance on any hardware
-                // (see `OutcomeDetail::ThreadFarm`).  One atomic per worker
-                // (micro-work-units) keeps the accounting off the task hot
-                // path — no shared lock.  Credited through the farm's record
-                // hook, not in the task closure: under speculation the
-                // closure also runs for losing copies, and a superseded
-                // straggler must not be charged to its worker.
-                let work_acc: Arc<Vec<AtomicU64>> =
-                    Arc::new((0..self.workers).map(|_| AtomicU64::new(0)).collect());
-                {
-                    let work_acc = Arc::clone(&work_acc);
-                    let unit_works: Vec<f64> = units.iter().map(|&(_, w)| w).collect();
-                    farm = farm.with_record_hook(Arc::new(move |wid, index| {
-                        work_acc[wid]
-                            .fetch_add((unit_works[index] * 1e6) as u64, Ordering::Relaxed);
-                    }));
-                }
+                // Per-unit accounting on the farm's own timing of each unit
+                // (worker-local, see `FarmAccounting`).  Declared work per
+                // worker is reported so experiments can judge schedule
+                // balance on any hardware (see `OutcomeDetail::ThreadFarm`);
+                // completion stamps only feed the composition spans, so a
+                // flat farm takes none.
+                let accounting = FarmAccounting {
+                    units,
+                    adaptation: adaptation.as_deref(),
+                    job_has_work,
+                    run_start: Instant::now(),
+                    stamp_completions: !spans.is_empty(),
+                };
                 let executed_units = AtomicUsize::new(0);
-                let (results, stats) = farm.try_run_indexed(units, |wid, &(id, work)| {
-                    maybe_inject(&injector);
-                    let mut iters = self.iters_for(work);
-                    if let Some(slow) = &self.slowdown {
-                        let n = executed_units.fetch_add(1, Ordering::Relaxed);
-                        if n >= slow.after_units && slow.worker.map_or(true, |w| w == wid) {
-                            iters = (iters as f64 * slow.factor).round() as u64;
+                let (mut unit_ids, stats, accounts) =
+                    farm.try_run_observed(units, &accounting, |wid, &(id, work)| {
+                        if self.inject_panics > 0 {
+                            maybe_inject(&injector);
                         }
-                    }
-                    let t0 = std::time::Instant::now();
-                    spin(iters);
-                    if let Some(driver) = &adaptation {
-                        driver.report(wid, work, t0.elapsed().as_secs_f64(), job_has_work);
-                    }
-                    (id, run_start.elapsed().as_secs_f64())
-                })?;
-                let work_per_worker: Vec<f64> = work_acc
+                        let mut iters = self.iters_for(work);
+                        if let Some(slow) = &self.slowdown {
+                            let n = executed_units.fetch_add(1, Ordering::Relaxed);
+                            if n >= slow.after_units && slow.worker.map_or(true, |w| w == wid) {
+                                iters = (iters as f64 * slow.factor).round() as u64;
+                            }
+                        }
+                        spin(iters);
+                        id
+                    })?;
+                let work_per_worker: Vec<f64> = accounts
                     .iter()
-                    .map(|a| a.load(Ordering::Relaxed) as f64 / 1e6)
+                    .map(|a| a.work_micros as f64 / 1e6)
                     .collect();
                 // The farm holds the only other handle on the driver (its
                 // speculation policy); dropping it lets the driver unwrap
@@ -703,9 +829,10 @@ impl Backend for ThreadBackend {
                 // their original (possibly arbitrary) ids, so no dense
                 // max-id-sized buffer.  Spans share it via the same helper
                 // the simulated backend uses.
-                let completions: std::collections::BTreeMap<usize, f64> =
-                    results.iter().copied().collect();
-                let mut unit_ids: Vec<usize> = results.iter().map(|&(id, _)| id).collect();
+                let completions: std::collections::BTreeMap<usize, f64> = accounts
+                    .iter()
+                    .flat_map(|a| a.completions.iter().copied())
+                    .collect();
                 unit_ids.sort_unstable();
                 Ok(SkeletonOutcome {
                     kind: compiled.kind,

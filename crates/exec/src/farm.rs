@@ -7,8 +7,9 @@
 //!    relative speed (on an otherwise idle machine they are equal, but when
 //!    the machine is shared they are not) and the initial chunk size.
 //! 2. **Execution** — remaining tasks are dispensed demand-driven in chunks
-//!    decided by the configured [`SchedulePolicy`]; results are written into
-//!    their original slots so output order always matches input order.
+//!    decided by the configured [`SchedulePolicy`]; each worker keeps its
+//!    results tagged with their input index, and the run merges them so
+//!    output order always matches input order.
 //!
 //! Execution is **fault-isolated**: a panic inside the user closure is caught
 //! with `catch_unwind` (the shared-memory analogue of a grid node being
@@ -19,16 +20,33 @@
 //! process.
 //!
 //! The implementation uses scoped threads, `parking_lot` mutexes and atomics
-//! only — no unsafe code, no dependency on a global thread pool.  The
-//! per-worker timing statistics that feed the adaptive weighted chunking are
-//! kept as running sums behind atomics, so computing the pool-mean weight on
-//! the dispatch hot path costs a handful of loads instead of locking every
-//! worker's history.
+//! only — no unsafe code, no dependency on a global thread pool.
+//!
+//! **The per-unit path** — everything between two units of one chunk —
+//! touches worker-local state, one shared atomic and the clock twice:
+//!
+//! * the clock is read just before and just after the task closure, and that
+//!   one [`UnitTiming`] pair feeds the worker's running mean, the
+//!   [`UnitObserver`] (the thread backend derives its engine observation and
+//!   completion stamp from it) and nothing else;
+//! * first-result-wins is settled by a `swap` on the unit's claim flag (one
+//!   `AtomicBool` per unit, the only shared write), and the winner pushes
+//!   `(index, result)` onto a `Vec` its own thread owns — the vectors are
+//!   merged into input order once, after the workers have joined;
+//! * per-worker state that peers do read — the running timing sums behind
+//!   the adaptive weighted chunking, the steal deques — sits in
+//!   cache-line-padded slots, so a worker's writes never invalidate a
+//!   peer's cache line.
+//!
+//! Locks (the queue, the speculation policy) are taken per chunk or per
+//! fault, never per unit.
 
 use crate::deque::{StealDeque, MAX_RANGE};
+use crate::padded::CachePadded;
 use grasp_core::error::GraspError;
 use grasp_core::SchedulePolicy;
 use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -218,26 +236,26 @@ impl FarmStats {
     }
 }
 
-/// Per-worker running statistics, updated with atomic stores only so that
-/// the dispatch hot path (which reads every worker's mean to derive the
-/// pool-mean weight) never takes a lock.
+/// Per-worker running statistics of recorded units.  Written only by the
+/// owning worker — plain loads and stores, no read-modify-write — and read
+/// lock-free by peers at chunk boundaries, to derive the pool-mean weight
+/// and pick steal victims.  Each sits on its own cache line.
 #[derive(Debug, Default)]
 struct WorkerStat {
     /// Sum of observed task times in nanoseconds.
     sum_ns: AtomicU64,
-    /// Number of timed (successful) task executions.
+    /// Number of timed (recorded) task executions.
     count: AtomicUsize,
-    /// Panics this worker has caught.
-    panics: AtomicUsize,
 }
 
 impl WorkerStat {
+    /// Owner only: add one recorded execution of duration `dt`.
     fn record(&self, dt: Duration) {
-        self.sum_ns.fetch_add(
-            dt.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-        self.count.fetch_add(1, Ordering::Relaxed);
+        let ns = dt.as_nanos().min(u64::MAX as u128) as u64;
+        let sum = self.sum_ns.load(Ordering::Relaxed);
+        self.sum_ns.store(sum.saturating_add(ns), Ordering::Relaxed);
+        let count = self.count.load(Ordering::Relaxed);
+        self.count.store(count + 1, Ordering::Relaxed);
     }
 
     /// Mean task time in seconds, `None` before the first completion.
@@ -292,6 +310,104 @@ pub trait SpeculationPolicy: Send + Sync {
     fn note_win(&self, unit: usize, worker: usize);
 }
 
+/// The two clock stamps the farm takes around one successful execution of
+/// the task closure — the only clock reads on the per-unit path.
+#[derive(Debug, Clone, Copy)]
+pub struct UnitTiming {
+    /// Just before the closure was called.
+    pub started: Instant,
+    /// Just after it returned.
+    pub finished: Instant,
+}
+
+impl UnitTiming {
+    /// Wall time the closure took.
+    pub fn elapsed(&self) -> Duration {
+        self.finished.saturating_duration_since(self.started)
+    }
+}
+
+/// Per-unit accounting with worker-local state, driven by the farm's own
+/// [`UnitTiming`] of every unit (see [`ThreadFarm::try_run_observed`]).
+///
+/// Each worker thread owns one [`UnitObserver::Local`] for the whole run,
+/// starting from its `Default`, so [`UnitObserver::unit_done`] can
+/// accumulate without any lock or shared write; the farm hands every
+/// worker's state back when the run ends.
+pub trait UnitObserver: Sync {
+    /// One worker's state, owned by that worker's thread during the run.
+    type Local: Default + Send;
+
+    /// Worker `worker` ran unit `index` to completion.  `recorded` is true
+    /// for the execution whose result the farm kept and false for the
+    /// losing copy of a speculated unit, whose result is discarded — so
+    /// accounting that must count each unit exactly once checks it, and
+    /// accounting of the work a worker did (its timing) need not.
+    fn unit_done(
+        &self,
+        local: &mut Self::Local,
+        worker: usize,
+        index: usize,
+        timing: UnitTiming,
+        recorded: bool,
+    );
+}
+
+/// No accounting: what [`ThreadFarm::try_run_indexed`] runs with.
+impl UnitObserver for () {
+    type Local = ();
+
+    fn unit_done(&self, _: &mut (), _: usize, _: usize, _: UnitTiming, _: bool) {}
+}
+
+/// What [`ThreadFarm::try_run_observed`] returns: the results in input
+/// order, the run statistics, and each worker's observer state.
+pub type ObservedRun<R, L> = (Vec<R>, FarmStats, Vec<L>);
+
+/// What one worker thread owns during a run and hands back when it exits.
+struct WorkerLocal<R, L> {
+    /// `(index, result)` of every unit this worker recorded.
+    results: RefCell<Vec<(usize, R)>>,
+    /// The observer's state for this worker.
+    observed: RefCell<L>,
+    /// Panics this worker has caught.
+    panics: Cell<usize>,
+}
+
+/// Merge the workers' `(index, result)` records into input order.  Every
+/// index in `0..n` must appear exactly once — the claim flags guarantee it;
+/// the first missing index is the error.  A worker's records are already
+/// ascending unless it ran retries, stolen ranges or speculative
+/// duplicates, so the sort is skipped on the common path, and the merge
+/// stays on one worker's records for as long as they continue the sequence
+/// (a whole chunk), looking for the next owner only at chunk boundaries.
+fn merge_in_input_order<R>(mut runs: Vec<Vec<(usize, R)>>, n: usize) -> Result<Vec<R>, usize> {
+    for run in &mut runs {
+        if !run.windows(2).all(|w| w[0].0 < w[1].0) {
+            run.sort_unstable_by_key(|&(index, _)| index);
+        }
+    }
+    let mut runs: Vec<_> = runs.into_iter().map(|r| r.into_iter().peekable()).collect();
+    let next_index = |run: &mut std::iter::Peekable<std::vec::IntoIter<(usize, R)>>| {
+        run.peek().map(|&(index, _)| index)
+    };
+    let mut output = Vec::with_capacity(n);
+    let mut current = 0;
+    for index in 0..n {
+        if runs.get_mut(current).and_then(next_index) != Some(index) {
+            current = runs
+                .iter_mut()
+                .position(|run| next_index(run) == Some(index))
+                .ok_or(index)?;
+        }
+        let (_, result) = runs[current]
+            .next()
+            .expect("the run's next index was just peeked");
+        output.push(result);
+    }
+    Ok(output)
+}
+
 /// A shared-memory task farm.
 #[derive(Clone)]
 pub struct ThreadFarm {
@@ -303,7 +419,6 @@ pub struct ThreadFarm {
     gate: Option<Arc<WorkerGate>>,
     ranks: Option<Arc<RankTable>>,
     speculation: Option<Arc<dyn SpeculationPolicy>>,
-    record_hook: Option<Arc<dyn Fn(usize, usize) + Send + Sync>>,
 }
 
 impl std::fmt::Debug for ThreadFarm {
@@ -320,7 +435,6 @@ impl std::fmt::Debug for ThreadFarm {
                 "speculation",
                 &self.speculation.as_ref().map(|_| "<policy>"),
             )
-            .field("record_hook", &self.record_hook.as_ref().map(|_| "<hook>"))
             .finish()
     }
 }
@@ -347,7 +461,6 @@ impl ThreadFarm {
             gate: None,
             ranks: None,
             speculation: None,
-            record_hook: None,
         }
     }
 
@@ -356,18 +469,6 @@ impl ThreadFarm {
     /// work-stealing mode already rebalances its tail by stealing).
     pub fn with_speculation(mut self, policy: Arc<dyn SpeculationPolicy>) -> Self {
         self.speculation = Some(policy);
-        self
-    }
-
-    /// Attach a hook called as `(worker, item_index)` each time a result is
-    /// *recorded* under the first-result-wins rule.  Losing executions —
-    /// a speculative duplicate beaten by its primary, or a primary superseded
-    /// by its duplicate — never reach the hook, so accounting attached here
-    /// counts every unit exactly once even under speculation.  (The task
-    /// closure itself cannot tell: it runs before the farm resolves the
-    /// race.)
-    pub fn with_record_hook(mut self, hook: Arc<dyn Fn(usize, usize) + Send + Sync>) -> Self {
-        self.record_hook = Some(hook);
         self
     }
 
@@ -465,10 +566,28 @@ impl ThreadFarm {
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
+        self.try_run_observed(items, &(), worker)
+            .map(|(results, stats, _)| (results, stats))
+    }
+
+    /// [`ThreadFarm::try_run_indexed`] with per-unit accounting: after every
+    /// successful execution, `observer` gets the farm's own [`UnitTiming`]
+    /// of it and the executing worker's [`UnitObserver::Local`].  Returns
+    /// every worker's observer state (indexed by worker) with the results.
+    pub fn try_run_observed<T, R, F, O>(
+        &self,
+        items: &[T],
+        observer: &O,
+        worker: F,
+    ) -> Result<ObservedRun<R, O::Local>, GraspError>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(usize, &T) -> R + Sync,
+        O: UnitObserver,
+    {
         let n = items.len();
         let started = Instant::now();
-        let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
 
         if n == 0 {
             return Ok((
@@ -490,11 +609,13 @@ impl ThreadFarm {
                     speculated_units: 0,
                     speculation_wins: 0,
                 },
+                (0..self.workers).map(|_| O::Local::default()).collect(),
             ));
         }
 
-        let results_slots: Vec<Mutex<&mut [Option<R>]>> =
-            results.chunks_mut(1).map(Mutex::new).collect();
+        // First result wins: one claim flag per unit, swapped by every
+        // successful execution — only the one that flips it records.
+        let claimed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
         let queue = Mutex::new(Queue {
             next: 0,
             total: n,
@@ -502,11 +623,14 @@ impl ThreadFarm {
             failed: None,
             reclaimed: std::collections::VecDeque::new(),
         });
-        let stats: Vec<WorkerStat> = (0..self.workers).map(|_| WorkerStat::default()).collect();
+        let stats: Vec<CachePadded<WorkerStat>> =
+            (0..self.workers).map(|_| CachePadded::default()).collect();
         let retried_total = AtomicUsize::new(0);
         let workers_lost = AtomicUsize::new(0);
         let workers_demoted = AtomicUsize::new(0);
-        // Workers still pulling from the queue; the last one never retires.
+        // Workers still pulling; the last one never retires.  In
+        // work-stealing mode a worker that runs out of work leaves the count
+        // as well (see the steal loop's exit arm).
         let active_workers = AtomicUsize::new(self.workers);
         let calibration_done = Mutex::new(Duration::ZERO);
         let initial_chunk = AtomicUsize::new(0);
@@ -523,8 +647,8 @@ impl ThreadFarm {
         let units_stolen = AtomicUsize::new(0);
         let speculated_units = AtomicUsize::new(0);
         let speculation_wins = AtomicUsize::new(0);
-        // One claim flag per unit so each in-flight unit is duplicated at
-        // most once (allocated only when a speculation policy is attached).
+        // One flag per unit so each in-flight unit is duplicated at most
+        // once (allocated only when a speculation policy is attached).
         let speculated_flags: Vec<AtomicBool> = if self.speculation.is_some() {
             (0..n).map(|_| AtomicBool::new(false)).collect()
         } else {
@@ -539,27 +663,29 @@ impl ThreadFarm {
         let gate = self.gate.as_deref();
         let ranks = self.ranks.as_deref();
         let speculation = self.speculation.as_deref();
-        let record_hook = self.record_hook.as_deref();
 
         // Work-stealing mode: seed one deque per worker from a one-shot
         // partition of the task range.  (Ranges beyond the packed 32-bit
         // bound — far past any supported workload — fall back to the
         // demand-driven queue.)
-        let steal_deques: Option<Vec<StealDeque>> =
+        let steal_deques: Option<Vec<CachePadded<StealDeque>>> =
             if matches!(policy, SchedulePolicy::WorkStealing { .. }) && n <= MAX_RANGE {
                 Some(
                     (0..workers)
-                        .map(|w| StealDeque::new(w * n / workers, (w + 1) * n / workers))
+                        .map(|w| {
+                            CachePadded(StealDeque::new(w * n / workers, (w + 1) * n / workers))
+                        })
                         .collect(),
                 )
             } else {
                 None
             };
 
-        std::thread::scope(|scope| {
+        let outputs: Vec<WorkerLocal<R, O::Local>> = std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(workers);
             for wid in 0..workers {
                 let queue = &queue;
-                let results_slots = &results_slots;
+                let claimed = &claimed;
                 let stats = &stats;
                 let retried_total = &retried_total;
                 let workers_lost = &workers_lost;
@@ -578,45 +704,70 @@ impl ThreadFarm {
                 let speculated_flags = &speculated_flags;
                 let steal_deques = steal_deques.as_deref();
                 let worker_fn = &worker;
-                scope.spawn(move || {
-                    // Execute one task attempt, isolating panics.  Returns
-                    // `false` when the whole run must stop (task failed
-                    // permanently).
-                    let exec_task = |index: usize, attempt: usize| -> bool {
-                        let t0 = Instant::now();
+                handles.push(scope.spawn(move || {
+                    // Everything this worker writes per unit, apart from
+                    // the unit's claim flag and its own padded stat.
+                    let local = WorkerLocal {
+                        results: RefCell::new(Vec::with_capacity(n / workers + 1)),
+                        observed: RefCell::default(),
+                        panics: Cell::new(0),
+                    };
+                    // Execute one attempt of unit `index`, isolating
+                    // panics; `speculative` marks a tail duplicate of a
+                    // unit another worker may still be running.  The
+                    // clock is read just around the closure, and that
+                    // one pair feeds this worker's running mean and the
+                    // observer.  Returns `false` when the whole run must
+                    // stop (task failed permanently).
+                    let exec_task = |index: usize, attempt: usize, speculative: bool| -> bool {
+                        let started = Instant::now();
                         match catch_unwind(AssertUnwindSafe(|| worker_fn(wid, &items[index]))) {
                             Ok(out) => {
-                                let dt = t0.elapsed();
-                                // First result wins: under speculation a
-                                // duplicate may already have filled the slot,
-                                // in which case this copy is the cancelled
-                                // loser — discarded, not recorded, so each
-                                // unit is counted by exactly one worker.
-                                let mut guard = results_slots[index].lock();
-                                let slot = guard.first_mut().unwrap();
-                                if slot.is_none() {
-                                    *slot = Some(out);
-                                    drop(guard);
-                                    stats[wid].record(dt);
-                                    if let Some(hook) = record_hook {
-                                        hook(wid, index);
-                                    }
+                                let timing = UnitTiming {
+                                    started,
+                                    finished: Instant::now(),
+                                };
+                                // First result wins: under speculation
+                                // the other copy may already have
+                                // claimed the unit, in which case this
+                                // one is the cancelled loser — observed
+                                // (its timing is real work), but neither
+                                // recorded nor counted, so each unit is
+                                // counted by exactly one worker.  The
+                                // flag publishes no data (each result
+                                // stays with its worker until the join),
+                                // so the swap needs atomicity only.
+                                let recorded = !claimed[index].swap(true, Ordering::Relaxed);
+                                observer.unit_done(
+                                    &mut local.observed.borrow_mut(),
+                                    wid,
+                                    index,
+                                    timing,
+                                    recorded,
+                                );
+                                if recorded {
+                                    local.results.borrow_mut().push((index, out));
+                                    stats[wid].record(timing.elapsed());
                                     if attempt > 0 {
                                         retried_total.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                    if speculative {
+                                        speculation_wins.fetch_add(1, Ordering::Relaxed);
+                                        if let Some(spec) = speculation {
+                                            spec.note_win(index, wid);
+                                        }
                                     }
                                 }
                                 true
                             }
+                            // A panicked duplicate is simply dropped: the
+                            // primary still owns the unit, so the ordinary
+                            // retry path decides its fate.  And a unit
+                            // whose duplicate already won needs no retry:
+                            // the losing copy's panic is swallowed.
+                            Err(_) if speculative || claimed[index].load(Ordering::Relaxed) => true,
                             Err(_) => {
-                                // A unit whose speculative duplicate already
-                                // won needs no retry: the panic of the losing
-                                // copy is swallowed (the unit is complete).
-                                if speculation.is_some()
-                                    && results_slots[index].lock().first().unwrap().is_some()
-                                {
-                                    return true;
-                                }
-                                stats[wid].panics.fetch_add(1, Ordering::Relaxed);
+                                local.panics.set(local.panics.get() + 1);
                                 let mut q = queue.lock();
                                 if attempt + 1 >= max_attempts {
                                     q.failed.get_or_insert(index);
@@ -633,25 +784,27 @@ impl ThreadFarm {
                             }
                         }
                     };
-                    // Tail speculation (demand-driven modes): duplicate one
-                    // in-flight unit on this otherwise-idle worker.  Returns
-                    // `true` when a duplicate ran (the caller keeps looping:
-                    // retries may have appeared, more tail may remain).
+                    // Tail speculation (demand-driven modes): duplicate
+                    // one in-flight unit on this otherwise-idle worker.
+                    // Returns `true` when a duplicate ran (the caller
+                    // keeps looping: retries may have appeared, more tail
+                    // may remain).
                     let try_speculate = || -> bool {
                         let Some(spec) = speculation else {
                             return false;
                         };
-                        // In-flight = claimed units with no result yet
-                        // (includes panicked units awaiting retry — their
-                        // re-execution is exactly what a duplicate races).
-                        // The slot scan is racy by design: a unit completing
-                        // mid-scan only makes the in-flight count stale by
-                        // one, and the claim flag still guards uniqueness.
-                        let claimed = queue.lock().next;
+                        // In-flight = dispatched units nobody has claimed
+                        // a result for yet (includes panicked units
+                        // awaiting retry — their re-execution is exactly
+                        // what a duplicate races).  The flag scan is racy
+                        // by design: a unit completing mid-scan only makes
+                        // the in-flight count stale by one, and the
+                        // speculated flag still guards uniqueness.
+                        let dispatched = queue.lock().next;
                         let mut in_flight = 0usize;
                         let mut candidate = None;
-                        for idx in 0..claimed {
-                            if results_slots[idx].lock().first().unwrap().is_none() {
+                        for idx in 0..dispatched {
+                            if !claimed[idx].load(Ordering::Relaxed) {
                                 in_flight += 1;
                                 if candidate.is_none()
                                     && !speculated_flags[idx].load(Ordering::Relaxed)
@@ -674,48 +827,24 @@ impl ThreadFarm {
                         }
                         speculated_units.fetch_add(1, Ordering::Relaxed);
                         spec.note_launched(index, wid);
-                        let t0 = Instant::now();
-                        if let Ok(out) =
-                            catch_unwind(AssertUnwindSafe(|| worker_fn(wid, &items[index])))
-                        {
-                            let dt = t0.elapsed();
-                            let mut guard = results_slots[index].lock();
-                            let slot = guard.first_mut().unwrap();
-                            if slot.is_none() {
-                                *slot = Some(out);
-                                drop(guard);
-                                stats[wid].record(dt);
-                                if let Some(hook) = record_hook {
-                                    hook(wid, index);
-                                }
-                                speculation_wins.fetch_add(1, Ordering::Relaxed);
-                                spec.note_win(index, wid);
-                            }
-                            // else: the straggler finished first after all —
-                            // this duplicate is the discarded loser.
-                        }
-                        // A panicked duplicate is simply dropped: the primary
-                        // still owns the unit, so the ordinary retry path
-                        // (not the speculative one) decides its fate.
-                        true
+                        exec_task(index, 0, true)
                     };
-                    // A worker past its panic budget retires — unless it is
-                    // the last one still pulling, which must soldier on to
-                    // preserve progress.  A worker never retires while
-                    // retries are pending: it may be the only worker still
-                    // looping, and a requeued task must not be stranded.
-                    let should_retire = || {
-                        stats[wid].panics.load(Ordering::Relaxed) > panic_budget
-                            && queue.lock().retries.is_empty()
-                            && active_workers
-                                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
-                                    if a > 1 {
-                                        Some(a - 1)
-                                    } else {
-                                        None
-                                    }
-                                })
-                                .is_ok()
+                    // A worker past its panic budget retires — never while
+                    // retries are pending (it may be the only worker still
+                    // looping, and a requeued task must not be stranded)
+                    // and never as the last worker still pulling (see
+                    // `leave_active`).
+                    let over_budget =
+                        || local.panics.get() > panic_budget && queue.lock().retries.is_empty();
+                    // Leave the active count, unless this is the last
+                    // worker still in it, which must soldier on to
+                    // preserve progress.
+                    let leave_active = || {
+                        active_workers
+                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |a| {
+                                (a > 1).then(|| a - 1)
+                            })
+                            .is_ok()
                     };
                     let retire = |retired: &mut bool| {
                         workers_lost.fetch_add(1, Ordering::Relaxed);
@@ -737,25 +866,34 @@ impl ThreadFarm {
                     // on the slow paths (retries, reclaimed ranges, faults).
                     if let Some(deques) = steal_deques {
                         let my_deque = &deques[wid];
-                        // Drain our own deque back into circulation (used on
-                        // demotion and retirement, so `conserves_units_of`
-                        // holds even when a worker leaves mid-partition).
-                        // The pending counter is bumped BEFORE the drain: a
-                        // peer that later sees this deque empty is thereby
-                        // guaranteed to also see the counter, so its
-                        // termination scan cannot strand the range.
-                        let drain_to_reclaimed = || {
+                        // Leave the active count and drain our own deque
+                        // back into circulation (demotion and retirement,
+                        // so `conserves_units_of` holds even when a worker
+                        // leaves mid-partition); refused, draining
+                        // nothing, for the last worker in the count.  The
+                        // pending counter is raised BEFORE the count is
+                        // left and before the drain: a peer that later sees
+                        // this deque empty is thereby guaranteed to also
+                        // see the counter, and so is a peer that leaves the
+                        // count after us (see the exit arm) — drained work
+                        // always has a live taker.
+                        let leave_and_drain = || -> bool {
                             reclaimed_pending.fetch_add(1, Ordering::SeqCst);
+                            if !leave_active() {
+                                reclaimed_pending.fetch_sub(1, Ordering::SeqCst);
+                                return false;
+                            }
                             match my_deque.drain_all() {
                                 Some(range) => queue.lock().reclaimed.push_back(range),
                                 None => {
                                     reclaimed_pending.fetch_sub(1, Ordering::SeqCst);
                                 }
                             }
+                            true
                         };
                         // Rank weight: prefer the engine's published
                         // calibration ranks, fall back to the farm-local
-                        // atomic running means.  Either way: no locks.
+                        // running means.  Either way: no locks.
                         let rank_weight = || {
                             let from_engine = ranks.and_then(|t| {
                                 let my = t.get(wid)?;
@@ -796,11 +934,10 @@ impl ThreadFarm {
                             let Some((idx, _)) = my_deque.take_bottom(1) else {
                                 break;
                             };
-                            if !exec_task(idx, 0) {
+                            if !exec_task(idx, 0, false) {
                                 break;
                             }
-                            if should_retire() {
-                                drain_to_reclaimed();
+                            if over_budget() && leave_and_drain() {
                                 retire(&mut retired);
                                 break;
                             }
@@ -827,17 +964,8 @@ impl ThreadFarm {
                             // guards as the demand-driven loop.
                             if gate.map(|g| g.is_demoted(wid)).unwrap_or(false)
                                 && queue.lock().retries.is_empty()
-                                && active_workers
-                                    .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
-                                        if a > 1 {
-                                            Some(a - 1)
-                                        } else {
-                                            None
-                                        }
-                                    })
-                                    .is_ok()
+                                && leave_and_drain()
                             {
-                                drain_to_reclaimed();
                                 workers_demoted.fetch_add(1, Ordering::Relaxed);
                                 break;
                             }
@@ -855,8 +983,8 @@ impl ThreadFarm {
                                         retries_pending.fetch_sub(1, Ordering::SeqCst);
                                         Slow::Retry { index, attempt }
                                     } else if let Some((start, count)) = q.reclaimed.pop_front() {
-                                        // Take one owner-sized bite; the rest
-                                        // goes back for the other workers.
+                                        // Take one owner-sized bite; the
+                                        // rest goes back for the others.
                                         let bite = policy.owner_chunk(count, workers, 1.0).max(1);
                                         if bite < count {
                                             q.reclaimed.push_back((start + bite, count - bite));
@@ -873,23 +1001,21 @@ impl ThreadFarm {
                                 };
                                 match slow {
                                     Slow::Retry { index, attempt } => {
-                                        if !exec_task(index, attempt) {
+                                        if !exec_task(index, attempt, false) {
                                             break;
                                         }
-                                        if should_retire() {
-                                            drain_to_reclaimed();
+                                        if over_budget() && leave_and_drain() {
                                             retire(&mut retired);
                                         }
                                         continue;
                                     }
                                     Slow::Range { start, count } => {
                                         for idx in start..start + count {
-                                            if !exec_task(idx, 0) {
+                                            if !exec_task(idx, 0, false) {
                                                 break 'steal;
                                             }
                                         }
-                                        if should_retire() {
-                                            drain_to_reclaimed();
+                                        if over_budget() && leave_and_drain() {
                                             retire(&mut retired);
                                         }
                                         continue;
@@ -897,8 +1023,8 @@ impl ThreadFarm {
                                     Slow::Nothing => {}
                                 }
                             }
-                            // Owner fast path: rank-weighted pop from our own
-                            // bottom.  Lock-free and allocation-free.
+                            // Owner fast path: rank-weighted pop from our
+                            // own bottom.  Lock-free and allocation-free.
                             let want = policy.owner_chunk(my_deque.len(), workers, rank_weight());
                             if want > 0 {
                                 if let Some((start, count)) = my_deque.take_bottom(want) {
@@ -909,12 +1035,11 @@ impl ThreadFarm {
                                         Ordering::Relaxed,
                                     );
                                     for idx in start..start + count {
-                                        if !exec_task(idx, 0) {
+                                        if !exec_task(idx, 0, false) {
                                             break 'steal;
                                         }
                                     }
-                                    if should_retire() {
-                                        drain_to_reclaimed();
+                                    if over_budget() && leave_and_drain() {
                                         retire(&mut retired);
                                     }
                                     continue;
@@ -957,12 +1082,11 @@ impl ThreadFarm {
                                         steals_completed.fetch_add(1, Ordering::Relaxed);
                                         units_stolen.fetch_add(count, Ordering::Relaxed);
                                         for idx in start..start + count {
-                                            if !exec_task(idx, 0) {
+                                            if !exec_task(idx, 0, false) {
                                                 break 'steal;
                                             }
                                         }
-                                        if should_retire() {
-                                            drain_to_reclaimed();
+                                        if over_budget() && leave_and_drain() {
                                             retire(&mut retired);
                                         }
                                     }
@@ -978,18 +1102,36 @@ impl ThreadFarm {
                                     // cannot strand in-flight work; a task
                                     // that panics later is requeued and
                                     // finished by the panicking worker
-                                    // itself, which cannot be past this exit.
+                                    // itself, which cannot retire while its
+                                    // retry is queued.
+                                    //
+                                    // A lone last task stays with its owner,
+                                    // who may still retire or be demoted and
+                                    // drain it.  So leave the active count
+                                    // first, then look once more: a peer
+                                    // that leaves after us raised its
+                                    // pending counter before it left (see
+                                    // `leave_and_drain`), so either it saw
+                                    // us still counted and we see its
+                                    // counter now, or it saw us gone —
+                                    // and, were it the last, stayed.
                                     if my_deque.is_empty()
                                         && retries_pending.load(Ordering::SeqCst) == 0
                                         && reclaimed_pending.load(Ordering::SeqCst) == 0
                                     {
-                                        break;
+                                        active_workers.fetch_sub(1, Ordering::SeqCst);
+                                        if retries_pending.load(Ordering::SeqCst) == 0
+                                            && reclaimed_pending.load(Ordering::SeqCst) == 0
+                                        {
+                                            break;
+                                        }
+                                        active_workers.fetch_add(1, Ordering::SeqCst);
                                     }
                                     std::hint::spin_loop();
                                 }
                             }
                         }
-                        return;
+                        return local;
                     }
 
                     // ----------------- calibration pass -----------------
@@ -1004,10 +1146,10 @@ impl ThreadFarm {
                             q.next += 1;
                             i
                         };
-                        if !exec_task(idx, 0) {
+                        if !exec_task(idx, 0, false) {
                             break;
                         }
-                        if should_retire() {
+                        if over_budget() && leave_active() {
                             retire(&mut retired);
                             break;
                         }
@@ -1030,21 +1172,13 @@ impl ThreadFarm {
                         // work stands; the queue reroutes the rest.
                         if gate.map(|g| g.is_demoted(wid)).unwrap_or(false)
                             && queue.lock().retries.is_empty()
-                            && active_workers
-                                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
-                                    if a > 1 {
-                                        Some(a - 1)
-                                    } else {
-                                        None
-                                    }
-                                })
-                                .is_ok()
+                            && leave_active()
                         {
                             workers_demoted.fetch_add(1, Ordering::Relaxed);
                             break;
                         }
                         // Weight = pool mean time / this worker's mean time,
-                        // derived from the atomic running sums (no locks).
+                        // derived from the padded running sums (no locks).
                         let my_mean = stats[wid].mean_s().unwrap_or(0.0);
                         let pool_mean = {
                             let mut sum = 0.0;
@@ -1101,10 +1235,10 @@ impl ThreadFarm {
                         };
                         match job {
                             Job::Retry { index, attempt } => {
-                                if !exec_task(index, attempt) {
+                                if !exec_task(index, attempt, false) {
                                     break;
                                 }
-                                if should_retire() {
+                                if over_budget() && leave_active() {
                                     retire(&mut retired);
                                 }
                             }
@@ -1119,21 +1253,25 @@ impl ThreadFarm {
                                 // its panic budget: its tasks are claimed, so
                                 // retiring mid-chunk would strand them.
                                 for idx in start..start + count {
-                                    if !exec_task(idx, 0) {
+                                    if !exec_task(idx, 0, false) {
                                         break 'pull;
                                     }
                                 }
-                                if should_retire() {
+                                if over_budget() && leave_active() {
                                     retire(&mut retired);
                                 }
                             }
                         }
                     }
-                });
+                    local
+                }));
             }
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
         });
 
-        drop(results_slots);
         let queue = queue.into_inner();
         if let Some(task) = queue.failed {
             return Err(GraspError::WorkerFailed {
@@ -1141,20 +1279,20 @@ impl ThreadFarm {
                 attempts: max_attempts,
             });
         }
-        let mut output: Vec<R> = Vec::with_capacity(n);
-        for (idx, slot) in results.into_iter().enumerate() {
-            match slot {
-                Some(r) => output.push(r),
-                None => {
-                    // Defensive: no recorded failure but a slot is empty —
-                    // report it as a worker failure rather than panicking.
-                    return Err(GraspError::WorkerFailed {
-                        task: idx,
-                        attempts: max_attempts,
-                    });
-                }
-            }
+        let mut runs = Vec::with_capacity(workers);
+        let mut locals = Vec::with_capacity(workers);
+        let mut panics = 0;
+        for out in outputs {
+            runs.push(out.results.into_inner());
+            locals.push(out.observed.into_inner());
+            panics += out.panics.get();
         }
+        // Defensive: no recorded failure but a unit was never recorded —
+        // report it as a worker failure rather than panicking.
+        let output = merge_in_input_order(runs, n).map_err(|task| GraspError::WorkerFailed {
+            task,
+            attempts: max_attempts,
+        })?;
         let stats = FarmStats {
             workers: self.workers,
             tasks_per_worker: stats
@@ -1165,7 +1303,7 @@ impl ThreadFarm {
             calibration: *calibration_done.lock(),
             total: started.elapsed(),
             initial_chunk: initial_chunk.load(Ordering::Relaxed),
-            panics: stats.iter().map(|s| s.panics.load(Ordering::Relaxed)).sum(),
+            panics,
             retried: retried_total.load(Ordering::Relaxed),
             workers_lost: workers_lost.load(Ordering::Relaxed),
             workers_demoted: workers_demoted.load(Ordering::Relaxed),
@@ -1175,7 +1313,7 @@ impl ThreadFarm {
             speculated_units: speculated_units.load(Ordering::Relaxed),
             speculation_wins: speculation_wins.load(Ordering::Relaxed),
         };
-        Ok((output, stats))
+        Ok((output, stats, locals))
     }
 }
 
@@ -1183,6 +1321,7 @@ impl ThreadFarm {
 mod tests {
     use super::*;
     use crate::backend::spin as spin_work;
+    use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -1326,6 +1465,73 @@ mod tests {
         assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), 200);
     }
 
+    /// Sets its flag when the thread whose thread-local holds it exits.
+    struct OnThreadExit(Arc<AtomicBool>);
+
+    impl Drop for OnThreadExit {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+
+    thread_local! {
+        static EXIT_GUARD: RefCell<Option<OnThreadExit>> = const { RefCell::new(None) };
+    }
+
+    fn wait_for(flag: &AtomicBool, what: &str) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !flag.load(Ordering::SeqCst) {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_stealing_worker_that_retires_after_its_peers_left_strands_nothing() {
+        // The interleaving that used to lose a unit, forced step by step:
+        // worker 1 runs out of work and exits while worker 0 still owns a
+        // lone, unstealable task; only then does worker 0 panic past its
+        // budget.  Worker 0 is now the last worker pulling and must not
+        // retire — retiring drains that task into the reclaimed queue with
+        // nobody left to take it (`WorkerFailed` for the stranded unit).
+        let w0_started = AtomicBool::new(false);
+        let w1_exited = Arc::new(AtomicBool::new(false));
+        let fault_left = AtomicBool::new(true);
+        let farm = ThreadFarm::new(2)
+            .with_policy(SchedulePolicy::WorkStealing { min_chunk: 1 })
+            .with_calibration_samples(0)
+            .with_worker_panic_budget(0)
+            .with_max_task_attempts(3);
+        // Worker 0 is seeded [0, 2) and bites one task at a time, so its
+        // first unit leaves one task behind; worker 1 is seeded [2, 4).
+        let items: Vec<u64> = (0..4).collect();
+        let (out, stats) = farm
+            .try_run_indexed(&items, |wid, &x| {
+                if wid == 0 && !w0_started.swap(true, Ordering::SeqCst) {
+                    wait_for(&w1_exited, "worker 1 to exit");
+                    if fault_left.swap(false, Ordering::SeqCst) {
+                        panic!("fault after the peer left");
+                    }
+                }
+                if wid == 1 {
+                    // Hold worker 1 until worker 0's bite has left its deque
+                    // a lone task, so there is nothing to steal.
+                    wait_for(&w0_started, "worker 0's first unit");
+                    EXIT_GUARD.with(|g| {
+                        g.borrow_mut()
+                            .get_or_insert_with(|| OnThreadExit(Arc::clone(&w1_exited)));
+                    });
+                }
+                x
+            })
+            .expect("the last worker pulling must not retire and strand its task");
+        assert_eq!(out, items);
+        assert_eq!(stats.panics, 1);
+        assert_eq!(stats.retried, 1);
+        assert_eq!(stats.workers_lost, 0);
+        assert_eq!(stats.tasks_per_worker, vec![2, 2]);
+    }
+
     #[test]
     fn work_stealing_persistent_panic_still_yields_a_typed_error() {
         let farm = ThreadFarm::new(3)
@@ -1451,6 +1657,98 @@ mod tests {
             policy.launched.load(Ordering::Relaxed),
             stats.speculated_units
         );
+    }
+
+    /// Test observer: how often each unit was recorded, and per worker.
+    struct RecordCounter {
+        recorded: Vec<AtomicUsize>,
+    }
+
+    impl UnitObserver for RecordCounter {
+        type Local = usize;
+
+        fn unit_done(
+            &self,
+            local: &mut usize,
+            _worker: usize,
+            index: usize,
+            timing: UnitTiming,
+            recorded: bool,
+        ) {
+            assert!(timing.finished >= timing.started);
+            if recorded {
+                self.recorded[index].fetch_add(1, Ordering::Relaxed);
+                *local += 1;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random panic schedules × {Guided, WorkStealing} × 1–4 workers ×
+        /// speculation on/off: with more attempts per unit than faults
+        /// injected into it, the run succeeds, its results come back in
+        /// input order, and every unit is recorded exactly once — by the
+        /// observer's count, by `tasks_per_worker`, and per worker.
+        #[test]
+        fn farm_records_every_unit_once_in_input_order(
+            workers in 1usize..5,
+            stealing in any::<bool>(),
+            speculate in any::<bool>(),
+            n in 1usize..150,
+            faults in prop::collection::vec(0usize..8, 150),
+            panic_budget in 0usize..4,
+            calibration in 0usize..3,
+        ) {
+            // Up to two faults per unit (a quarter of the units get any).
+            const MAX_FAULTS: usize = 2;
+            let fault_left: Vec<AtomicUsize> = faults[..n]
+                .iter()
+                .map(|&f| AtomicUsize::new(f.saturating_sub(8 - 1 - MAX_FAULTS)))
+                .collect();
+            let injected: usize = fault_left.iter().map(|f| f.load(Ordering::Relaxed)).sum();
+            let policy = if stealing {
+                SchedulePolicy::WorkStealing { min_chunk: 1 }
+            } else {
+                SchedulePolicy::Guided { min_chunk: 1 }
+            };
+            let mut farm = ThreadFarm::new(workers)
+                .with_policy(policy)
+                .with_calibration_samples(calibration)
+                .with_worker_panic_budget(panic_budget)
+                .with_max_task_attempts(MAX_FAULTS + 1);
+            if speculate {
+                farm = farm.with_speculation(AlwaysSpeculate::new() as Arc<dyn SpeculationPolicy>);
+            }
+            let counter = RecordCounter {
+                recorded: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            };
+            let items: Vec<u64> = (0..n as u64).collect();
+            let run = farm.try_run_observed(&items, &counter, |_, &x| {
+                let f = &fault_left[x as usize];
+                if f.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1)).is_ok() {
+                    panic!("injected fault");
+                }
+                spin_work(x % 7 * 40) ^ x
+            });
+            let (out, stats, per_worker) = match run {
+                Ok(run) => run,
+                Err(e) => {
+                    return Err(TestCaseError::fail(format!(
+                        "{e} with {injected} faults injected"
+                    )))
+                }
+            };
+            prop_assert_eq!(out, items.iter().map(|&x| spin_work(x % 7 * 40) ^ x).collect::<Vec<_>>());
+            for (index, c) in counter.recorded.iter().enumerate() {
+                prop_assert_eq!(c.load(Ordering::Relaxed), 1, "unit {} recorded", index);
+            }
+            prop_assert_eq!(stats.tasks_per_worker.iter().sum::<usize>(), n);
+            prop_assert_eq!(&per_worker, &stats.tasks_per_worker);
+            prop_assert!(stats.panics <= injected);
+            prop_assert!(stats.workers_lost < workers);
+        }
     }
 
     #[test]

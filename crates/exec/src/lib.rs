@@ -36,11 +36,12 @@
 pub mod backend;
 pub mod deque;
 pub mod farm;
+mod padded;
 pub mod pipeline;
 pub mod pool;
 
 pub use backend::{spin, ThreadBackend};
 pub use deque::StealDeque;
-pub use farm::{FarmStats, RankTable, ThreadFarm, WorkerGate};
+pub use farm::{FarmStats, RankTable, ThreadFarm, UnitObserver, UnitTiming, WorkerGate};
 pub use pipeline::{PipelineStats, ThreadPipeline};
 pub use pool::{PoolLease, RoundOutcome, WorkerPool};

@@ -23,6 +23,7 @@
 //! active worker can never be deactivated, so a leased round always drains.
 
 use crate::deque::{StealDeque, MAX_RANGE};
+use crate::padded::CachePadded;
 use grasp_core::error::GraspError;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -34,7 +35,7 @@ use std::thread::JoinHandle;
 /// per-worker deques over the pass's task positions, plus the reclaimed
 /// ranges of workers that left rotation mid-pass.
 struct StealState {
-    deques: Vec<StealDeque>,
+    deques: Vec<CachePadded<StealDeque>>,
     /// Ranges drained from deactivated workers' deques, awaiting pickup.
     reclaimed: Mutex<Vec<(usize, usize)>>,
     /// Raised *before* a deque drains into `reclaimed`, so an idle worker's
@@ -47,22 +48,30 @@ struct StealState {
 }
 
 /// One in-flight dispatch round: the shared cursor the workers pull from
-/// and the slots they deliver into.
+/// and the harvest they hand in when they finish.
 struct Round<T, R> {
     /// `(original index, task)` pairs for this attempt pass.
     tasks: Vec<(usize, T)>,
     cursor: AtomicUsize,
     /// Work-stealing dispatch state; `None` = shared-cursor demand-driven.
     steal: Option<StealState>,
-    /// Delivered results, `(original index, result)`.
-    results: Mutex<Vec<(usize, R)>>,
-    /// Original indices whose handler panicked in this pass.
-    panicked: Mutex<Vec<usize>>,
-    /// Units completed per worker in this pass.
-    per_worker: Vec<AtomicUsize>,
-    /// Workers that have drained the cursor; the lease waits for all.
-    finished: Mutex<usize>,
+    /// What the workers that finished the pass handed in; the lease waits
+    /// until every worker has.
+    harvest: Mutex<Harvest<R>>,
     finished_cv: Condvar,
+}
+
+/// The pass's deliveries, merged from each worker's own records when it
+/// finishes — one lock per worker per pass, none per unit.
+struct Harvest<R> {
+    /// Workers that have finished the pass.
+    finished: usize,
+    /// Delivered results, `(original index, result)`.
+    results: Vec<(usize, R)>,
+    /// Original indices whose handler panicked in this pass.
+    panicked: Vec<usize>,
+    /// Units completed per worker in this pass.
+    per_worker: Vec<usize>,
 }
 
 /// The per-unit handler a pool runs: `(worker index, task) -> result`.
@@ -206,7 +215,14 @@ impl<T: Send + Sync + 'static, R: Send + 'static> WorkerPool<T, R> {
 
 impl<T: Send + Sync + 'static, R: Send + 'static> Drop for WorkerPool<T, R> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Raise the flag under the lock the workers re-check it under: a
+        // worker that has just read `false` still holds that lock until it
+        // parks, so the store waits for it to park and the notification
+        // below cannot be lost.
+        {
+            let _state = self.shared.state.lock();
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.wake.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();
@@ -277,7 +293,10 @@ impl<T: Send + Sync + 'static, R: Send + 'static> PoolLease<'_, T, R> {
                 steal: (steal && pass_len <= MAX_RANGE).then(|| StealState {
                     deques: (0..workers)
                         .map(|w| {
-                            StealDeque::new(w * pass_len / workers, (w + 1) * pass_len / workers)
+                            CachePadded(StealDeque::new(
+                                w * pass_len / workers,
+                                (w + 1) * pass_len / workers,
+                            ))
                         })
                         .collect(),
                     reclaimed: Mutex::new(Vec::new()),
@@ -286,10 +305,12 @@ impl<T: Send + Sync + 'static, R: Send + 'static> PoolLease<'_, T, R> {
                     steals_completed: AtomicUsize::new(0),
                     units_stolen: AtomicUsize::new(0),
                 }),
-                results: Mutex::new(Vec::new()),
-                panicked: Mutex::new(Vec::new()),
-                per_worker: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
-                finished: Mutex::new(0),
+                harvest: Mutex::new(Harvest {
+                    finished: 0,
+                    results: Vec::with_capacity(pass_len),
+                    panicked: Vec::new(),
+                    per_worker: vec![0; workers],
+                }),
                 finished_cv: Condvar::new(),
             });
             {
@@ -298,11 +319,9 @@ impl<T: Send + Sync + 'static, R: Send + 'static> PoolLease<'_, T, R> {
                 state.1 = Some(Arc::clone(&round));
             }
             shared.wake.notify_all();
-            {
-                let mut finished = round.finished.lock();
-                while *finished < workers {
-                    round.finished_cv.wait(&mut finished);
-                }
+            let mut harvest = round.harvest.lock();
+            while harvest.finished < workers {
+                round.finished_cv.wait(&mut harvest);
             }
             shared.state.lock().1 = None;
             // Harvest the pass: delivered results fill their slots, panicked
@@ -310,21 +329,22 @@ impl<T: Send + Sync + 'static, R: Send + 'static> PoolLease<'_, T, R> {
             for (idx, _) in &round.tasks {
                 attempts_per_task[*idx] += 1;
             }
-            for (idx, r) in round.results.lock().drain(..) {
+            for (idx, r) in harvest.results.drain(..) {
                 if attempt > 1 {
                     retried += 1;
                 }
                 slots[idx] = Some(r);
             }
-            for (w, c) in round.per_worker.iter().enumerate() {
-                per_worker[w] += c.load(Ordering::Relaxed);
+            for (total, c) in per_worker.iter_mut().zip(&harvest.per_worker) {
+                *total += c;
             }
             if let Some(st) = &round.steal {
                 steals_attempted += st.steals_attempted.load(Ordering::Relaxed);
                 steals_completed += st.steals_completed.load(Ordering::Relaxed);
                 units_stolen += st.units_stolen.load(Ordering::Relaxed);
             }
-            let failed: Vec<usize> = round.panicked.lock().drain(..).collect();
+            let failed = std::mem::take(&mut harvest.panicked);
+            drop(harvest);
             panics += failed.len();
             if let Some(&task) = failed.first() {
                 if attempt >= max_attempts {
@@ -385,17 +405,17 @@ fn worker_loop<T: Send + Sync, R: Send>(wid: usize, shared: Arc<Shared<T, R>>) {
                 shared.wake.wait(&mut state);
             }
         };
+        // This worker's own records of the pass, handed in once at the end.
+        let mut results: Vec<(usize, R)> = Vec::new();
+        let mut panicked: Vec<usize> = Vec::new();
+        let mut exec = |i: usize| {
+            let (idx, task) = &round.tasks[i];
+            match catch_unwind(AssertUnwindSafe(|| (shared.handler)(wid, task))) {
+                Ok(r) => results.push((*idx, r)),
+                Err(_) => panicked.push(*idx),
+            }
+        };
         if let Some(st) = &round.steal {
-            let exec = |i: usize| {
-                let (idx, task) = &round.tasks[i];
-                match catch_unwind(AssertUnwindSafe(|| (shared.handler)(wid, task))) {
-                    Ok(r) => {
-                        round.results.lock().push((*idx, r));
-                        round.per_worker[wid].fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => round.panicked.lock().push(*idx),
-                }
-            };
             loop {
                 if !shared.active[wid].load(Ordering::Relaxed) {
                     // Raise the pending flag *before* draining so an idle
@@ -449,10 +469,12 @@ fn worker_loop<T: Send + Sync, R: Send>(wid: usize, shared: Arc<Shared<T, R>>) {
                 }
                 // Termination: every deque is completely empty (a demoted
                 // owner drains even a lone last task, so `len <= 1` is not
-                // enough) and no drained range awaits pickup.
-                if st.deques[wid].is_empty()
+                // enough) and no drained range awaits pickup.  The deques
+                // are read *before* the flag: a drain that empties one was
+                // preceded by its flag raise, so seeing the drained deque
+                // guarantees seeing the flag.
+                if st.deques.iter().all(|d| d.is_empty())
                     && st.reclaimed_pending.load(Ordering::SeqCst) == 0
-                    && st.deques.iter().all(|d| d.is_empty())
                 {
                     break;
                 }
@@ -464,20 +486,17 @@ fn worker_loop<T: Send + Sync, R: Send>(wid: usize, shared: Arc<Shared<T, R>>) {
                     break;
                 }
                 let i = round.cursor.fetch_add(1, Ordering::Relaxed);
-                let Some((idx, task)) = round.tasks.get(i) else {
+                if i >= round.tasks.len() {
                     break;
-                };
-                match catch_unwind(AssertUnwindSafe(|| (shared.handler)(wid, task))) {
-                    Ok(r) => {
-                        round.results.lock().push((*idx, r));
-                        round.per_worker[wid].fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => round.panicked.lock().push(*idx),
                 }
+                exec(i);
             }
         }
-        let mut finished = round.finished.lock();
-        *finished += 1;
+        let mut harvest = round.harvest.lock();
+        harvest.per_worker[wid] += results.len();
+        harvest.results.append(&mut results);
+        harvest.panicked.append(&mut panicked);
+        harvest.finished += 1;
         round.finished_cv.notify_all();
     }
 }

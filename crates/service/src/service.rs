@@ -248,7 +248,14 @@ impl GraspService {
     }
 
     fn stop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Raise the flag under the lock the dispatcher re-checks it under:
+        // a dispatcher that has just read `false` holds that lock until it
+        // parks, so the store waits for it to park and the notification
+        // below cannot be lost.
+        {
+            let _queue = self.inner.queue.lock();
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.queue_cv.notify_all();
         if let Some(h) = self.dispatcher.take() {
             let _ = h.join();
