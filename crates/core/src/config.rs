@@ -211,9 +211,6 @@ impl GraspConfig {
 
 /// The knobs every execution backend understands, collected once.
 ///
-/// `ThreadBackend`, `ProcBackend`, and `NetBackend` used to each carry their
-/// own copies of `with_spin_per_work_unit` / `with_calibration_samples` /
-/// `with_max_task_attempts` / `with_heartbeat` / worker-binary resolution.
 /// This builder is the single shared surface: construct one, hand it to any
 /// backend's `with_config`, and only the knobs you actually set are applied
 /// (`None` keeps that backend's default).  Knobs a backend has no use for —
@@ -241,8 +238,10 @@ pub struct BackendConfig {
     pub spin_per_work_unit: Option<u64>,
     /// Dispatches per unit before the run fails (clamped ≥ 1).
     pub max_task_attempts: Option<usize>,
-    /// Worker liveness cadence `(interval_s, timeout_s)`; ignored by the
-    /// thread backend (panics are caught in-process, not timed out).
+    /// Worker liveness cadence `(interval_s, timeout_s)`; an interval of 0
+    /// turns worker heartbeats and the master's timeout sweep off (deaths
+    /// are then seen by EOF only).  Ignored by the thread backend (panics
+    /// are caught in-process, not timed out).
     pub heartbeat: Option<(f64, f64)>,
     /// Explicit worker binary for the process-spawning backends; ignored by
     /// the thread backend.  `None` keeps the usual resolution chain
@@ -307,11 +306,8 @@ impl BackendConfig {
 
 /// A typed fault-injection plan, shared by every backend.
 ///
-/// Replaces the ad-hoc per-backend knobs (`with_panic_injection`,
-/// `with_kill_injection`, `with_slowdown_injection`,
-/// `with_worker_slowdown_injection`, `with_join_spawn`) with one struct, so
-/// a test scripts its faults once and hands the plan to whichever backend it
-/// is exercising.  Fields a backend cannot realise are ignored: threads
+/// A test scripts its faults once and hands the plan to whichever backend
+/// it is exercising.  Fields a backend cannot realise are ignored: threads
 /// panic but are never SIGKILLed, processes are killed but never unwound.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultInjection {

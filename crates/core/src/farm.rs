@@ -210,7 +210,11 @@ impl TaskFarm {
         let mut makespan = calibration.duration;
 
         let mut events: EventQueue<ChunkCompletion> = EventQueue::new();
-        let mut busy: BTreeMap<NodeId, bool> = BTreeMap::new();
+        // Per-node "chunk in flight" flags, indexed by node id: the idle
+        // refill below checks every active node on every completion event,
+        // so the check must be a load, not a map search (on a 1 024-node
+        // grid the map search was two thirds of the run).
+        let mut busy: Vec<bool> = Vec::new();
 
         // Prime every chosen node with an initial chunk.
         let start = calibration.duration;
@@ -236,7 +240,7 @@ impl TaskFarm {
         while let Some(ev) = events.pop() {
             let now = ev.time;
             let completion = ev.payload;
-            busy.insert(completion.node, false);
+            set_busy(&mut busy, completion.node, false);
 
             if !completion.lost.is_empty() {
                 // The node died mid-chunk: requeue its work and drop the node.
@@ -412,7 +416,7 @@ impl TaskFarm {
                 let idle: Vec<NodeId> = active
                     .iter()
                     .copied()
-                    .filter(|n| !busy.get(n).copied().unwrap_or(false))
+                    .filter(|n| !busy.get(n.index()).copied().unwrap_or(false))
                     .collect();
                 for node in idle {
                     if pending.is_empty() {
@@ -549,7 +553,7 @@ impl TaskFarm {
         grid: &Grid,
         pending: &mut VecDeque<TaskSpec>,
         events: &mut EventQueue<ChunkCompletion>,
-        busy: &mut BTreeMap<NodeId, bool>,
+        busy: &mut Vec<bool>,
         config: &GraspConfig,
         total: usize,
         weights: &BTreeMap<NodeId, f64>,
@@ -607,7 +611,7 @@ impl TaskFarm {
                 }
             }
         }
-        busy.insert(node, true);
+        set_busy(busy, node, true);
         // The completion event fires when the node finished its whole chunk.
         // A lost chunk is reported when the master *observes* the revocation
         // — the node's next Revoke transition — never at the dispatch time
@@ -641,6 +645,15 @@ impl TaskFarm {
         let spec = grid.node(node)?;
         Some(total_work(tasks) / spec.base_speed)
     }
+}
+
+/// Set `node`'s busy flag, growing the flag vector to cover it.
+fn set_busy(busy: &mut Vec<bool>, node: NodeId, value: bool) {
+    let i = node.index();
+    if busy.len() <= i {
+        busy.resize(i + 1, false);
+    }
+    busy[i] = value;
 }
 
 #[cfg(test)]

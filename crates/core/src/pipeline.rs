@@ -109,8 +109,6 @@ impl PipelineOutcome {
 pub struct Pipeline {
     config: GraspConfig,
     properties: SkeletonProperties,
-    /// Recent-service window used by the per-stage monitor.
-    monitor_window: usize,
 }
 
 impl Pipeline {
@@ -119,7 +117,6 @@ impl Pipeline {
     /// [`crate::config::ExecutionConfig::monitor_window`].
     pub fn new(config: GraspConfig) -> Self {
         Pipeline {
-            monitor_window: config.execution.monitor_window.max(1),
             config,
             properties: SkeletonProperties::pipeline(1.0, true),
         }
@@ -128,18 +125,6 @@ impl Pipeline {
     /// Override the skeleton properties.
     pub fn with_properties(mut self, properties: SkeletonProperties) -> Self {
         self.properties = properties;
-        self
-    }
-
-    /// Override the number of recent items the per-stage monitor averages
-    /// over before judging a stage degraded (minimum 1).
-    #[deprecated(
-        since = "0.2.0",
-        note = "set `GraspConfig::execution.monitor_window` instead — the \
-                window is shared by every skeleton"
-    )]
-    pub fn with_monitor_window(mut self, window: usize) -> Self {
-        self.monitor_window = window.max(1);
         self
     }
 
@@ -222,7 +207,7 @@ impl Pipeline {
             exec_cfg,
             Self::stage_thresholds(grid, stages, &assignment, &self.config, SimTime::ZERO),
         )
-        .with_stage_window(self.monitor_window);
+        .with_stage_window(exec_cfg.monitor_window);
 
         // ------------------------------ Execution ----------------------------
         let start = calibration.duration;
@@ -644,11 +629,6 @@ mod tests {
         let mut cfg = GraspConfig::default();
         cfg.execution.monitor_window = 1;
         let out = Pipeline::new(cfg).run(&grid, &stages4(), 10).unwrap();
-        assert_eq!(out.items, 10);
-        // The deprecated builder still overrides for old call sites.
-        #[allow(deprecated)]
-        let p = Pipeline::new(GraspConfig::default()).with_monitor_window(0);
-        let out = p.run(&grid, &stages4(), 10).unwrap();
         assert_eq!(out.items, 10);
     }
 }

@@ -71,7 +71,7 @@ pub fn spin(iters: u64) -> u64 {
 /// `Grasp::run`: the farm scheduling policy (`config.scheduler`) and the
 /// calibration sample count (`config.calibration.samples_per_node`), unless
 /// explicitly overridden with [`ThreadBackend::with_policy`] /
-/// [`ThreadBackend::with_calibration_samples`].  The grid-monitoring knobs
+/// [`ThreadBackend::with_config`].  The grid-monitoring knobs
 /// — threshold *Z* policy, `monitor_interval_s`, `demote_factor`,
 /// `max_recalibrations`, `min_active_nodes`, the `adaptive` master switch —
 /// drive the **same** Algorithm-2 loop as on the simulated grid, via the
@@ -105,8 +105,7 @@ pub struct ThreadBackend {
     slowdown: Option<SlowdownInjection>,
 }
 
-/// Parameters of [`ThreadBackend::with_slowdown_injection`] /
-/// [`ThreadBackend::with_worker_slowdown_injection`].
+/// The thread realisation of a [`FaultInjection`] slowdown.
 #[derive(Debug, Clone, Copy)]
 struct SlowdownInjection {
     /// Unit executions (across the pool) before the slowdown sets in.
@@ -186,90 +185,6 @@ impl ThreadBackend {
             after_units: s.after_units,
             factor: s.factor.max(1.0),
             worker: s.worker,
-        });
-        self
-    }
-
-    /// Override how many probe tasks each farm worker executes during the
-    /// calibration pass (0 disables it; otherwise
-    /// `config.calibration.samples_per_node`).
-    #[deprecated(note = "use with_config(BackendConfig::new().calibration_samples(n))")]
-    pub fn with_calibration_samples(mut self, samples: usize) -> Self {
-        self.calibration_samples = Some(samples);
-        self
-    }
-
-    /// Override how many spin iterations one declared work unit costs
-    /// (lower = faster tests, higher = more realistic load).
-    #[deprecated(note = "use with_config(BackendConfig::new().spin_per_work_unit(iters))")]
-    pub fn with_spin_per_work_unit(mut self, iters: u64) -> Self {
-        self.spin_per_work_unit = iters.max(1);
-        self
-    }
-
-    /// Override how many times one unit may be attempted before the run
-    /// fails with [`GraspError::WorkerFailed`] (clamped to ≥ 1; default 3).
-    #[deprecated(note = "use with_config(BackendConfig::new().max_task_attempts(n))")]
-    pub fn with_max_task_attempts(mut self, attempts: usize) -> Self {
-        self.max_task_attempts = attempts.max(1);
-        self
-    }
-
-    /// Override how many panics one farm worker may absorb before it
-    /// retires from the pool (see `ThreadFarm::with_worker_panic_budget`;
-    /// the last active worker never retires).
-    #[deprecated(note = "use with_config(BackendConfig::new().worker_panic_budget(n))")]
-    pub fn with_worker_panic_budget(mut self, budget: usize) -> Self {
-        self.worker_panic_budget = budget;
-        self
-    }
-
-    /// Inject worker faults: the first `panics` unit executions of each run
-    /// panic before doing any work.  This is the shared-memory analogue of a
-    /// grid node being revoked mid-task — the backend must isolate the
-    /// panics, retry the units on surviving workers and report the recovery
-    /// in the outcome's [`ResilienceReport`].  Intended for churn
-    /// experiments and fault-path tests; 0 (the default) disables injection.
-    #[deprecated(note = "use with_fault_injection(FaultInjection::none().panics(n))")]
-    pub fn with_panic_injection(mut self, panics: usize) -> Self {
-        self.inject_panics = panics;
-        self
-    }
-
-    /// Inject a mid-run **pool-wide slowdown**: after `after_units` unit
-    /// executions (across all workers), every unit costs `factor`× the
-    /// spin — the wall-clock analogue of gridsim's external-load spike
-    /// hitting the whole pool.  Algorithm 2 should respond with a
-    /// recalibration (`min T > Z`).  Intended for experiments and tests.
-    #[deprecated(
-        note = "use with_fault_injection(FaultInjection::none().slowdown(after_units, factor))"
-    )]
-    pub fn with_slowdown_injection(mut self, after_units: usize, factor: f64) -> Self {
-        self.slowdown = Some(SlowdownInjection {
-            after_units,
-            factor: factor.max(1.0),
-            worker: None,
-        });
-        self
-    }
-
-    /// Inject a mid-run slowdown on **one worker**: after `after_units`
-    /// unit executions (across the pool), units executed by `worker` cost
-    /// `factor`× the spin — the analogue of one grid node degrading.
-    /// Algorithm 2 should respond by demoting that worker.
-    #[deprecated(
-        note = "use with_fault_injection(FaultInjection::none().worker_slowdown(worker, after_units, factor))"
-    )]
-    pub fn with_worker_slowdown_injection(
-        mut self,
-        worker: usize,
-        after_units: usize,
-        factor: f64,
-    ) -> Self {
-        self.slowdown = Some(SlowdownInjection {
-            after_units,
-            factor: factor.max(1.0),
-            worker: Some(worker),
         });
         self
     }

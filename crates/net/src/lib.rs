@@ -62,29 +62,8 @@ pub const WORKER_BIN_ENV: &str = "GRASP_NET_WORKER_BIN";
 /// The file name of the worker binary.
 pub const WORKER_BIN_NAME: &str = "grasp-net-worker";
 
-/// Locate the worker binary: [`WORKER_BIN_ENV`] first, then a walk from the
-/// current executable's directory upwards (covering `target/<profile>/deps`
-/// test binaries, `target/<profile>/examples`, and plain
-/// `target/<profile>` binaries).  `None` means the worker has not been
-/// built yet — run `cargo build` (the workspace builds it by default) or
-/// set the environment override.
+/// Locate the `grasp-net-worker` binary (see
+/// [`grasp_proc::locate_worker_bin`]).
 pub fn find_worker_bin() -> Option<PathBuf> {
-    if let Ok(p) = std::env::var(WORKER_BIN_ENV) {
-        let p = PathBuf::from(p);
-        if p.is_file() {
-            return Some(p);
-        }
-    }
-    let exe = std::env::current_exe().ok()?;
-    let mut dir = exe.parent()?.to_path_buf();
-    for _ in 0..4 {
-        let cand = dir.join(format!("{WORKER_BIN_NAME}{}", std::env::consts::EXE_SUFFIX));
-        if cand.is_file() {
-            return Some(cand);
-        }
-        if !dir.pop() {
-            break;
-        }
-    }
-    None
+    grasp_proc::locate_worker_bin(WORKER_BIN_ENV, WORKER_BIN_NAME)
 }

@@ -1,9 +1,8 @@
 //! The worker side of the socket backend.
 //!
-//! A network worker is symmetric to the process backend's pipe worker — the
-//! same [`grasp_proc::worker::execute_payload`] kernels behind the same
-//! frame protocol — but its membership is *negotiated* rather than implied
-//! by a spawn:
+//! A network worker is the process backend's pipe worker — the same
+//! [`grasp_proc::worker::serve`] loop over the same frame protocol — but its
+//! membership is *negotiated* rather than implied by a spawn:
 //!
 //! 1. connect to the master's endpoint and send [`WireMsg::Join`] (pid,
 //!    wire version, capability mask);
@@ -17,12 +16,10 @@
 //!    wire, and the master's [`WireMsg::Shutdown`] releases it;
 //! 5. exit on [`WireMsg::Shutdown`] or a clean EOF.
 
-use grasp_core::transport::{tcp_connect, FrameSink, FramedConnection};
-use grasp_core::wire::{FrameView, WireMsg, CAP_ALL, WIRE_VERSION};
-use grasp_proc::worker::execute_payload;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use grasp_core::transport::{tcp_connect, FramedConnection};
+use grasp_core::wire::{WireMsg, CAP_ALL, WIRE_VERSION};
+use grasp_proc::worker::serve;
+use std::time::Duration;
 
 /// How a worker presents itself and when (if ever) it leaves voluntarily.
 #[derive(Debug, Clone)]
@@ -49,126 +46,44 @@ impl Default for WorkerOptions {
     }
 }
 
-type SharedSink = Arc<Mutex<Box<dyn FrameSink>>>;
-
-fn send(sink: &SharedSink, msg: &WireMsg) -> bool {
-    let mut sink = sink.lock().unwrap_or_else(|e| e.into_inner());
-    sink.send(msg).is_ok()
-}
-
 /// Run the worker protocol over an established connection until the master
 /// releases it; returns the process exit code (0 = clean, 2 = protocol
 /// breach).  Transport-agnostic: the TCP binary and the loopback tests both
-/// land here.
+/// land here.  After the `Join` / `Welcome` prologue it is the process
+/// worker's [`serve`] loop.
 pub fn run_connection(conn: FramedConnection, opts: WorkerOptions) -> i32 {
-    let (sink, mut source) = conn.split();
-    let sink: SharedSink = Arc::new(Mutex::new(sink));
-    let stop = Arc::new(AtomicBool::new(false));
-    // Make sure the heartbeat thread winds down on every exit path.
-    struct StopOnExit(Arc<AtomicBool>);
-    impl Drop for StopOnExit {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
-    let _stop_guard = StopOnExit(Arc::clone(&stop));
-
-    if !send(
-        &sink,
-        &WireMsg::Join {
-            pid: std::process::id() as u64,
-            wire_version: opts.wire_version,
-            capabilities: opts.capabilities,
-        },
-    ) {
+    let (mut sink, mut source) = conn.split();
+    let join = WireMsg::Join {
+        pid: u64::from(std::process::id()),
+        wire_version: opts.wire_version,
+        capabilities: opts.capabilities,
+    };
+    if sink.send(&join).is_err() {
         eprintln!("grasp-net-worker: could not reach the master");
         return 2;
     }
-    let (heartbeat_interval_s, spin_per_work_unit) = match source.recv() {
+    match source.recv() {
         Ok(Some(WireMsg::Welcome {
             heartbeat_interval_s,
             spin_per_work_unit,
             ..
-        })) => (heartbeat_interval_s, spin_per_work_unit),
+        })) => serve(
+            sink,
+            source,
+            heartbeat_interval_s,
+            spin_per_work_unit,
+            opts.leave_after,
+        ),
         // A rejection (version/capability mismatch) is answered with
         // Shutdown or a plain close: not this worker's error.
-        Ok(Some(WireMsg::Shutdown)) | Ok(None) => return 0,
+        Ok(Some(WireMsg::Shutdown)) | Ok(None) => 0,
         Ok(Some(other)) => {
             eprintln!("grasp-net-worker: expected Welcome, got {other:?}");
-            return 2;
+            2
         }
         Err(e) => {
             eprintln!("grasp-net-worker: {e}");
-            return 2;
-        }
-    };
-    if heartbeat_interval_s > 0.0 {
-        let out = Arc::clone(&sink);
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_secs_f64(heartbeat_interval_s));
-                if stop.load(Ordering::Relaxed) || !send(&out, &WireMsg::Heartbeat) {
-                    break;
-                }
-            }
-        });
-    }
-    let mut served = 0usize;
-    let mut said_goodbye = false;
-    loop {
-        // Tasks come off the wire as borrowed views: payload bytes are
-        // executed straight out of the source's reused read buffer.
-        let reply = match source.recv_view() {
-            Ok(Some(FrameView::Task {
-                unit_id,
-                work,
-                kind,
-                payload,
-            })) => {
-                let t0 = Instant::now();
-                match execute_payload(kind, payload, work, spin_per_work_unit) {
-                    Ok(digest) => WireMsg::Done {
-                        unit_id,
-                        elapsed_s: t0.elapsed().as_secs_f64(),
-                        digest,
-                    },
-                    Err(e) => WireMsg::Failed {
-                        unit_id,
-                        detail: e.to_string(),
-                    },
-                }
-            }
-            Ok(Some(FrameView::Shutdown)) | Ok(None) => return 0,
-            Ok(Some(other)) => {
-                eprintln!("grasp-net-worker: unexpected frame {other:?}");
-                return 2;
-            }
-            Err(e) => {
-                eprintln!("grasp-net-worker: {e}");
-                return 2;
-            }
-        };
-        {
-            if !send(&sink, &reply) {
-                return 0; // master gone; nothing left to serve
-            }
-            served += 1;
-            if let Some(after) = opts.leave_after {
-                if !said_goodbye && served >= after {
-                    said_goodbye = true;
-                    // Announce the leave; the master drains this
-                    // worker's window and answers with Shutdown.
-                    if !send(
-                        &sink,
-                        &WireMsg::Goodbye {
-                            reason: format!("leaving voluntarily after {served} tasks"),
-                        },
-                    ) {
-                        return 0;
-                    }
-                }
-            }
+            2
         }
     }
 }

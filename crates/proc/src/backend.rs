@@ -1,89 +1,44 @@
 //! The process-isolated [`Backend`]: skeletons on worker OS processes.
 //!
-//! The master (this module) spawns `grasp-proc-worker` processes, ships
-//! tasks to them as serialized [`grasp_core::wire`] frames over pipes, and
-//! collects results, heartbeats, and per-unit wall observations back.  The
-//! execution model mirrors the simulated farm's master/worker discipline:
-//!
-//! * **demand-driven dispatch** — each worker holds a small outstanding
-//!   window of units; a result frees a slot and pulls the next pending unit;
-//! * **the shared Algorithm-2 loop** — the first `workers × samples`
-//!   observations are the calibration sample (Algorithm 1); afterwards every
-//!   [`WireMsg::Done`] feeds the backend-neutral [`AdaptationEngine`], whose
-//!   directives are applied for real: a demotion **closes the worker's
-//!   channel** (it drains its window, hits EOF and exits — the process
-//!   boundary's analogue of "stop handing it chunks"), and a whole-pool
-//!   breach triggers a re-calibration sample ([`AdaptationEngine::begin_resample`]);
-//! * **failure detection** — a worker that dies is noticed twice over:
-//!   instantly through pipe EOF, and behind that through a heartbeat timeout
-//!   in the [`gridmon::MonitorRegistry`] (catching wedged-but-open
-//!   processes).  Either way its in-flight units are requeued to surviving
-//!   workers, exactly like the simulated grid's revocation path, so the
-//!   conservation invariant and the [`ResilienceReport`] hold.
+//! [`ProcBackend`] spawns a fixed pool of `grasp-proc-worker` processes,
+//! connects each over a pipe pair (or a shared-memory ring pair) and admits
+//! it straight into the shared [`FrameMaster`] — no acceptor, no greeter
+//! thread: membership is implied by the spawn.  A worker is configured with
+//! an `Init` frame and takes units once its `Hello` arrives.
+//! Everything after admission — demand windows, the Algorithm-2 adaptation
+//! loop, speculation, death detection by EOF and heartbeat timeout, requeue
+//! — is the frame master's, shared with the socket backend.
 //!
 //! Workers observed only through messages, tasks that exist only as bytes,
 //! executors that can vanish without unwinding: this is the paper's grid
 //! model made concrete on one machine.
 
-use grasp_core::adaptation::AdaptationLog;
-use grasp_core::config::{BackendConfig, ExecutionConfig, FaultInjection};
-use grasp_core::engine::{AdaptationDirective, AdaptationEngine, WallClock};
+use crate::master::{Arrival, FrameJob, FrameMaster, FrameReport, FrameSettings, Membership};
+use grasp_core::config::{BackendConfig, FaultInjection};
 use grasp_core::error::GraspError;
-use grasp_core::execution::MonitorVerdict;
 use grasp_core::shm::{self, ShmRing};
-use grasp_core::skeleton::{
-    Backend, OutcomeDetail, ResilienceReport, Skeleton, SkeletonOutcome, UnitSpan,
-};
-use grasp_core::transport::{spawn_frame_writer, stream_connection, OutMsg, WireCounters};
-use grasp_core::wire::WireMsg;
+use grasp_core::skeleton::{Backend, OutcomeDetail, Skeleton, SkeletonOutcome};
+use grasp_core::transport::{stream_connection, FrameSink, FrameSource};
 use grasp_core::GraspConfig;
-use gridmon::{MonitorRegistry, NodeObservation};
-use gridsim::NodeId;
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Arc;
-use std::time::Duration;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 
 /// The process-isolated execution backend for skeleton expressions.
 ///
 /// Every farm-shaped *and* pipeline-shaped expression is lowered through the
-/// shared [`Skeleton::lower_to_farm`] rules to a flat unit list (a nested
-/// pipeline contributes one unit per stream item carrying the whole per-item
-/// stage chain), so unit counts and ids agree with the other backends —
-/// what makes cross-backend parity tests possible.  Units execute on worker
-/// **processes**: by default the declared work drives the same calibrated
-/// spin kernel as the thread backend ([`grasp_core::wire::PAYLOAD_SPIN`]);
-/// attach serialized
+/// shared [`Skeleton::lower_to_farm`] rules to a flat unit list, so unit
+/// counts and ids agree with the other backends — what makes cross-backend
+/// parity tests possible.  Units execute on worker **processes**: by
+/// default the declared work drives the same calibrated spin kernel as the
+/// thread backend ([`grasp_core::wire::PAYLOAD_SPIN`]); attach serialized
 /// real-kernel payloads with [`ProcBackend::with_payloads`] to make workers
 /// compute actual mat-mul bands or imaging frames and report result digests.
 #[derive(Debug, Clone)]
 pub struct ProcBackend {
     workers: usize,
-    /// Explicit worker binary (otherwise [`crate::find_worker_bin`]).
-    worker_bin: Option<PathBuf>,
-    /// Spin iterations per declared work unit for [`PAYLOAD_SPIN`] units.
-    spin_per_work_unit: u64,
-    /// Explicit override of the config's calibration sample count.
-    calibration_samples: Option<usize>,
-    /// How often workers report liveness.
-    heartbeat_interval_s: f64,
-    /// Silence longer than this declares a worker dead.
-    heartbeat_timeout_s: f64,
-    /// Units a worker may hold dispatched-but-unfinished (≥ 1).
-    outstanding_per_worker: usize,
-    /// Bounded dispatches per unit before the run fails.
-    max_task_attempts: usize,
-    /// Fault injection: SIGKILL worker `.0` after it has delivered `.1`
-    /// results (the hard-kill analogue of grid node revocation).
-    kill_injection: Option<(usize, usize)>,
-    /// Real-kernel payloads by unit id (absent units run the spin kernel).
-    /// `Arc` so dispatch clones a pointer, not the bytes.
-    payloads: HashMap<usize, (u32, Arc<[u8]>)>,
     /// How frames move between master and workers.
     transport: Transport,
+    frame: FrameSettings,
 }
 
 /// Which same-host transport carries frames between the master and its
@@ -104,16 +59,8 @@ impl ProcBackend {
     pub fn new(workers: usize) -> Self {
         ProcBackend {
             workers: workers.max(1),
-            worker_bin: None,
-            spin_per_work_unit: 500,
-            calibration_samples: None,
-            heartbeat_interval_s: 0.25,
-            heartbeat_timeout_s: 5.0,
-            outstanding_per_worker: 2,
-            max_task_attempts: 3,
-            kill_injection: None,
-            payloads: HashMap::new(),
             transport: Transport::Pipes,
+            frame: FrameSettings::default(),
         }
     }
 
@@ -124,28 +71,14 @@ impl ProcBackend {
     }
 
     /// Apply a shared [`BackendConfig`]: the one builder every backend
-    /// understands.  Unset fields keep this backend's defaults.  The
+    /// understands.  Unset fields keep this backend's defaults; a heartbeat
+    /// interval of 0 turns heartbeats and the timeout sweep off.  The
     /// `worker_panic_budget` knob has no process analogue — a worker
     /// process dies with its panic and the master's requeue path takes
     /// over — and is ignored.  The plan's [`FaultInjection`] is applied as
     /// by [`ProcBackend::with_fault_injection`].
     pub fn with_config(mut self, cfg: BackendConfig) -> Self {
-        if let Some(samples) = cfg.calibration_samples {
-            self.calibration_samples = Some(samples);
-        }
-        if let Some(iters) = cfg.spin_per_work_unit {
-            self.spin_per_work_unit = iters.max(1);
-        }
-        if let Some(attempts) = cfg.max_task_attempts {
-            self.max_task_attempts = attempts.max(1);
-        }
-        if let Some((interval_s, timeout_s)) = cfg.heartbeat {
-            self.heartbeat_interval_s = interval_s.max(1e-3);
-            self.heartbeat_timeout_s = timeout_s.max(10.0 * self.heartbeat_interval_s);
-        }
-        if let Some(path) = cfg.worker_bin {
-            self.worker_bin = Some(path);
-        }
+        self.frame.configure(&cfg);
         self.with_fault_injection(cfg.faults)
     }
 
@@ -157,60 +90,7 @@ impl ProcBackend {
     /// *is* a death (use `kill`), and membership is fixed at spawn — and
     /// are ignored.
     pub fn with_fault_injection(mut self, faults: FaultInjection) -> Self {
-        self.kill_injection = faults.kill.map(|k| (k.worker, k.after_results));
-        self
-    }
-
-    /// Use an explicit worker binary instead of [`crate::find_worker_bin`].
-    #[deprecated(note = "use with_config(BackendConfig::new().worker_bin(path))")]
-    pub fn with_worker_bin(mut self, path: impl Into<PathBuf>) -> Self {
-        self.worker_bin = Some(path.into());
-        self
-    }
-
-    /// Override how many spin iterations one declared work unit costs on a
-    /// worker (spin payloads only; clamped to ≥ 1).
-    #[deprecated(note = "use with_config(BackendConfig::new().spin_per_work_unit(iters))")]
-    pub fn with_spin_per_work_unit(mut self, iters: u64) -> Self {
-        self.spin_per_work_unit = iters.max(1);
-        self
-    }
-
-    /// Override how many probe units form the Algorithm-1 calibration sample
-    /// per worker (0 disables the adaptation engine; otherwise
-    /// `config.calibration.samples_per_node`).
-    #[deprecated(note = "use with_config(BackendConfig::new().calibration_samples(n))")]
-    pub fn with_calibration_samples(mut self, samples: usize) -> Self {
-        self.calibration_samples = Some(samples);
-        self
-    }
-
-    /// Override the liveness cadence: workers heartbeat every `interval_s`,
-    /// and a worker silent for `timeout_s` is declared dead and its
-    /// in-flight units requeued.
-    #[deprecated(note = "use with_config(BackendConfig::new().heartbeat(interval_s, timeout_s))")]
-    pub fn with_heartbeat(mut self, interval_s: f64, timeout_s: f64) -> Self {
-        self.heartbeat_interval_s = interval_s.max(1e-3);
-        self.heartbeat_timeout_s = timeout_s.max(10.0 * self.heartbeat_interval_s);
-        self
-    }
-
-    /// Override how many times one unit may be dispatched before the run
-    /// fails with [`GraspError::WorkerFailed`] (clamped to ≥ 1; default 3).
-    #[deprecated(note = "use with_config(BackendConfig::new().max_task_attempts(n))")]
-    pub fn with_max_task_attempts(mut self, attempts: usize) -> Self {
-        self.max_task_attempts = attempts.max(1);
-        self
-    }
-
-    /// Inject a **hard kill**: after worker `worker` has delivered `results`
-    /// completed units, the master SIGKILLs its process mid-run — no signal
-    /// handler, no unwinding, no goodbye frame; exactly what a revoked grid
-    /// node looks like.  The run must survive it (requeue + continue) and
-    /// report the loss in the outcome's [`ResilienceReport`].
-    #[deprecated(note = "use with_fault_injection(FaultInjection::none().kill(worker, results))")]
-    pub fn with_kill_injection(mut self, worker: usize, results: usize) -> Self {
-        self.kill_injection = Some((worker, results));
+        self.frame.set_faults(&faults);
         self
     }
 
@@ -219,9 +99,7 @@ impl ProcBackend {
     /// and [`grasp_workloads::imaging::ImagePipeline::wire_payloads`].
     /// Units without a payload run the spin kernel.
     pub fn with_payloads(mut self, payloads: Vec<(usize, u32, Vec<u8>)>) -> Self {
-        for (id, kind, bytes) in payloads {
-            self.payloads.insert(id, (kind, bytes.into()));
-        }
+        self.frame.add_payloads(payloads);
         self
     }
 
@@ -229,16 +107,63 @@ impl ProcBackend {
     pub fn workers(&self) -> usize {
         self.workers
     }
+
+    /// Spawn worker `w` on the configured transport, ready for admission.
+    fn spawn(&self, w: usize, bin: &Path) -> Result<Arrival, GraspError> {
+        let unavailable = |e: std::io::Error| GraspError::WorkerUnavailable {
+            detail: format!("could not spawn {}: {e}", bin.display()),
+        };
+        let (child, sink, source, ring, peer) = match self.transport {
+            Transport::Pipes => {
+                let mut child = Command::new(bin)
+                    .stdin(Stdio::piped())
+                    .stdout(Stdio::piped())
+                    .stderr(Stdio::inherit())
+                    .spawn()
+                    .map_err(unavailable)?;
+                let stdin = child.stdin.take().expect("stdin was piped");
+                let stdout = child.stdout.take().expect("stdout was piped");
+                let peer = format!("pipe:{w}");
+                let (sink, source) = stream_connection(peer.clone(), stdin, stdout).split();
+                (child, sink, source, None, peer)
+            }
+            Transport::Shm => {
+                let path = shm::ring_path(&format!("w{w}"));
+                let ring = ShmRing::create(&path, shm::DEFAULT_RING_CAPACITY)?;
+                let child = Command::new(bin)
+                    .arg("--shm")
+                    .arg(&path)
+                    .stdin(Stdio::null())
+                    .stdout(Stdio::null())
+                    .stderr(Stdio::inherit())
+                    .spawn()
+                    .map_err(unavailable)?;
+                let (sink, source) = ring.into_halves(u64::from(child.id()));
+                (
+                    child,
+                    Box::new(sink) as Box<dyn FrameSink>,
+                    Box::new(source) as Box<dyn FrameSource>,
+                    Some(path),
+                    format!("shm:{w}"),
+                )
+            }
+        };
+        Ok(Arrival {
+            peer,
+            pid: u64::from(child.id()),
+            sink,
+            source,
+            child: Some(child),
+            ring,
+            joined: false,
+        })
+    }
 }
 
 /// A skeleton bound to the process backend, ready to execute.
 #[derive(Debug, Clone)]
 pub struct ProcCompiled {
-    /// Flat unit list `(global id, declared work)`.
-    units: Vec<(usize, f64)>,
-    /// Composition spans for rebuilding per-child outcomes.
-    spans: Vec<UnitSpan>,
-    kind: grasp_core::SkeletonKind,
+    job: FrameJob,
     worker_bin: PathBuf,
 }
 
@@ -254,31 +179,11 @@ impl Backend for ProcBackend {
         config: &GraspConfig,
         skeleton: &Skeleton,
     ) -> Result<Self::Compiled, GraspError> {
-        config.validate()?;
-        skeleton.validate()?;
-        let worker_bin = match &self.worker_bin {
-            Some(p) if p.is_file() => p.clone(),
-            Some(p) => {
-                return Err(GraspError::WorkerUnavailable {
-                    detail: format!("worker binary {} does not exist", p.display()),
-                })
-            }
-            None => crate::find_worker_bin().ok_or_else(|| GraspError::WorkerUnavailable {
-                detail: format!(
-                    "{} binary not found near the current executable; \
-                     run `cargo build` first or set {}",
-                    crate::WORKER_BIN_NAME,
-                    crate::WORKER_BIN_ENV
-                ),
-            })?,
-        };
-        let (tasks, spans) = skeleton.lower_to_farm();
-        Ok(ProcCompiled {
-            units: tasks.iter().map(|t| (t.id, t.work)).collect(),
-            spans,
-            kind: skeleton.kind(),
-            worker_bin,
-        })
+        let job = FrameJob::lower(config, skeleton)?;
+        let worker_bin = self
+            .frame
+            .worker_bin(crate::WORKER_BIN_ENV, crate::WORKER_BIN_NAME)?;
+        Ok(ProcCompiled { job, worker_bin })
     }
 
     fn execute(
@@ -286,776 +191,28 @@ impl Backend for ProcBackend {
         config: &GraspConfig,
         compiled: &Self::Compiled,
     ) -> Result<SkeletonOutcome, GraspError> {
-        Master::launch(self, config, compiled)?.run()
+        let mut master = FrameMaster::new(&self.frame, config, &compiled.job, self.workers, None);
+        for w in 0..self.workers {
+            master.admit(self.spawn(w, &compiled.worker_bin)?);
+        }
+        master.run(&mut Spawned)
     }
 }
 
-// ---------------------------------------------------------------------------
-// master-side machinery
-// ---------------------------------------------------------------------------
+/// The process backend's membership: the fixed pool admitted at launch.
+struct Spawned;
 
-/// What a reader thread forwards to the master loop.
-enum Event {
-    Msg(WireMsg),
-    /// The worker's stdout closed (clean exit or death) or produced a frame
-    /// error; either way no further frames will come from it.
-    Closed,
-}
-
-/// One spawned worker process, master side.  Dropping it kills and reaps the
-/// child, so every error path leaves no orphan behind.
-///
-/// Outbound frames go through the shared transport writer thread
-/// ([`spawn_frame_writer`], owning the child's stdin wrapped as a
-/// [`grasp_core::transport::FrameSink`]) rather than being written from the
-/// master loop: a worker only reads between tasks, so a blocking write of a
-/// large payload into a full pipe would stall the master — and with it the
-/// very heartbeat sweep that is supposed to unmask a wedged worker.
-/// Closing the channel drops the sender; the writer drains what was queued,
-/// then drops the sink (EOF at the worker).
-struct WorkerProc {
-    child: Child,
-    /// `None` once the channel is closed (demotion or death).
-    tx: Option<mpsc::Sender<OutMsg>>,
-    alive: bool,
-    demoted: bool,
-    /// `Hello` received — eligible for dispatch.
-    ready: bool,
-    /// Indices (into the unit list) currently dispatched to this worker.
-    in_flight: Vec<usize>,
-    /// Units this worker completed.
-    completed: usize,
-    /// Ring file to unlink after the worker is reaped (shm transport only).
-    ring: Option<PathBuf>,
-}
-
-impl Drop for WorkerProc {
-    fn drop(&mut self) {
-        self.tx = None; // close the channel first: a live worker exits cleanly
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        if let Some(path) = self.ring.take() {
-            ShmRing::cleanup(path);
+impl Membership for Spawned {
+    fn detail(&self, r: FrameReport) -> OutcomeDetail {
+        OutcomeDetail::ProcFarm {
+            workers: r.workers,
+            tasks_per_worker: r.tasks_per_worker,
+            bytes_sent: r.bytes_sent,
+            bytes_received: r.bytes_received,
+            wire_write_s: r.wire_write_s,
+            wire_encode_s: r.wire_encode_s,
+            bytes_copied: r.bytes_copied,
+            unit_digests: r.unit_digests,
         }
-    }
-}
-
-/// Master-side driver of the shared adaptation engine (executor mode): the
-/// calibration prefix arms it, later observations feed it, and its
-/// directives come back to the master loop for application.
-struct MasterAdaptation {
-    engine: AdaptationEngine,
-    calib: Vec<f64>,
-    calib_target: usize,
-    armed: bool,
-    baseline: f64,
-    calibration_done_s: f64,
-    min_active: usize,
-    /// The verdict of the latest evaluation, kept so applied directives are
-    /// logged against the table *T* that produced them.
-    last_verdict: Option<MonitorVerdict>,
-}
-
-impl MasterAdaptation {
-    fn new(exec: &ExecutionConfig, calib_target: usize) -> Self {
-        MasterAdaptation {
-            // Armed with an empty reference sample: Z stays infinite until
-            // the calibration prefix completes (same discipline as the
-            // thread backend).
-            engine: AdaptationEngine::for_executors(exec, &[], gridsim::SimTime::ZERO),
-            calib: Vec::with_capacity(calib_target),
-            calib_target: calib_target.max(1),
-            armed: false,
-            baseline: f64::INFINITY,
-            calibration_done_s: 0.0,
-            min_active: exec.min_active_nodes.max(1),
-            last_verdict: None,
-        }
-    }
-
-    /// Feed one completed unit; returns directives to apply, if an
-    /// evaluation was due.
-    fn on_done(
-        &mut self,
-        registry: &mut MonitorRegistry,
-        worker: usize,
-        work: f64,
-        elapsed_s: f64,
-        now: gridsim::SimTime,
-        job_has_work: bool,
-    ) -> Vec<AdaptationDirective> {
-        // Unit selection mirrors the other backends: per-work-unit times
-        // when the job has real work, raw seconds for pure-transfer jobs.
-        if work <= 0.0 && job_has_work {
-            return Vec::new();
-        }
-        let t_norm = if work > 0.0 {
-            elapsed_s / work
-        } else {
-            elapsed_s
-        };
-        if !self.armed {
-            self.calib.push(t_norm);
-            if self.calib.len() >= self.calib_target {
-                self.engine.calibrate(&self.calib, now);
-                self.baseline = self.calib.iter().copied().fold(f64::INFINITY, f64::min);
-                self.armed = true;
-                self.calibration_done_s = now.as_secs();
-            }
-            return Vec::new();
-        }
-        self.engine.observe(NodeId(worker), t_norm);
-        registry.record(NodeObservation::from_wall_times(
-            NodeId(worker),
-            now,
-            self.baseline,
-            t_norm,
-        ));
-        match self.engine.poll(now) {
-            Some(poll) => {
-                // The verdict is consumed here; demotions are re-checked
-                // against the pool floor by the caller before being applied.
-                self.last_verdict = Some(poll.verdict);
-                poll.directives
-            }
-            None => Vec::new(),
-        }
-    }
-}
-
-struct Master<'a> {
-    backend: &'a ProcBackend,
-    units: &'a [(usize, f64)],
-    spans: &'a [UnitSpan],
-    kind: grasp_core::SkeletonKind,
-    job_has_work: bool,
-    pool: Vec<WorkerProc>,
-    rx: mpsc::Receiver<(usize, Event)>,
-    clock: WallClock,
-    registry: MonitorRegistry,
-    adaptation: Option<MasterAdaptation>,
-    /// unit id → index into `units`.
-    id_to_idx: HashMap<usize, usize>,
-    pending: VecDeque<usize>,
-    /// Dispatches per unit index (bounded by `max_task_attempts`).
-    attempts: Vec<usize>,
-    /// unit id → completion time (master clock seconds).
-    completions: BTreeMap<usize, f64>,
-    /// unit id → worker-reported result digest.
-    digests: BTreeMap<usize, u64>,
-    /// Unit indices currently owed a re-execution (requeued, not yet done).
-    requeued_open: std::collections::BTreeSet<usize>,
-    requeued_tasks: usize,
-    retried_tasks: usize,
-    nodes_lost: usize,
-    /// Speculative duplicates in flight: unit index → the idle worker the
-    /// duplicate was dispatched to.  Duplicates never touch the attempt
-    /// budget; `completions`' first-wins dedup settles each race.
-    spec_in_flight: HashMap<usize, usize>,
-    speculated_units: usize,
-    speculation_wins: usize,
-    /// Shared with the writer threads, which account bytes, encode time,
-    /// write time, and extra payload copies per frame they put on the wire.
-    counters: WireCounters,
-    /// Shared with the reader-side sources ([`grasp_core::transport::FrameSource::set_byte_counter`]).
-    bytes_received: Arc<AtomicU64>,
-    kill_injection: Option<(usize, usize)>,
-}
-
-impl<'a> Master<'a> {
-    fn launch(
-        backend: &'a ProcBackend,
-        config: &GraspConfig,
-        compiled: &'a ProcCompiled,
-    ) -> Result<Self, GraspError> {
-        let samples = backend
-            .calibration_samples
-            .unwrap_or(config.calibration.samples_per_node);
-        let adaptation = (config.execution.adaptive && samples > 0)
-            .then(|| MasterAdaptation::new(&config.execution, backend.workers * samples));
-        let (tx, rx) = mpsc::channel();
-        let clock = WallClock::start();
-        let mut registry = MonitorRegistry::new(NodeId(0), 64);
-        let mut pool = Vec::with_capacity(backend.workers);
-        let counters = WireCounters::new();
-        let bytes_received = Arc::new(AtomicU64::new(0));
-        let init = WireMsg::Init {
-            heartbeat_interval_s: backend.heartbeat_interval_s,
-            spin_per_work_unit: backend.spin_per_work_unit,
-        };
-        for w in 0..backend.workers {
-            // Per-transport spawn: the pipe pair over stdin/stdout, or a
-            // shared-memory ring pair the worker attaches to by path.  Either
-            // way the result is one framed connection — the same master logic
-            // runs unchanged over sockets in `grasp-net`.
-            let (child, sink, mut source, ring) = match backend.transport {
-                Transport::Pipes => {
-                    let mut child = Command::new(&compiled.worker_bin)
-                        .stdin(Stdio::piped())
-                        .stdout(Stdio::piped())
-                        .stderr(Stdio::inherit())
-                        .spawn()
-                        .map_err(|e| GraspError::WorkerUnavailable {
-                            detail: format!(
-                                "could not spawn {}: {e}",
-                                compiled.worker_bin.display()
-                            ),
-                        })?;
-                    let stdin = child.stdin.take().expect("stdin was piped");
-                    let stdout = child.stdout.take().expect("stdout was piped");
-                    let (sink, source) =
-                        stream_connection(format!("pipe:{w}"), stdin, stdout).split();
-                    (child, sink, source, None)
-                }
-                Transport::Shm => {
-                    let path = shm::ring_path(&format!("w{w}"));
-                    let ring = ShmRing::create(&path, shm::DEFAULT_RING_CAPACITY)?;
-                    let child = Command::new(&compiled.worker_bin)
-                        .arg("--shm")
-                        .arg(&path)
-                        .stdin(Stdio::null())
-                        .stdout(Stdio::null())
-                        .stderr(Stdio::inherit())
-                        .spawn()
-                        .map_err(|e| GraspError::WorkerUnavailable {
-                            detail: format!(
-                                "could not spawn {}: {e}",
-                                compiled.worker_bin.display()
-                            ),
-                        })?;
-                    let (sink, source) = ring.into_halves(child.id() as u64);
-                    (
-                        child,
-                        Box::new(sink) as Box<dyn grasp_core::transport::FrameSink>,
-                        Box::new(source) as Box<dyn grasp_core::transport::FrameSource>,
-                        Some(path),
-                    )
-                }
-            };
-            source.set_byte_counter(Arc::clone(&bytes_received));
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                let mut source = source;
-                loop {
-                    match source.recv() {
-                        Ok(Some(msg)) => {
-                            if tx.send((w, Event::Msg(msg))).is_err() {
-                                return; // master gone
-                            }
-                        }
-                        Ok(None) | Err(_) => {
-                            let _ = tx.send((w, Event::Closed));
-                            return;
-                        }
-                    }
-                }
-            });
-            // Configure the worker immediately; its Hello arrives via the
-            // reader.  A spawn that dies instantly surfaces as Closed.
-            let out = spawn_frame_writer(sink, counters.clone());
-            let write_ok = out.send(init.clone().into()).is_ok();
-            // Even before Hello, a worker is on the liveness clock: a binary
-            // that wedges without ever speaking still times out.
-            registry.note_heartbeat(NodeId(w), clock.now());
-            pool.push(WorkerProc {
-                child,
-                tx: write_ok.then_some(out),
-                alive: true,
-                demoted: false,
-                ready: false,
-                in_flight: Vec::new(),
-                completed: 0,
-                ring,
-            });
-        }
-        let job_has_work = compiled.units.iter().any(|&(_, w)| w > 0.0);
-        Ok(Master {
-            backend,
-            units: &compiled.units,
-            spans: &compiled.spans,
-            kind: compiled.kind,
-            job_has_work,
-            pool,
-            rx,
-            clock,
-            registry,
-            adaptation,
-            id_to_idx: compiled
-                .units
-                .iter()
-                .enumerate()
-                .map(|(i, &(id, _))| (id, i))
-                .collect(),
-            pending: (0..compiled.units.len()).collect(),
-            attempts: vec![0; compiled.units.len()],
-            completions: BTreeMap::new(),
-            digests: BTreeMap::new(),
-            requeued_open: std::collections::BTreeSet::new(),
-            requeued_tasks: 0,
-            retried_tasks: 0,
-            nodes_lost: 0,
-            spec_in_flight: HashMap::new(),
-            speculated_units: 0,
-            speculation_wins: 0,
-            counters,
-            bytes_received,
-            kill_injection: backend.kill_injection,
-        })
-    }
-
-    /// Workers that can accept new units right now.
-    fn dispatchable(&self) -> usize {
-        self.pool
-            .iter()
-            .filter(|p| p.alive && !p.demoted && p.tx.is_some())
-            .count()
-    }
-
-    fn total_in_flight(&self) -> usize {
-        self.pool.iter().map(|p| p.in_flight.len()).sum()
-    }
-
-    /// Queue one frame to worker `w`'s writer thread (which owns the
-    /// serialization cost — encoding and the actual pipe write both happen
-    /// off the master loop); `false` means the channel is gone (the caller
-    /// decides what that implies).
-    fn send_to(&mut self, w: usize, msg: OutMsg) -> bool {
-        let Some(out) = self.pool[w].tx.as_ref() else {
-            return false;
-        };
-        out.send(msg).is_ok()
-    }
-
-    /// Fill every ready worker's outstanding window from the pending queue.
-    fn dispatch_all(&mut self) -> Result<(), GraspError> {
-        for w in 0..self.pool.len() {
-            loop {
-                let p = &self.pool[w];
-                if !(p.alive && !p.demoted && p.ready && p.tx.is_some())
-                    || p.in_flight.len() >= self.backend.outstanding_per_worker
-                {
-                    break;
-                }
-                let Some(idx) = self.pending.pop_front() else {
-                    break;
-                };
-                self.attempts[idx] += 1;
-                if self.attempts[idx] > self.backend.max_task_attempts {
-                    return Err(GraspError::WorkerFailed {
-                        task: self.units[idx].0,
-                        attempts: self.attempts[idx],
-                    });
-                }
-                let (id, work) = self.units[idx];
-                // Real-kernel payloads ride as `Arc<[u8]>`: dispatch clones a
-                // pointer, and the writer thread encodes straight from the
-                // shared bytes — no per-dispatch payload copy.
-                let msg = match self.backend.payloads.get(&id) {
-                    Some((kind, bytes)) => OutMsg::Task {
-                        unit_id: id as u64,
-                        work,
-                        kind: *kind,
-                        payload: Arc::clone(bytes),
-                    },
-                    None => OutMsg::spin_task(id as u64, work),
-                };
-                if self.send_to(w, msg) {
-                    self.pool[w].in_flight.push(idx);
-                } else {
-                    // Broken pipe: the unit goes back, the worker's fate is
-                    // settled by its Closed event / heartbeat timeout.
-                    self.pending.push_front(idx);
-                    self.attempts[idx] -= 1;
-                    self.pool[w].tx = None;
-                    break;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Near the tail — pending queue drained, a few stragglers in flight —
-    /// duplicate in-flight units on idle workers when the engine's
-    /// `Speculate` directive allows it.  The first result to arrive wins
-    /// (`completions`' first-wins dedup settles each race) and the loser
-    /// is discarded on arrival; duplicates never touch the attempt budget,
-    /// because the primary dispatch owns the retry path.
-    fn try_speculate(&mut self) {
-        let total = self.units.len();
-        if !self.pending.is_empty() || self.completions.len() >= total {
-            return;
-        }
-        loop {
-            let in_flight = self.total_in_flight();
-            let allowed = match &self.adaptation {
-                Some(ad) => ad.engine.maybe_speculate(in_flight, total).is_some(),
-                None => false,
-            };
-            if !allowed {
-                return;
-            }
-            // An idle window slot on a dispatchable worker, counting its
-            // speculative duplicates against the same outstanding budget.
-            let Some(w) = (0..self.pool.len()).find(|&w| {
-                let p = &self.pool[w];
-                let spec_held = self.spec_in_flight.values().filter(|&&sw| sw == w).count();
-                p.alive
-                    && !p.demoted
-                    && p.ready
-                    && p.tx.is_some()
-                    && p.in_flight.len() + spec_held < self.backend.outstanding_per_worker
-            }) else {
-                return;
-            };
-            // A straggler worth racing: in flight on a *different* worker
-            // and not already duplicated.
-            let candidate = self
-                .pool
-                .iter()
-                .enumerate()
-                .filter(|&(pw, _)| pw != w)
-                .flat_map(|(_, p)| p.in_flight.iter().copied())
-                .find(|idx| {
-                    !self.spec_in_flight.contains_key(idx)
-                        && !self.completions.contains_key(&self.units[*idx].0)
-                });
-            let Some(idx) = candidate else {
-                return;
-            };
-            let (id, work) = self.units[idx];
-            let msg = match self.backend.payloads.get(&id) {
-                Some((kind, bytes)) => OutMsg::Task {
-                    unit_id: id as u64,
-                    work,
-                    kind: *kind,
-                    payload: Arc::clone(bytes),
-                },
-                None => OutMsg::spin_task(id as u64, work),
-            };
-            if !self.send_to(w, msg) {
-                // Broken pipe: the worker's fate is settled by its Closed
-                // event; nothing was duplicated.
-                self.pool[w].tx = None;
-                continue;
-            }
-            let now = self.clock.now();
-            self.spec_in_flight.insert(idx, w);
-            self.speculated_units += 1;
-            if let Some(ad) = &mut self.adaptation {
-                ad.engine.note_speculated(now, id, NodeId(w));
-            }
-        }
-    }
-
-    /// A worker is gone (EOF, frame error, or heartbeat timeout): requeue
-    /// its in-flight units and account the loss.  Demoted workers drain and
-    /// exit by design — their end is not a node loss.
-    fn on_worker_gone(&mut self, w: usize) {
-        if !self.pool[w].alive {
-            return;
-        }
-        let now = self.clock.now();
-        let p = &mut self.pool[w];
-        p.alive = false;
-        p.ready = false;
-        p.tx = None;
-        let _ = p.child.kill();
-        let _ = p.child.wait();
-        let stranded: Vec<usize> = std::mem::take(&mut p.in_flight);
-        let was_demoted = p.demoted;
-        self.registry.forget_heartbeat(NodeId(w));
-        // Speculative duplicates stranded on the dead worker are simply
-        // gone — the primary copy lives elsewhere and owns the unit, so
-        // requeueing them would double-schedule.
-        self.spec_in_flight.retain(|_, &mut sw| sw != w);
-        for idx in stranded.iter().rev() {
-            self.pending.push_front(*idx);
-            self.requeued_open.insert(*idx);
-        }
-        self.requeued_tasks += stranded.len();
-        if !was_demoted {
-            self.nodes_lost += 1;
-            if let Some(ad) = &mut self.adaptation {
-                ad.engine.note_node_lost(now, NodeId(w), stranded.len());
-            }
-        }
-    }
-
-    /// Apply engine directives under the master's pool-floor gating.
-    fn apply_directives(&mut self, directives: Vec<AdaptationDirective>) {
-        let now = self.clock.now();
-        for directive in directives {
-            match directive {
-                AdaptationDirective::DemoteExecutor {
-                    executor,
-                    recent_mean,
-                } => {
-                    let w = executor.index();
-                    let Some(min_active) = self.adaptation.as_ref().map(|a| a.min_active) else {
-                        continue;
-                    };
-                    if w < self.pool.len()
-                        && self.pool[w].alive
-                        && !self.pool[w].demoted
-                        && self.dispatchable() > min_active
-                    {
-                        // Demotion across a process boundary: close the
-                        // worker's channel.  It finishes its window, reads
-                        // EOF and exits cleanly; remaining results still
-                        // flow back over its stdout.
-                        self.pool[w].demoted = true;
-                        self.pool[w].tx = None;
-                        if let Some(ad) = &mut self.adaptation {
-                            if let Some(verdict) = ad.last_verdict.clone() {
-                                ad.engine.note_demoted(now, executor, recent_mean, &verdict);
-                            }
-                        }
-                    }
-                }
-                AdaptationDirective::Recalibrate => {
-                    let chosen: Vec<NodeId> = self
-                        .pool
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, p)| p.alive && !p.demoted)
-                        .map(|(i, _)| NodeId(i))
-                        .collect();
-                    if let Some(ad) = &mut self.adaptation {
-                        if let Some(verdict) = ad.last_verdict.clone() {
-                            ad.engine.begin_resample(now, chosen, &verdict);
-                        }
-                    }
-                }
-                AdaptationDirective::RemapStage { .. } => {}
-                // Speculation is driven from the dispatch loop (the master
-                // asks `maybe_speculate` whenever the pending queue drains),
-                // so a poll-emitted directive has nothing left to do.
-                AdaptationDirective::Speculate { .. } => {}
-            }
-        }
-    }
-
-    fn on_msg(&mut self, w: usize, msg: WireMsg) -> Result<(), GraspError> {
-        // Frames from a worker already declared dead (its units were
-        // requeued, its heartbeat forgotten) are dropped: acting on them —
-        // in particular re-inserting the heartbeat below — would make the
-        // liveness sweep re-report the same stale node forever, and a
-        // late-arriving node could not re-register cleanly.
-        if !self.pool[w].alive {
-            return Ok(());
-        }
-        let now = self.clock.now();
-        match msg {
-            WireMsg::Hello { .. } => {
-                self.pool[w].ready = true;
-                self.registry.note_heartbeat(NodeId(w), now);
-            }
-            WireMsg::Heartbeat => {
-                self.registry.note_heartbeat(NodeId(w), now);
-            }
-            WireMsg::Done {
-                unit_id,
-                elapsed_s,
-                digest,
-            } => {
-                self.registry.note_heartbeat(NodeId(w), now);
-                let Some(&idx) = self.id_to_idx.get(&(unit_id as usize)) else {
-                    return Err(GraspError::WireProtocol {
-                        detail: format!("worker {w} reported unknown unit {unit_id}"),
-                    });
-                };
-                self.pool[w].in_flight.retain(|&i| i != idx);
-                self.pool[w].completed += 1;
-                let id = self.units[idx].0;
-                // A unit presumed lost (timeout requeue) or speculatively
-                // duplicated can be completed by more than one worker: the
-                // first digest-carrying completion wins, and the map keeps
-                // conservation intact — later copies are discarded on
-                // arrival.
-                match self.completions.entry(id) {
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(now.as_secs());
-                        self.digests.insert(id, digest);
-                        if self.requeued_open.remove(&idx) {
-                            self.retried_tasks += 1;
-                        }
-                        // A settled speculation race: if the winning copy is
-                        // the duplicate, the straggler was rescued.
-                        if let Some(spec_w) = self.spec_in_flight.remove(&idx) {
-                            if spec_w == w {
-                                self.speculation_wins += 1;
-                                if let Some(ad) = &mut self.adaptation {
-                                    ad.engine.note_speculation_won(now, id, NodeId(w));
-                                }
-                            }
-                        }
-                    }
-                    std::collections::btree_map::Entry::Occupied(_) => {
-                        // The losing copy (speculation or timeout-requeue
-                        // race): cancelled by discarding its result.
-                        self.spec_in_flight.remove(&idx);
-                    }
-                }
-                let directives = match &mut self.adaptation {
-                    Some(ad) => ad.on_done(
-                        &mut self.registry,
-                        w,
-                        self.units[idx].1,
-                        elapsed_s,
-                        now,
-                        self.job_has_work,
-                    ),
-                    None => Vec::new(),
-                };
-                if !directives.is_empty() {
-                    self.apply_directives(directives);
-                }
-                // Hard-kill injection: after the configured number of
-                // results, refill the victim's window so units are genuinely
-                // in flight, then SIGKILL it mid-run.
-                if let Some((kw, after)) = self.kill_injection {
-                    if kw == w && self.pool[w].completed >= after {
-                        self.kill_injection = None;
-                        self.dispatch_all()?;
-                        let _ = self.pool[w].child.kill();
-                        // Detection is the real path: pipe EOF / heartbeat
-                        // timeout, handled when the Closed event arrives.
-                    }
-                }
-            }
-            WireMsg::Failed { unit_id, detail } => {
-                self.registry.note_heartbeat(NodeId(w), now);
-                let Some(&idx) = self.id_to_idx.get(&(unit_id as usize)) else {
-                    return Err(GraspError::WireProtocol {
-                        detail: format!("worker {w} failed unknown unit {unit_id}: {detail}"),
-                    });
-                };
-                self.pool[w].in_flight.retain(|&i| i != idx);
-                // A failed speculative duplicate is discarded outright: the
-                // primary copy owns the unit's retry budget, so requeueing
-                // here would double-schedule (and could even fail the run
-                // on the duplicate's account).
-                if self.spec_in_flight.get(&idx) == Some(&w) {
-                    self.spec_in_flight.remove(&idx);
-                    return Ok(());
-                }
-                if self.attempts[idx] >= self.backend.max_task_attempts {
-                    return Err(GraspError::WorkerFailed {
-                        task: unit_id as usize,
-                        attempts: self.attempts[idx],
-                    });
-                }
-                // The worker survives a bad payload; the unit is retried,
-                // preferably elsewhere.
-                self.pending.push_back(idx);
-                self.requeued_open.insert(idx);
-                self.requeued_tasks += 1;
-            }
-            WireMsg::Init { .. } | WireMsg::Task { .. } | WireMsg::Shutdown => {
-                return Err(GraspError::WireProtocol {
-                    detail: format!("worker {w} sent a master-side frame"),
-                });
-            }
-            // The registration handshake belongs to the socket backend; a
-            // pipe worker's identity is its pipe pair, so these frames are
-            // as foreign here as a master-side frame.
-            WireMsg::Join { .. } | WireMsg::Welcome { .. } | WireMsg::Goodbye { .. } => {
-                return Err(GraspError::WireProtocol {
-                    detail: format!("worker {w} sent a frame outside the pipe protocol"),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn run(mut self) -> Result<SkeletonOutcome, GraspError> {
-        let total = self.units.len();
-        let tick =
-            Duration::from_secs_f64((self.backend.heartbeat_timeout_s / 8.0).clamp(0.02, 0.25));
-        while self.completions.len() < total {
-            match self.rx.recv_timeout(tick) {
-                Ok((w, Event::Msg(msg))) => self.on_msg(w, msg)?,
-                Ok((w, Event::Closed)) => self.on_worker_gone(w),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every reader exited; any not-yet-processed death is
-                    // settled below by the liveness sweep.
-                }
-            }
-            // Liveness sweep: EOF catches most deaths instantly; the
-            // heartbeat timeout catches wedged-but-open processes.
-            let now = self.clock.now();
-            for node in self
-                .registry
-                .stale_nodes(now, self.backend.heartbeat_timeout_s)
-            {
-                self.on_worker_gone(node.index());
-            }
-            self.dispatch_all()?;
-            self.try_speculate();
-            if self.completions.len() < total
-                && self.dispatchable() == 0
-                && (!self.pending.is_empty() || self.total_in_flight() == 0)
-            {
-                return Err(GraspError::WorkerUnavailable {
-                    detail: format!(
-                        "all {} worker processes lost with {} of {} units unfinished",
-                        self.pool.len(),
-                        total - self.completions.len(),
-                        total
-                    ),
-                });
-            }
-        }
-        // Orderly shutdown: close every surviving channel (Shutdown frame,
-        // then EOF) and reap.  `WorkerProc::drop` guarantees the kill+wait
-        // even on the paths above that errored out instead.
-        for w in 0..self.pool.len() {
-            if self.pool[w].alive {
-                let _ = self.send_to(w, WireMsg::Shutdown.into());
-                self.pool[w].tx = None;
-            }
-        }
-        let makespan_s = self.clock.now().as_secs();
-        let tasks_per_worker: Vec<usize> = self.pool.iter().map(|p| p.completed).collect();
-        let workers = self.pool.len();
-        self.pool.clear(); // drop = close, kill (no-op for clean exits), reap
-        let bytes_received = self.bytes_received.load(Ordering::Relaxed);
-        let (calibration_s, adaptation_log) = match self.adaptation {
-            Some(ad) => (ad.calibration_done_s, ad.engine.into_log()),
-            None => (0.0, AdaptationLog::new()),
-        };
-        let unit_ids: Vec<usize> = self.completions.keys().copied().collect();
-        Ok(SkeletonOutcome {
-            kind: self.kind,
-            completed: unit_ids.len(),
-            unit_ids,
-            makespan_s,
-            calibration_s,
-            adaptation_log,
-            resilience: ResilienceReport {
-                requeued_tasks: self.requeued_tasks,
-                retried_tasks: self.retried_tasks,
-                migrated_stages: 0,
-                nodes_lost: self.nodes_lost,
-                speculated_units: self.speculated_units,
-                speculation_wins: self.speculation_wins,
-            },
-            children: self
-                .spans
-                .iter()
-                .map(|s| s.outcome_from(&self.completions))
-                .collect(),
-            detail: OutcomeDetail::ProcFarm {
-                workers,
-                tasks_per_worker,
-                bytes_sent: self.counters.bytes.load(Ordering::Relaxed),
-                bytes_received,
-                wire_write_s: self.counters.write_seconds(),
-                wire_encode_s: self.counters.encode_seconds(),
-                bytes_copied: self.counters.copied.load(Ordering::Relaxed),
-                unit_digests: self.digests.into_iter().collect(),
-            },
-        })
     }
 }

@@ -24,6 +24,10 @@
 //!   revocation path, so unit conservation and the
 //!   [`grasp_core::ResilienceReport`] hold.
 //!
+//! The master loop is [`master::FrameMaster`], which the socket backend
+//! (`grasp-net`) drives too; the worker's serve loop is
+//! [`worker::serve`], likewise shared.
+//!
 //! ## The worker binary
 //!
 //! Workers are a re-exec of [`worker::run_stdio`] packaged as the
@@ -49,6 +53,7 @@
 #![deny(unsafe_code)]
 
 pub mod backend;
+pub mod master;
 pub mod worker;
 
 pub use backend::{ProcBackend, Transport};
@@ -62,14 +67,19 @@ pub const WORKER_BIN_ENV: &str = "GRASP_PROC_WORKER_BIN";
 /// The file name of the worker binary.
 pub const WORKER_BIN_NAME: &str = "grasp-proc-worker";
 
-/// Locate the worker binary: [`WORKER_BIN_ENV`] first, then a walk from the
-/// current executable's directory upwards (covering `target/<profile>/deps`
-/// test binaries, `target/<profile>/examples`, and plain
-/// `target/<profile>` binaries).  `None` means the worker has not been
-/// built yet — run `cargo build` (the workspace builds it by default) or
-/// set the environment override.
+/// Locate the `grasp-proc-worker` binary (see [`locate_worker_bin`]).
 pub fn find_worker_bin() -> Option<PathBuf> {
-    if let Ok(p) = std::env::var(WORKER_BIN_ENV) {
+    locate_worker_bin(WORKER_BIN_ENV, WORKER_BIN_NAME)
+}
+
+/// Locate the worker binary called `name`: the `env` override first, then
+/// a walk from the current executable's directory upwards (covering
+/// `target/<profile>/deps` test binaries, `target/<profile>/examples`, and
+/// plain `target/<profile>` binaries).  `None` means the worker has not
+/// been built yet — run `cargo build` (the workspace builds it by default)
+/// or set the environment override.
+pub fn locate_worker_bin(env: &str, name: &str) -> Option<PathBuf> {
+    if let Ok(p) = std::env::var(env) {
         let p = PathBuf::from(p);
         if p.is_file() {
             return Some(p);
@@ -78,7 +88,7 @@ pub fn find_worker_bin() -> Option<PathBuf> {
     let exe = std::env::current_exe().ok()?;
     let mut dir = exe.parent()?.to_path_buf();
     for _ in 0..4 {
-        let cand = dir.join(format!("{WORKER_BIN_NAME}{}", std::env::consts::EXE_SUFFIX));
+        let cand = dir.join(format!("{name}{}", std::env::consts::EXE_SUFFIX));
         if cand.is_file() {
             return Some(cand);
         }

@@ -13,10 +13,12 @@
 //! 4. exit on [`WireMsg::Shutdown`] or a clean `stdin` EOF (the master
 //!    closing a demoted worker's channel *is* the shutdown signal).
 //!
-//! A dedicated heartbeat thread keeps writing [`WireMsg::Heartbeat`] frames
-//! at the configured cadence even while the main thread is deep in a long
-//! computation, so the master's liveness timeout only ever fires for
-//! processes that are genuinely gone (hard-killed, wedged, or unreachable).
+//! Steps 3–4 are [`serve`], which the socket backend's worker runs too
+//! after its own `Join` / `Welcome` prologue.  A dedicated heartbeat thread
+//! keeps writing [`WireMsg::Heartbeat`] frames at the configured cadence
+//! even while the main thread is deep in a long computation, so the
+//! master's liveness timeout only ever fires for processes that are
+//! genuinely gone (hard-killed, wedged, or unreachable).
 
 use grasp_core::error::GraspError;
 use grasp_core::shm::ShmRing;
@@ -24,6 +26,7 @@ use grasp_core::transport::{stream_connection, FrameSink, FrameSource};
 use grasp_core::wire::{FrameView, WireMsg, PAYLOAD_IMAGING, PAYLOAD_MATMUL, PAYLOAD_SPIN};
 use grasp_workloads::imaging::ImagingFrameTask;
 use grasp_workloads::matmul::MatMulBandTask;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -56,13 +59,6 @@ pub fn execute_payload(
     }
 }
 
-fn send(out: &Arc<Mutex<Box<dyn FrameSink>>>, msg: &WireMsg) -> Result<(), GraspError> {
-    out.lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .send(msg)
-        .map(|_| ())
-}
-
 /// Run the worker protocol over this process's standard streams until the
 /// master shuts it down; returns the process exit code.
 ///
@@ -89,51 +85,85 @@ pub fn run_shm(path: &str) -> i32 {
     run_transport(Box::new(sink), Box::new(source))
 }
 
-/// The transport-generic worker protocol loop.
+/// The process worker's protocol over any transport: the `Hello` / `Init`
+/// prologue, then [`serve`].
+pub fn run_transport(mut sink: Box<dyn FrameSink>, mut source: Box<dyn FrameSource>) -> i32 {
+    let hello = WireMsg::Hello {
+        pid: u64::from(std::process::id()),
+    };
+    if let Err(e) = sink.send(&hello) {
+        eprintln!("grasp-proc-worker: {e}");
+        return 2;
+    }
+    // The master speaks Init first; anything else is a protocol breach.
+    match source.recv() {
+        Ok(Some(WireMsg::Init {
+            heartbeat_interval_s,
+            spin_per_work_unit,
+        })) => serve(sink, source, heartbeat_interval_s, spin_per_work_unit, None),
+        Ok(Some(other)) => {
+            eprintln!("grasp-proc-worker: expected Init, got {other:?}");
+            2
+        }
+        Ok(None) => 0, // master vanished before configuring us
+        Err(e) => {
+            eprintln!("grasp-proc-worker: {e}");
+            2
+        }
+    }
+}
+
+/// The serve loop every frame worker runs once configured: execute
+/// [`WireMsg::Task`] frames, answering each with [`WireMsg::Done`] (or
+/// [`WireMsg::Failed`]), until [`WireMsg::Shutdown`] or a clean EOF.
+/// Returns the process exit code (0 = clean, 2 = protocol breach).
+///
+/// With `heartbeat_interval_s > 0` a side thread writes
+/// [`WireMsg::Heartbeat`] frames at that cadence even while the main thread
+/// is deep in a long computation; it stops when this function returns.
+/// With `leave_after = Some(n)` the worker announces [`WireMsg::Goodbye`]
+/// after serving `n` tasks, keeps serving what is already on its wire, and
+/// exits when the master's drain releases it.
 ///
 /// Task frames are taken off the wire as borrowed [`FrameView`]s: the
 /// payload bytes are executed straight out of the source's reused read
 /// buffer, so a worker's steady state does not allocate per task beyond
 /// what the kernel itself needs.
-pub fn run_transport(sink: Box<dyn FrameSink>, mut source: Box<dyn FrameSource>) -> i32 {
+pub fn serve(
+    sink: Box<dyn FrameSink>,
+    mut source: Box<dyn FrameSource>,
+    heartbeat_interval_s: f64,
+    spin_per_work_unit: u64,
+    leave_after: Option<usize>,
+) -> i32 {
     let sink = Arc::new(Mutex::new(sink));
-    if let Err(e) = send(
-        &sink,
-        &WireMsg::Hello {
-            pid: std::process::id() as u64,
-        },
-    ) {
-        eprintln!("grasp-proc-worker: {e}");
-        return 2;
-    }
-    // The master speaks Init first; anything else is a protocol breach.
-    let (heartbeat_interval_s, spin_per_work_unit) = match source.recv() {
-        Ok(Some(WireMsg::Init {
-            heartbeat_interval_s,
-            spin_per_work_unit,
-        })) => (heartbeat_interval_s, spin_per_work_unit),
-        Ok(Some(other)) => {
-            eprintln!("grasp-proc-worker: expected Init, got {other:?}");
-            return 2;
-        }
-        Ok(None) => return 0, // master vanished before configuring us
-        Err(e) => {
-            eprintln!("grasp-proc-worker: {e}");
-            return 2;
-        }
+    let send = |msg: &WireMsg| {
+        let mut sink = sink.lock().unwrap_or_else(|e| e.into_inner());
+        sink.send(msg).is_ok()
     };
-    // Liveness: beat independently of the (possibly long) computations on
-    // the main thread.  The thread dies with the process; a failed write
-    // means the master is gone, so it just stops.
+    // Make sure the heartbeat thread winds down on every exit path.
+    struct StopOnExit(Arc<AtomicBool>);
+    impl Drop for StopOnExit {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let stop = Arc::new(AtomicBool::new(false));
+    let _stop_guard = StopOnExit(Arc::clone(&stop));
     if heartbeat_interval_s > 0.0 {
         let out = Arc::clone(&sink);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(Duration::from_secs_f64(heartbeat_interval_s));
-            if send(&out, &WireMsg::Heartbeat).is_err() {
-                break;
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_secs_f64(heartbeat_interval_s));
+                let mut out = out.lock().unwrap_or_else(|e| e.into_inner());
+                if stop.load(Ordering::Relaxed) || out.send(&WireMsg::Heartbeat).is_err() {
+                    break;
+                }
             }
         });
     }
+    let mut served = 0usize;
     loop {
         let reply = match source.recv_view() {
             Ok(Some(FrameView::Task {
@@ -157,16 +187,25 @@ pub fn run_transport(sink: Box<dyn FrameSink>, mut source: Box<dyn FrameSource>)
             }
             Ok(Some(FrameView::Shutdown)) | Ok(None) => return 0,
             Ok(Some(other)) => {
-                eprintln!("grasp-proc-worker: unexpected frame {other:?}");
+                eprintln!("grasp worker: unexpected frame {other:?}");
                 return 2;
             }
             Err(e) => {
-                eprintln!("grasp-proc-worker: {e}");
+                eprintln!("grasp worker: {e}");
                 return 2;
             }
         };
-        if send(&sink, &reply).is_err() {
+        if !send(&reply) {
             return 0; // master gone; nothing left to serve
+        }
+        served += 1;
+        if leave_after.map(|n| n.max(1)) == Some(served) {
+            let goodbye = WireMsg::Goodbye {
+                reason: format!("leaving voluntarily after {served} tasks"),
+            };
+            if !send(&goodbye) {
+                return 0;
+            }
         }
     }
 }

@@ -28,7 +28,7 @@ pub struct ServiceConfig {
     /// Most jobs batched into one shared dispatch round.
     pub batch_max_jobs: usize,
     /// Spin-kernel iterations per declared work unit (the service's unit
-    /// cost scale, like `ThreadBackend::with_spin_per_work_unit`).
+    /// cost scale, like `BackendConfig::spin_per_work_unit` on the backends).
     pub spin_per_work_unit: u64,
     /// Bounded attempts per unit before the round fails
     /// ([`GraspError::WorkerFailed`]).

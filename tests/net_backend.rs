@@ -16,6 +16,7 @@ use grasp_repro::grasp_proc::ProcBackend;
 use grasp_repro::grasp_workloads::matmul::MatMulJob;
 use std::collections::BTreeSet;
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// The worker binary Cargo built for this test run.
 fn worker_bin() -> &'static str {
@@ -49,6 +50,14 @@ fn spawn_faulty_worker(
         .connect_faulty(to_master, to_worker)
         .expect("loopback connect");
     std::thread::spawn(move || run_connection(conn, opts))
+}
+
+/// A script that holds the worker's outbound frame `frame` for `ms`
+/// milliseconds: with heartbeats off, frame 0 is the Join and frame `k` the
+/// k-th Done, so a test can order its workers without relying on the
+/// scheduler.
+fn held_at(frame: usize, ms: u64) -> FaultScript {
+    FaultScript::clean().with(frame, FrameFault::Delay(Duration::from_millis(ms)))
 }
 
 #[test]
@@ -98,12 +107,25 @@ fn a_worker_joining_mid_run_calibrates_before_real_units() {
     // founders are already executing.  It is parked until the scripted join
     // point, admitted mid-run, ranked by a calibration prefix of probe
     // units, and only then trusted with real units.
+    //
+    // The ordering is scripted, not left to the scheduler.  Worker outbound
+    // frames (heartbeats off): 0 = Join, then one Done per task.  The
+    // joiner's Join is delayed so the other two are the founders; each
+    // founder's 2nd Done is delayed so the joiner registers (and is parked)
+    // before the join point of 4 results; each founder's 3rd Done — the
+    // first frame past the join point — is delayed long enough for the
+    // joiner to finish its probes and take real units before the founders
+    // can drain the rest of the job.
     let (net, acceptor) = LoopbackNet::new();
     let backend = loopback_backend(Box::new(acceptor), 2)
         .with_hold_joins_until(4)
         .with_join_calibration_units(3);
-    let workers: Vec<_> = (0..3)
-        .map(|_| spawn_worker(&net, WorkerOptions::default()))
+    let founder = || held_at(2, 300).with(3, FrameFault::Delay(Duration::from_millis(500)));
+    let workers: Vec<_> = [founder(), founder(), held_at(0, 100)]
+        .into_iter()
+        .map(|script| {
+            spawn_faulty_worker(&net, WorkerOptions::default(), script, FaultScript::clean())
+        })
         .collect();
     let skeleton = Skeleton::farm(TaskSpec::uniform(60, 1.0, 0, 0));
     let report = Grasp::new(GraspConfig::default())
@@ -148,10 +170,16 @@ fn a_worker_dying_between_frames_with_units_in_flight_is_a_requeued_death() {
     // Worker outbound frames with heartbeats off: 0 = Join, then one Done
     // per served task.  Killing the link *before* frame 3 (the third Done)
     // is a crash between writes: the master sees a clean EOF while the
-    // worker still owes its outstanding window.
+    // worker still owes its outstanding window.  The healthy worker's 2nd
+    // Done is held so the job cannot finish before the victim gets there.
     let (net, acceptor) = LoopbackNet::new();
     let backend = loopback_backend(Box::new(acceptor), 2);
-    let healthy = spawn_worker(&net, WorkerOptions::default());
+    let healthy = spawn_faulty_worker(
+        &net,
+        WorkerOptions::default(),
+        held_at(2, 300),
+        FaultScript::clean(),
+    );
     let victim = spawn_faulty_worker(
         &net,
         WorkerOptions::default(),
@@ -189,10 +217,16 @@ fn a_worker_dying_between_frames_with_units_in_flight_is_a_requeued_death() {
 fn a_worker_dying_mid_frame_is_a_typed_truncation_and_a_requeued_death() {
     // Same death point, but the crash lands mid-write: the master's decoder
     // sees a torn frame (a typed wire error, never a panic), the reader
-    // reports the link closed, and the death path requeues as usual.
+    // reports the link closed, and the death path requeues as usual.  The
+    // healthy worker's 2nd Done is held as above.
     let (net, acceptor) = LoopbackNet::new();
     let backend = loopback_backend(Box::new(acceptor), 2);
-    let healthy = spawn_worker(&net, WorkerOptions::default());
+    let healthy = spawn_faulty_worker(
+        &net,
+        WorkerOptions::default(),
+        held_at(2, 300),
+        FaultScript::clean(),
+    );
     let victim = spawn_faulty_worker(
         &net,
         WorkerOptions::default(),
@@ -215,10 +249,17 @@ fn a_worker_dying_mid_frame_is_a_typed_truncation_and_a_requeued_death() {
 fn a_graceful_goodbye_drains_the_window_and_loses_nothing() {
     // A worker announces Goodbye after two tasks.  The master stops handing
     // it new units, lets its outstanding window drain, and releases it with
-    // Shutdown: no loss, no requeue, membership recorded as graceful.
+    // Shutdown: no loss, no requeue, membership recorded as graceful.  The
+    // stayer's 2nd Done is held so the job cannot finish before the
+    // leaver's Goodbye and drain.
     let (net, acceptor) = LoopbackNet::new();
     let backend = loopback_backend(Box::new(acceptor), 2);
-    let stayer = spawn_worker(&net, WorkerOptions::default());
+    let stayer = spawn_faulty_worker(
+        &net,
+        WorkerOptions::default(),
+        held_at(2, 300),
+        FaultScript::clean(),
+    );
     let leaver = spawn_worker(
         &net,
         WorkerOptions {
@@ -261,9 +302,16 @@ fn a_graceful_goodbye_drains_the_window_and_loses_nothing() {
 
 #[test]
 fn handshake_rejects_wrong_versions_and_missing_capabilities() {
+    // The conforming worker's first Done is held so the job cannot finish
+    // before both refusals are counted.
     let (net, acceptor) = LoopbackNet::new();
     let backend = loopback_backend(Box::new(acceptor), 1);
-    let good = spawn_worker(&net, WorkerOptions::default());
+    let good = spawn_faulty_worker(
+        &net,
+        WorkerOptions::default(),
+        held_at(1, 300),
+        FaultScript::clean(),
+    );
     let wrong_version = spawn_worker(
         &net,
         WorkerOptions {
@@ -319,7 +367,7 @@ fn duplicated_and_delayed_frames_do_not_double_count_units() {
     let w2 = spawn_faulty_worker(
         &net,
         WorkerOptions::default(),
-        FaultScript::clean().with(1, FrameFault::Delay(std::time::Duration::from_millis(30))),
+        held_at(1, 30),
         FaultScript::clean(),
     );
     let skeleton = Skeleton::farm(TaskSpec::uniform(20, 1.0, 0, 0));
@@ -336,6 +384,62 @@ fn duplicated_and_delayed_frames_do_not_double_count_units() {
     );
     assert_eq!(w1.join().unwrap(), 0);
     assert_eq!(w2.join().unwrap(), 0);
+}
+
+#[test]
+fn the_socket_master_speculates_a_delayed_straggler_and_discards_the_loser() {
+    // Two founders, four units, windows of two: each founder holds two units
+    // from the start.  The slow founder's first Done is held on its link
+    // for 300 ms.  The fast founder drains its own pair, idles at the tail
+    // and duplicates the slow founder's units; its first duplicate wins.
+    // Its second duplicate's Done (its outbound frame 4) is held for 900
+    // ms, so the slow founder's delayed Done arrives mid-run as a loser and
+    // must be discarded, and the slow founder's next Done completes the job.
+    let (net, acceptor) = LoopbackNet::new();
+    let backend = loopback_backend(Box::new(acceptor), 2);
+    let slow = spawn_faulty_worker(
+        &net,
+        WorkerOptions::default(),
+        held_at(1, 300),
+        FaultScript::clean(),
+    );
+    let fast = spawn_faulty_worker(
+        &net,
+        WorkerOptions::default(),
+        held_at(4, 900),
+        FaultScript::clean(),
+    );
+    let n = 4;
+    let skeleton = Skeleton::farm(TaskSpec::uniform(n, 1.0, 0, 0));
+    let mut cfg = GraspConfig::default();
+    cfg.execution.speculate_tail_fraction = 1.0;
+    let report = Grasp::new(cfg)
+        .run(&backend, &skeleton)
+        .expect("a speculated run must not fail");
+    let outcome = &report.outcome;
+    assert_eq!(outcome.completed, n);
+    assert!(outcome.conserves_units_of(&skeleton));
+    let r = &outcome.resilience;
+    assert!(r.speculated_units >= 1, "no duplicate launched: {r:?}");
+    assert!(r.speculation_wins >= 1, "no duplicate won: {r:?}");
+    assert!(r.speculation_wins <= r.speculated_units);
+    match &outcome.detail {
+        OutcomeDetail::NetFarm {
+            tasks_per_worker,
+            unit_digests,
+            ..
+        } => {
+            assert_eq!(
+                tasks_per_worker.iter().sum::<usize>(),
+                n,
+                "the delayed loser's result was credited: {tasks_per_worker:?}"
+            );
+            assert_eq!(unit_digests.len(), n);
+        }
+        other => panic!("unexpected detail {other:?}"),
+    }
+    assert_eq!(slow.join().unwrap(), 0);
+    assert_eq!(fast.join().unwrap(), 0);
 }
 
 #[test]

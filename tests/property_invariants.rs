@@ -449,19 +449,58 @@ proptest! {
         tasks in 8usize..20,
         fraction in 0.1f64..0.8,
     ) {
-        let skeleton = Skeleton::farm(TaskSpec::uniform(tasks, 1.0, 0, 0));
         let backend = ProcBackend::new(3).with_config(
             BackendConfig::new()
                 .worker_bin(env!("CARGO_BIN_EXE_grasp-proc-worker"))
                 .spin_per_work_unit(20_000),
         );
-        let mut cfg = GraspConfig::default();
-        cfg.execution.adaptive = true;
-        cfg.execution.speculate_tail_fraction = fraction;
-        let report = Grasp::new(cfg).run(&backend, &skeleton).unwrap();
-        prop_assert_eq!(report.outcome.completed, tasks);
-        prop_assert!(report.outcome.conserves_units_of(&skeleton));
-        let r = &report.outcome.resilience;
-        prop_assert!(r.speculation_wins <= r.speculated_units);
+        speculated_run_counts_each_unit_once(&backend, tasks, fraction)?;
     }
+
+    /// The same frame master behind the socket backend, over loopback: the
+    /// same first-result-wins settlement must hold for socket members.
+    #[test]
+    fn net_speculation_never_double_counts_a_unit(
+        tasks in 8usize..20,
+        fraction in 0.1f64..0.8,
+    ) {
+        use grasp_repro::grasp_net::worker::{run_connection, WorkerOptions};
+        use grasp_repro::grasp_net::{LoopbackNet, NetBackend};
+        let (net, acceptor) = LoopbackNet::new();
+        let backend = NetBackend::over(Box::new(acceptor), 3).with_config(
+            BackendConfig::new()
+                .heartbeat(0.0, 1.0)
+                .spin_per_work_unit(20_000),
+        );
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let conn = net.connect().unwrap();
+                std::thread::spawn(move || run_connection(conn, WorkerOptions::default()))
+            })
+            .collect();
+        speculated_run_counts_each_unit_once(&backend, tasks, fraction)?;
+        for w in workers {
+            prop_assert_eq!(w.join().unwrap(), 0);
+        }
+    }
+}
+
+/// Run a `tasks`-unit farm with tail speculation at `fraction` on
+/// `backend`: every unit is counted exactly once and wins never exceed
+/// launches.
+fn speculated_run_counts_each_unit_once<B: Backend>(
+    backend: &B,
+    tasks: usize,
+    fraction: f64,
+) -> Result<(), TestCaseError> {
+    let skeleton = Skeleton::farm(TaskSpec::uniform(tasks, 1.0, 0, 0));
+    let mut cfg = GraspConfig::default();
+    cfg.execution.adaptive = true;
+    cfg.execution.speculate_tail_fraction = fraction;
+    let report = Grasp::new(cfg).run(backend, &skeleton).unwrap();
+    prop_assert_eq!(report.outcome.completed, tasks);
+    prop_assert!(report.outcome.conserves_units_of(&skeleton));
+    let r = &report.outcome.resilience;
+    prop_assert!(r.speculation_wins <= r.speculated_units);
+    Ok(())
 }
