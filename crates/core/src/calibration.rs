@@ -164,8 +164,9 @@ impl Calibrator {
     /// Execute the calibration phase.
     ///
     /// * `grid` — the (simulated) grid.
-    /// * `registry` — monitoring registry; observations taken here feed the
-    ///   statistical modes and stay available to the execution phase.
+    /// * `registry` — monitoring registry; every up candidate is sampled
+    ///   through it once, at `start`, and the statistical modes read the
+    ///   observation that comes back.
     /// * `candidates` — the allocated node pool *P*.
     /// * `tasks` — the job's task list; the first few tasks are consumed as
     ///   calibration samples and their outcomes are returned in the report.

@@ -264,7 +264,6 @@ impl TaskFarm {
                 if o.work > 0.0 || !job_has_work {
                     engine.observe(o.node, o.normalized_time());
                 }
-                registry.observe(grid, o.node, o.completed);
             }
 
             // ----------------------- Algorithm 2 -----------------------

@@ -8,9 +8,11 @@
 //!
 //! Every forecaster is updated observation-by-observation via
 //! [`Forecaster::observe`] and asked for a prediction of the *next* value via
-//! [`Forecaster::predict`].
+//! [`Forecaster::predict`].  The built-in forecasters compute that prediction
+//! once, inside `observe`, into state they own, so `predict` is a field read
+//! and neither call touches the heap once the history windows are full.
 
-use gridstats::{linear_regression, median};
+use gridstats::linear_regression;
 use std::collections::VecDeque;
 
 /// A one-step-ahead predictor over a scalar series.
@@ -63,6 +65,7 @@ impl Forecaster for LastValue {
 pub struct RunningMean {
     count: u64,
     sum: f64,
+    prediction: Option<f64>,
 }
 
 impl RunningMean {
@@ -77,14 +80,11 @@ impl Forecaster for RunningMean {
         if !value.is_nan() {
             self.count += 1;
             self.sum += value;
+            self.prediction = Some(self.sum / self.count as f64);
         }
     }
     fn predict(&self) -> Option<f64> {
-        if self.count == 0 {
-            None
-        } else {
-            Some(self.sum / self.count as f64)
-        }
+        self.prediction
     }
     fn name(&self) -> &'static str {
         "running-mean"
@@ -92,6 +92,7 @@ impl Forecaster for RunningMean {
     fn reset(&mut self) {
         self.count = 0;
         self.sum = 0.0;
+        self.prediction = None;
     }
 }
 
@@ -100,6 +101,7 @@ impl Forecaster for RunningMean {
 pub struct SlidingWindowMean {
     window: VecDeque<f64>,
     k: usize,
+    prediction: Option<f64>,
 }
 
 impl SlidingWindowMean {
@@ -108,6 +110,7 @@ impl SlidingWindowMean {
         SlidingWindowMean {
             window: VecDeque::new(),
             k: k.max(1),
+            prediction: None,
         }
     }
 }
@@ -121,19 +124,17 @@ impl Forecaster for SlidingWindowMean {
             self.window.pop_front();
         }
         self.window.push_back(value);
+        self.prediction = Some(self.window.iter().sum::<f64>() / self.window.len() as f64);
     }
     fn predict(&self) -> Option<f64> {
-        if self.window.is_empty() {
-            None
-        } else {
-            Some(self.window.iter().sum::<f64>() / self.window.len() as f64)
-        }
+        self.prediction
     }
     fn name(&self) -> &'static str {
         "window-mean"
     }
     fn reset(&mut self) {
         self.window.clear();
+        self.prediction = None;
     }
 }
 
@@ -142,6 +143,9 @@ impl Forecaster for SlidingWindowMean {
 pub struct SlidingWindowMedian {
     window: VecDeque<f64>,
     k: usize,
+    /// The window, sorted; reused by every `observe`.
+    sorted: Vec<f64>,
+    prediction: Option<f64>,
 }
 
 impl SlidingWindowMedian {
@@ -150,6 +154,8 @@ impl SlidingWindowMedian {
         SlidingWindowMedian {
             window: VecDeque::new(),
             k: k.max(1),
+            sorted: Vec::new(),
+            prediction: None,
         }
     }
 }
@@ -163,16 +169,32 @@ impl Forecaster for SlidingWindowMedian {
             self.window.pop_front();
         }
         self.window.push_back(value);
+        // `gridstats::median` (type-7 percentile at 50 %) over a reused
+        // buffer: the same stable sort and the same interpolation.
+        self.sorted.clear();
+        self.sorted.extend(self.window.iter().copied());
+        self.sorted
+            .sort_by(|a, b| a.partial_cmp(b).expect("NaNs are never stored"));
+        let n = self.sorted.len();
+        self.prediction = Some(if n == 1 {
+            self.sorted[0]
+        } else {
+            let rank = 0.5 * (n as f64 - 1.0);
+            let lo = rank.floor() as usize;
+            let hi = rank.ceil() as usize;
+            let frac = rank - lo as f64;
+            self.sorted[lo] + (self.sorted[hi] - self.sorted[lo]) * frac
+        });
     }
     fn predict(&self) -> Option<f64> {
-        let vals: Vec<f64> = self.window.iter().copied().collect();
-        median(&vals)
+        self.prediction
     }
     fn name(&self) -> &'static str {
         "window-median"
     }
     fn reset(&mut self) {
         self.window.clear();
+        self.prediction = None;
     }
 }
 
@@ -220,6 +242,7 @@ impl Forecaster for ExponentialSmoothing {
 pub struct Ar1Forecaster {
     history: VecDeque<f64>,
     capacity: usize,
+    prediction: Option<f64>,
 }
 
 impl Ar1Forecaster {
@@ -228,6 +251,7 @@ impl Ar1Forecaster {
         Ar1Forecaster {
             history: VecDeque::new(),
             capacity: capacity.max(4),
+            prediction: None,
         }
     }
 }
@@ -241,16 +265,14 @@ impl Forecaster for Ar1Forecaster {
             self.history.pop_front();
         }
         self.history.push_back(value);
-    }
-    fn predict(&self) -> Option<f64> {
         let n = self.history.len();
         if n < 3 {
-            return self.history.back().copied();
+            self.prediction = Some(value);
+            return;
         }
-        let vals: Vec<f64> = self.history.iter().copied().collect();
-        let x: Vec<f64> = vals[..n - 1].to_vec();
-        let y: Vec<f64> = vals[1..].to_vec();
-        match linear_regression(&x, &y) {
+        // The lag pairs are two overlapping views of one contiguous slice.
+        let vals: &[f64] = self.history.make_contiguous();
+        self.prediction = match linear_regression(&vals[..n - 1], &vals[1..]) {
             // A near-constant history makes the lag-regression denominator
             // tiny: the fitted slope explodes and the extrapolation lands
             // arbitrarily far from anything ever observed (observed in the
@@ -267,14 +289,18 @@ impl Forecaster for Ar1Forecaster {
                 Some(fit.predict(vals[n - 1]).clamp(min - range, max + range))
             }
             // Unstable or singular fit → predict the last value.
-            _ => vals.last().copied(),
-        }
+            _ => Some(value),
+        };
+    }
+    fn predict(&self) -> Option<f64> {
+        self.prediction
     }
     fn name(&self) -> &'static str {
         "ar1"
     }
     fn reset(&mut self) {
         self.history.clear();
+        self.prediction = None;
     }
 }
 
@@ -284,6 +310,8 @@ pub struct AdaptiveForecaster {
     candidates: Vec<Box<dyn Forecaster>>,
     abs_error_sums: Vec<f64>,
     scored_updates: u64,
+    /// [`AdaptiveForecaster::best_index`] as of the latest `observe`.
+    best: usize,
 }
 
 impl AdaptiveForecaster {
@@ -300,6 +328,7 @@ impl AdaptiveForecaster {
             candidates,
             abs_error_sums: vec![0.0; n],
             scored_updates: 0,
+            best: 0,
         }
     }
 
@@ -341,7 +370,7 @@ impl AdaptiveForecaster {
 
     /// Name of the candidate currently used for predictions.
     pub fn best_name(&self) -> &'static str {
-        self.candidates[self.best_index()].name()
+        self.candidates[self.best].name()
     }
 
     /// Mean absolute error of each candidate so far, in candidate order.
@@ -379,10 +408,11 @@ impl Forecaster for AdaptiveForecaster {
         if any_scored {
             self.scored_updates += 1;
         }
+        self.best = self.best_index();
     }
 
     fn predict(&self) -> Option<f64> {
-        self.candidates[self.best_index()].predict()
+        self.candidates[self.best].predict()
     }
 
     fn name(&self) -> &'static str {
@@ -397,6 +427,7 @@ impl Forecaster for AdaptiveForecaster {
             *e = 0.0;
         }
         self.scored_updates = 0;
+        self.best = 0;
     }
 }
 

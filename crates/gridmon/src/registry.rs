@@ -2,9 +2,13 @@
 //!
 //! The registry is what the GRASP phases actually hold: one bounded series
 //! and one adaptive forecaster per monitored node (CPU) and, optionally, per
-//! node pair (bandwidth towards the master/root node).  The calibration phase
-//! reads *current* values to adjust the execution-time table; the execution
-//! phase keeps feeding it so forecasts stay fresh across recalibrations.
+//! node pair (bandwidth towards the root node, i.e. the master), plus a
+//! liveness table of heartbeats.  Each holder pays only for what it reads: calibration
+//! samples every candidate once and reads the *current* values it gets back
+//! to adjust the execution-time table, and so does the sim farm's
+//! recalibration; the thread backend feeds one observation per worker per
+//! monitor interval and reads the CPU-load forecasts at the end of a run; the
+//! frame master uses the liveness table only.
 
 use crate::forecast::{AdaptiveForecaster, Forecaster};
 use crate::series::TimeSeries;

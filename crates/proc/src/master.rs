@@ -44,7 +44,7 @@ use grasp_core::skeleton::{
 use grasp_core::transport::{spawn_frame_writer, FrameSink, FrameSource, OutMsg, WireCounters};
 use grasp_core::wire::WireMsg;
 use grasp_core::{GraspConfig, SkeletonKind};
-use gridmon::{MonitorRegistry, NodeObservation};
+use gridmon::MonitorRegistry;
 use gridsim::{NodeId, SimTime};
 use std::collections::{btree_map, BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::path::PathBuf;
@@ -360,7 +360,6 @@ struct MasterAdaptation {
     calib: Vec<f64>,
     calib_target: usize,
     armed: bool,
-    baseline: f64,
     calibration_done_s: f64,
     min_active: usize,
     /// The verdict of the latest evaluation, kept so applied directives are
@@ -378,7 +377,6 @@ impl MasterAdaptation {
             calib: Vec::with_capacity(calib_target),
             calib_target: calib_target.max(1),
             armed: false,
-            baseline: f64::INFINITY,
             calibration_done_s: 0.0,
             min_active: exec.min_active_nodes.max(1),
             last_verdict: None,
@@ -389,7 +387,6 @@ impl MasterAdaptation {
     /// apply, if an evaluation was due.
     fn observe(
         &mut self,
-        registry: &mut MonitorRegistry,
         worker: usize,
         work: f64,
         elapsed_s: f64,
@@ -410,19 +407,12 @@ impl MasterAdaptation {
             self.calib.push(t_norm);
             if self.calib.len() >= self.calib_target {
                 self.engine.calibrate(&self.calib, now);
-                self.baseline = self.calib.iter().copied().fold(f64::INFINITY, f64::min);
                 self.armed = true;
                 self.calibration_done_s = now.as_secs();
             }
             return Vec::new();
         }
         self.engine.observe(NodeId(worker), t_norm);
-        registry.record(NodeObservation::from_wall_times(
-            NodeId(worker),
-            now,
-            self.baseline,
-            t_norm,
-        ));
         match self.engine.poll(now) {
             Some(poll) => {
                 // The verdict is consumed here; demotions are re-checked
@@ -448,6 +438,8 @@ pub struct FrameMaster<'a> {
     tx: mpsc::Sender<Event>,
     rx: mpsc::Receiver<Event>,
     clock: WallClock,
+    /// Liveness only: heartbeats and the stale-member sweep.  Execution
+    /// times go to the engine, not here.
     registry: MonitorRegistry,
     adaptation: Option<MasterAdaptation>,
     /// Probe units a mid-run joiner owes before real units.
@@ -984,7 +976,7 @@ impl<'a> FrameMaster<'a> {
     /// directs.
     fn observe(&mut self, w: usize, work: f64, elapsed_s: f64, now: SimTime, job_has_work: bool) {
         let directives = match &mut self.adaptation {
-            Some(ad) => ad.observe(&mut self.registry, w, work, elapsed_s, now, job_has_work),
+            Some(ad) => ad.observe(w, work, elapsed_s, now, job_has_work),
             None => return,
         };
         if !directives.is_empty() {

@@ -5,9 +5,11 @@
 //! This test pins that property in CI: after a short warmup (which grows
 //! the reusable read buffer to its steady-state capacity), receiving and
 //! decoding a frame over the loopback transport or the shared-memory ring
-//! performs **zero** heap allocations on the receiving side.  The counting global allocator comes
-//! from the offline `allocation-counter` shim (see `shims/README.md`), so
-//! the check needs no crates.io dependency and runs in every `cargo test`.
+//! performs **zero** heap allocations on the receiving side.  The same pin
+//! holds a work-stealing drain and a warm forecaster's observe + predict.
+//! The counting global allocator comes from the offline
+//! `allocation-counter` shim (see `shims/README.md`), so the check needs no
+//! crates.io dependency and runs in every `cargo test`.
 
 use allocation_counter::measure;
 use grasp_repro::grasp_core::shm::{self, ShmRing};
@@ -16,6 +18,7 @@ use grasp_repro::grasp_core::wire::{FrameView, WireMsg, PAYLOAD_SPIN};
 use grasp_repro::grasp_core::SchedulePolicy;
 use grasp_repro::grasp_exec::StealDeque;
 use grasp_repro::grasp_net::LoopbackNet;
+use grasp_repro::gridmon::{AdaptiveForecaster, Forecaster};
 
 #[test]
 fn steady_state_frame_receive_and_decode_allocates_nothing() {
@@ -203,6 +206,41 @@ fn steady_state_work_stealing_dispatch_allocates_nothing() {
         info.count_total, 0,
         "steady-state owner/thief dispatch must not touch the heap, but \
          allocated {} times ({} bytes) over {RANGE} tasks: {info:?}",
+        info.count_total, info.bytes_total
+    );
+}
+
+#[test]
+fn steady_state_adaptive_forecast_allocates_nothing() {
+    // The forecasters compute each prediction inside `observe`, into buffers
+    // they own: once the sliding windows and the AR(1) history are full, a
+    // feed plus a prediction must stay off the heap.  The series mixes a
+    // sawtooth, a periodic spike and NaN gaps so every candidate keeps
+    // re-sorting, re-fitting and re-ranking.
+    const WARMUP: usize = 64;
+    const MEASURED: usize = 256;
+    let value = |i: usize| match i % 31 {
+        0 => f64::NAN,
+        13 => 0.95,
+        _ => 0.3 + 0.1 * ((i % 17) as f64 / 17.0),
+    };
+    let mut forecaster = AdaptiveForecaster::standard();
+    for i in 0..WARMUP {
+        forecaster.observe(value(i));
+    }
+
+    let mut predicted = 0.0;
+    let info = measure(|| {
+        for i in WARMUP..WARMUP + MEASURED {
+            forecaster.observe(value(i));
+            predicted += forecaster.predict().expect("a warm forecaster predicts");
+        }
+    });
+    assert!(predicted.is_finite());
+    assert_eq!(
+        info.count_total, 0,
+        "steady-state observe + predict must not touch the heap, but \
+         allocated {} times ({} bytes) over {MEASURED} observations: {info:?}",
         info.count_total, info.bytes_total
     );
 }
