@@ -19,8 +19,12 @@
 //! the run into a typed [`GraspError::WorkerFailed`] instead of aborting the
 //! process.
 //!
-//! The implementation uses scoped threads, `parking_lot` mutexes and atomics
-//! only — no unsafe code, no dependency on a global thread pool.
+//! The worker loop is the only task dispatch loop in this crate, and it
+//! runs on two thread lifetimes: [`ThreadFarm`] spawns scoped threads for
+//! one run, and [`crate::pool::WorkerPool`] runs the same loop on resident
+//! threads, one round at a time.  A run's shared state (`FarmRun`) borrows
+//! neither the items nor the closure, so both work without unsafe code,
+//! with `parking_lot` mutexes and atomics only.
 //!
 //! **The per-unit path** — everything between two units of one chunk —
 //! touches worker-local state, one shared atomic and the clock twice:
@@ -32,21 +36,24 @@
 //! * first-result-wins is settled by a `swap` on the unit's claim flag (one
 //!   `AtomicBool` per unit, the only shared write), and the winner pushes
 //!   `(index, result)` onto a `Vec` its own thread owns — the vectors are
-//!   merged into input order once, after the workers have joined;
+//!   merged into input order once, after every worker has stopped;
 //! * per-worker state that peers do read — the running timing sums behind
 //!   the adaptive weighted chunking, the steal deques — sits in
 //!   cache-line-padded slots, so a worker's writes never invalidate a
 //!   peer's cache line.
 //!
-//! Locks (the queue, the speculation policy) are taken per chunk or per
-//! fault, never per unit.
+//! Fresh chunks come off a lock-free cursor (or, when stealing, the
+//! worker's own deque).  The queue lock is taken only for retries,
+//! reclaimed ranges and faults, the speculation policy's only per
+//! speculation — neither per unit.
 
 use crate::deque::{StealDeque, MAX_RANGE};
 use crate::padded::CachePadded;
 use grasp_core::error::GraspError;
 use grasp_core::SchedulePolicy;
 use parking_lot::Mutex;
-use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -108,7 +115,9 @@ impl RankTable {
 /// claimed and then stops pulling new work, so the demand-driven queue
 /// naturally routes the remaining tasks to the healthy workers.  The same
 /// progress guards as panic retirement apply — a worker never stops while
-/// task retries are pending, and the last active worker never stops.
+/// task retries are pending, and the last active worker never stops.  A
+/// worker demoted before a run starts sits the run out, unless every
+/// worker is demoted.
 #[derive(Debug, Default)]
 pub struct WorkerGate {
     demoted: Vec<AtomicBool>,
@@ -134,6 +143,14 @@ impl WorkerGate {
         self.demoted
             .get(worker)
             .map(|f| !f.swap(true, Ordering::Relaxed))
+            .unwrap_or(false)
+    }
+
+    /// Clear `worker`'s demotion flag.  Returns `true` when it was set.
+    pub fn reinstate(&self, worker: usize) -> bool {
+        self.demoted
+            .get(worker)
+            .map(|f| f.swap(false, Ordering::Relaxed))
             .unwrap_or(false)
     }
 
@@ -182,7 +199,8 @@ impl WorkerGate {
     }
 }
 
-/// Per-run statistics reported by [`ThreadFarm::run`].
+/// Per-run statistics reported by [`ThreadFarm::run`] and by every
+/// [`crate::pool::WorkerPool`] round.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FarmStats {
     /// Number of worker threads used.
@@ -224,14 +242,15 @@ pub struct FarmStats {
 
 impl FarmStats {
     /// Ratio between the busiest and least busy worker's task counts
-    /// (1.0 = perfectly balanced; higher = more imbalance).
+    /// (1.0 = perfectly balanced, as when nobody ran anything; higher = more
+    /// imbalance; infinite when some worker ran nothing and another did).
     pub fn imbalance(&self) -> f64 {
-        let max = self.tasks_per_worker.iter().copied().max().unwrap_or(0) as f64;
-        let min = self.tasks_per_worker.iter().copied().min().unwrap_or(0) as f64;
-        if min <= 0.0 {
-            max.max(1.0)
-        } else {
-            max / min
+        let max = self.tasks_per_worker.iter().copied().max().unwrap_or(0);
+        let min = self.tasks_per_worker.iter().copied().min().unwrap_or(0);
+        match (min, max) {
+            (_, 0) => 1.0,
+            (0, _) => f64::INFINITY,
+            _ => max as f64 / min as f64,
         }
     }
 }
@@ -269,24 +288,14 @@ impl WorkerStat {
     }
 }
 
-/// One unit of work pulled from the shared queue.
-enum Job {
-    /// A fresh contiguous chunk `[start, start + count)`.
-    Chunk { start: usize, count: usize },
-    /// A single requeued task on its `attempt`-th retry.
-    Retry { index: usize, attempt: usize },
-}
-
-/// The shared dispensing state: a cursor over fresh tasks, the retry queue
-/// fed by caught panics, the first permanently failed task (if any), and —
-/// in work-stealing mode — ranges drained from demoted or retired workers'
+/// The dispensing state behind the slow path: the retry queue fed by
+/// caught panics, the first permanently failed task (if any), and — in
+/// work-stealing mode — ranges drained from demoted or retired workers'
 /// deques awaiting re-circulation.
 struct Queue {
-    next: usize,
-    total: usize,
-    retries: std::collections::VecDeque<(usize, usize)>,
+    retries: VecDeque<(usize, usize)>,
     failed: Option<usize>,
-    reclaimed: std::collections::VecDeque<(usize, usize)>,
+    reclaimed: VecDeque<(usize, usize)>,
 }
 
 /// Decides whether an idle worker may duplicate an in-flight unit near the
@@ -364,14 +373,16 @@ impl UnitObserver for () {
 /// order, the run statistics, and each worker's observer state.
 pub type ObservedRun<R, L> = (Vec<R>, FarmStats, Vec<L>);
 
-/// What one worker thread owns during a run and hands back when it exits.
-struct WorkerLocal<R, L> {
+/// What one worker owns during a run and hands back when it stops.
+pub(crate) struct WorkerLocal<R, L> {
     /// `(index, result)` of every unit this worker recorded.
-    results: RefCell<Vec<(usize, R)>>,
+    results: Vec<(usize, R)>,
+    /// Units this worker recorded on a retry (after a panicked attempt).
+    retried: Vec<usize>,
     /// The observer's state for this worker.
-    observed: RefCell<L>,
+    observed: L,
     /// Panics this worker has caught.
-    panics: Cell<usize>,
+    panics: usize,
 }
 
 /// Merge the workers' `(index, result)` records into input order.  Every
@@ -586,734 +597,672 @@ impl ThreadFarm {
         F: Fn(usize, &T) -> R + Sync,
         O: UnitObserver,
     {
-        let n = items.len();
-        let started = Instant::now();
-
-        if n == 0 {
-            return Ok((
-                Vec::new(),
-                FarmStats {
-                    workers: self.workers,
-                    tasks_per_worker: vec![0; self.workers],
-                    mean_task_time_per_worker: vec![0.0; self.workers],
-                    calibration: Duration::ZERO,
-                    total: started.elapsed(),
-                    initial_chunk: 0,
-                    panics: 0,
-                    retried: 0,
-                    workers_lost: 0,
-                    workers_demoted: 0,
-                    steals_attempted: 0,
-                    steals_completed: 0,
-                    units_stolen: 0,
-                    speculated_units: 0,
-                    speculation_wins: 0,
-                },
-                (0..self.workers).map(|_| O::Local::default()).collect(),
-            ));
-        }
-
-        // First result wins: one claim flag per unit, swapped by every
-        // successful execution — only the one that flips it records.
-        let claimed: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let queue = Mutex::new(Queue {
-            next: 0,
-            total: n,
-            retries: std::collections::VecDeque::new(),
-            failed: None,
-            reclaimed: std::collections::VecDeque::new(),
-        });
-        let stats: Vec<CachePadded<WorkerStat>> =
-            (0..self.workers).map(|_| CachePadded::default()).collect();
-        let retried_total = AtomicUsize::new(0);
-        let workers_lost = AtomicUsize::new(0);
-        let workers_demoted = AtomicUsize::new(0);
-        // Workers still pulling; the last one never retires.  In
-        // work-stealing mode a worker that runs out of work leaves the count
-        // as well (see the steal loop's exit arm).
-        let active_workers = AtomicUsize::new(self.workers);
-        let calibration_done = Mutex::new(Duration::ZERO);
-        let initial_chunk = AtomicUsize::new(0);
-        // Lock-free mirrors of the queue's slow-path state, so the stealing
-        // owner fast path (pop own deque, execute) touches no lock at all.
-        // Both pending counters are bumped *before* the backing store they
-        // mirror is filled, so an idle worker's termination scan can never
-        // miss in-flight work (see the steal loop's exit arm).
-        let retries_pending = AtomicUsize::new(0);
-        let reclaimed_pending = AtomicUsize::new(0);
-        let failed_flag = AtomicBool::new(false);
-        let steals_attempted = AtomicUsize::new(0);
-        let steals_completed = AtomicUsize::new(0);
-        let units_stolen = AtomicUsize::new(0);
-        let speculated_units = AtomicUsize::new(0);
-        let speculation_wins = AtomicUsize::new(0);
-        // One flag per unit so each in-flight unit is duplicated at most
-        // once (allocated only when a speculation policy is attached).
-        let speculated_flags: Vec<AtomicBool> = if self.speculation.is_some() {
-            (0..n).map(|_| AtomicBool::new(false)).collect()
-        } else {
+        let run = FarmRun::new(self.clone(), items.len());
+        let locals = if items.is_empty() {
             Vec::new()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..self.workers)
+                    .map(|wid| {
+                        let (run, worker) = (&run, &worker);
+                        scope.spawn(move || run.work(wid, items, worker, observer))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
         };
+        run.finish(locals).map(|(observed_run, _)| observed_run)
+    }
+}
 
-        let calib_samples = self.calibration_samples;
-        let policy = self.policy;
-        let workers = self.workers;
-        let max_attempts = self.max_task_attempts;
-        let panic_budget = self.worker_panic_budget;
-        let gate = self.gate.as_deref();
-        let ranks = self.ranks.as_deref();
-        let speculation = self.speculation.as_deref();
+/// The run's event counters, reported in [`FarmStats`].
+#[derive(Default)]
+struct Counters {
+    /// Nanoseconds of the slowest worker's calibration pass.
+    calibration_ns: AtomicU64,
+    initial_chunk: AtomicUsize,
+    workers_lost: AtomicUsize,
+    workers_demoted: AtomicUsize,
+    steals_attempted: AtomicUsize,
+    steals_completed: AtomicUsize,
+    units_stolen: AtomicUsize,
+    speculated_units: AtomicUsize,
+    speculation_wins: AtomicUsize,
+}
 
+/// Everything the workers of one farm run share.
+///
+/// It borrows neither the items nor the task closure — [`FarmRun::work`]
+/// takes both per call — so the same run can be driven by scoped threads
+/// ([`ThreadFarm::try_run_observed`]) or by resident ones
+/// ([`crate::pool::WorkerPool`], which holds it in an `Arc`): one worker
+/// loop, two thread lifetimes.
+pub(crate) struct FarmRun {
+    farm: ThreadFarm,
+    n: usize,
+    started: Instant,
+    /// First result wins: one claim flag per unit, swapped by every
+    /// successful execution — only the one that flips it records.
+    claimed: Vec<AtomicBool>,
+    /// The next fresh unit (demand-driven mode), claimed lock-free.
+    cursor: AtomicUsize,
+    queue: Mutex<Queue>,
+    stats: Vec<CachePadded<WorkerStat>>,
+    /// Work-stealing mode: one deque per worker; `None` = demand-driven.
+    deques: Option<Vec<CachePadded<StealDeque>>>,
+    /// One flag per unit so each in-flight unit is duplicated at most once
+    /// (allocated only when a speculation policy is attached).
+    speculated: Vec<AtomicBool>,
+    /// Workers demoted before the run started, which take no part in it.
+    sits_out: Vec<bool>,
+    /// Workers still pulling; the last one never leaves.  In work-stealing
+    /// mode a worker that runs out of work leaves the count as well (see
+    /// `Worker::steal`).
+    active_workers: AtomicUsize,
+    /// Lock-free mirrors of the queue's state, so the fast path (claim
+    /// fresh units, execute) touches no lock at all.
+    /// Both pending counters are bumped *before* the backing store they
+    /// mirror is filled, so an idle worker's termination scan can never
+    /// miss in-flight work (see `Worker::steal`).
+    retries_pending: AtomicUsize,
+    reclaimed_pending: AtomicUsize,
+    failed: AtomicBool,
+    counters: Counters,
+}
+
+impl FarmRun {
+    /// The shared state of a run of `farm` over `n` units.
+    pub(crate) fn new(farm: ThreadFarm, n: usize) -> Self {
+        let workers = farm.workers;
+        // A worker demoted before the run starts sits it out — counted as
+        // demoted, outside the active count, seeded no deque — unless every
+        // worker is demoted, in which case none does.
+        let mut sits_out: Vec<bool> = (0..workers)
+            .map(|w| farm.gate.as_ref().is_some_and(|g| g.is_demoted(w)))
+            .collect();
+        if sits_out.iter().all(|&s| s) {
+            sits_out.fill(false);
+        }
+        let seeded: Vec<usize> = (0..workers).filter(|&w| !sits_out[w]).collect();
+        let counters = Counters::default();
+        counters
+            .workers_demoted
+            .store(workers - seeded.len(), Ordering::Relaxed);
         // Work-stealing mode: seed one deque per worker from a one-shot
-        // partition of the task range.  (Ranges beyond the packed 32-bit
-        // bound — far past any supported workload — fall back to the
-        // demand-driven queue.)
-        let steal_deques: Option<Vec<CachePadded<StealDeque>>> =
-            if matches!(policy, SchedulePolicy::WorkStealing { .. }) && n <= MAX_RANGE {
-                Some(
-                    (0..workers)
-                        .map(|w| {
-                            CachePadded(StealDeque::new(w * n / workers, (w + 1) * n / workers))
-                        })
-                        .collect(),
-                )
-            } else {
-                None
-            };
-
-        let outputs: Vec<WorkerLocal<R, O::Local>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for wid in 0..workers {
-                let queue = &queue;
-                let claimed = &claimed;
-                let stats = &stats;
-                let retried_total = &retried_total;
-                let workers_lost = &workers_lost;
-                let workers_demoted = &workers_demoted;
-                let active_workers = &active_workers;
-                let calibration_done = &calibration_done;
-                let initial_chunk = &initial_chunk;
-                let retries_pending = &retries_pending;
-                let reclaimed_pending = &reclaimed_pending;
-                let failed_flag = &failed_flag;
-                let steals_attempted = &steals_attempted;
-                let steals_completed = &steals_completed;
-                let units_stolen = &units_stolen;
-                let speculated_units = &speculated_units;
-                let speculation_wins = &speculation_wins;
-                let speculated_flags = &speculated_flags;
-                let steal_deques = steal_deques.as_deref();
-                let worker_fn = &worker;
-                handles.push(scope.spawn(move || {
-                    // Everything this worker writes per unit, apart from
-                    // the unit's claim flag and its own padded stat.
-                    let local = WorkerLocal {
-                        results: RefCell::new(Vec::with_capacity(n / workers + 1)),
-                        observed: RefCell::default(),
-                        panics: Cell::new(0),
-                    };
-                    // Execute one attempt of unit `index`, isolating
-                    // panics; `speculative` marks a tail duplicate of a
-                    // unit another worker may still be running.  The
-                    // clock is read just around the closure, and that
-                    // one pair feeds this worker's running mean and the
-                    // observer.  Returns `false` when the whole run must
-                    // stop (task failed permanently).
-                    let exec_task = |index: usize, attempt: usize, speculative: bool| -> bool {
-                        let started = Instant::now();
-                        match catch_unwind(AssertUnwindSafe(|| worker_fn(wid, &items[index]))) {
-                            Ok(out) => {
-                                let timing = UnitTiming {
-                                    started,
-                                    finished: Instant::now(),
-                                };
-                                // First result wins: under speculation
-                                // the other copy may already have
-                                // claimed the unit, in which case this
-                                // one is the cancelled loser — observed
-                                // (its timing is real work), but neither
-                                // recorded nor counted, so each unit is
-                                // counted by exactly one worker.  The
-                                // flag publishes no data (each result
-                                // stays with its worker until the join),
-                                // so the swap needs atomicity only.
-                                let recorded = !claimed[index].swap(true, Ordering::Relaxed);
-                                observer.unit_done(
-                                    &mut local.observed.borrow_mut(),
-                                    wid,
-                                    index,
-                                    timing,
-                                    recorded,
-                                );
-                                if recorded {
-                                    local.results.borrow_mut().push((index, out));
-                                    stats[wid].record(timing.elapsed());
-                                    if attempt > 0 {
-                                        retried_total.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    if speculative {
-                                        speculation_wins.fetch_add(1, Ordering::Relaxed);
-                                        if let Some(spec) = speculation {
-                                            spec.note_win(index, wid);
-                                        }
-                                    }
-                                }
-                                true
-                            }
-                            // A panicked duplicate is simply dropped: the
-                            // primary still owns the unit, so the ordinary
-                            // retry path decides its fate.  And a unit
-                            // whose duplicate already won needs no retry:
-                            // the losing copy's panic is swallowed.
-                            Err(_) if speculative || claimed[index].load(Ordering::Relaxed) => true,
-                            Err(_) => {
-                                local.panics.set(local.panics.get() + 1);
-                                let mut q = queue.lock();
-                                if attempt + 1 >= max_attempts {
-                                    q.failed.get_or_insert(index);
-                                    failed_flag.store(true, Ordering::SeqCst);
-                                    false
-                                } else {
-                                    // Counter before queue entry: a peer's
-                                    // termination scan must see the retry
-                                    // pending before it could see it queued.
-                                    retries_pending.fetch_add(1, Ordering::SeqCst);
-                                    q.retries.push_back((index, attempt + 1));
-                                    true
-                                }
-                            }
-                        }
-                    };
-                    // Tail speculation (demand-driven modes): duplicate
-                    // one in-flight unit on this otherwise-idle worker.
-                    // Returns `true` when a duplicate ran (the caller
-                    // keeps looping: retries may have appeared, more tail
-                    // may remain).
-                    let try_speculate = || -> bool {
-                        let Some(spec) = speculation else {
-                            return false;
-                        };
-                        // In-flight = dispatched units nobody has claimed
-                        // a result for yet (includes panicked units
-                        // awaiting retry — their re-execution is exactly
-                        // what a duplicate races).  The flag scan is racy
-                        // by design: a unit completing mid-scan only makes
-                        // the in-flight count stale by one, and the
-                        // speculated flag still guards uniqueness.
-                        let dispatched = queue.lock().next;
-                        let mut in_flight = 0usize;
-                        let mut candidate = None;
-                        for idx in 0..dispatched {
-                            if !claimed[idx].load(Ordering::Relaxed) {
-                                in_flight += 1;
-                                if candidate.is_none()
-                                    && !speculated_flags[idx].load(Ordering::Relaxed)
-                                {
-                                    candidate = Some(idx);
-                                }
-                            }
-                        }
-                        let Some(index) = candidate else {
-                            return false;
-                        };
-                        if !spec.allow(in_flight, n) {
-                            return false;
-                        }
-                        if speculated_flags[index]
-                            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                            .is_err()
-                        {
-                            return true; // lost the claim race — rescan
-                        }
-                        speculated_units.fetch_add(1, Ordering::Relaxed);
-                        spec.note_launched(index, wid);
-                        exec_task(index, 0, true)
-                    };
-                    // A worker past its panic budget retires — never while
-                    // retries are pending (it may be the only worker still
-                    // looping, and a requeued task must not be stranded)
-                    // and never as the last worker still pulling (see
-                    // `leave_active`).
-                    let over_budget =
-                        || local.panics.get() > panic_budget && queue.lock().retries.is_empty();
-                    // Leave the active count, unless this is the last
-                    // worker still in it, which must soldier on to
-                    // preserve progress.
-                    let leave_active = || {
-                        active_workers
-                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |a| {
-                                (a > 1).then(|| a - 1)
-                            })
-                            .is_ok()
-                    };
-                    let retire = |retired: &mut bool| {
-                        workers_lost.fetch_add(1, Ordering::Relaxed);
-                        // Tell the gate (when present) so the adaptation
-                        // layer's pool floor counts this worker as inactive.
-                        if let Some(g) = gate {
-                            g.mark_retired(wid);
-                        }
-                        *retired = true;
-                    };
-                    let mut retired = false;
-
-                    // ============ work-stealing mode ============
-                    //
-                    // Each worker owns deques[wid], seeded with its slice of
-                    // the one-shot range partition.  The owner fast path —
-                    // rank-weighted pop from its own bottom — takes no lock
-                    // and allocates nothing; the queue lock is only touched
-                    // on the slow paths (retries, reclaimed ranges, faults).
-                    if let Some(deques) = steal_deques {
-                        let my_deque = &deques[wid];
-                        // Leave the active count and drain our own deque
-                        // back into circulation (demotion and retirement,
-                        // so `conserves_units_of` holds even when a worker
-                        // leaves mid-partition); refused, draining
-                        // nothing, for the last worker in the count.  The
-                        // pending counter is raised BEFORE the count is
-                        // left and before the drain: a peer that later sees
-                        // this deque empty is thereby guaranteed to also
-                        // see the counter, and so is a peer that leaves the
-                        // count after us (see the exit arm) — drained work
-                        // always has a live taker.
-                        let leave_and_drain = || -> bool {
-                            reclaimed_pending.fetch_add(1, Ordering::SeqCst);
-                            if !leave_active() {
-                                reclaimed_pending.fetch_sub(1, Ordering::SeqCst);
-                                return false;
-                            }
-                            match my_deque.drain_all() {
-                                Some(range) => queue.lock().reclaimed.push_back(range),
-                                None => {
-                                    reclaimed_pending.fetch_sub(1, Ordering::SeqCst);
-                                }
-                            }
-                            true
-                        };
-                        // Rank weight: prefer the engine's published
-                        // calibration ranks, fall back to the farm-local
-                        // running means.  Either way: no locks.
-                        let rank_weight = || {
-                            let from_engine = ranks.and_then(|t| {
-                                let my = t.get(wid)?;
-                                let mut sum = 0.0;
-                                let mut k = 0usize;
-                                for v in 0..workers {
-                                    if let Some(m) = t.get(v) {
-                                        sum += m;
-                                        k += 1;
-                                    }
-                                }
-                                (k > 0).then(|| sum / k as f64 / my)
-                            });
-                            from_engine.unwrap_or_else(|| {
-                                let my_mean = stats[wid].mean_s().unwrap_or(0.0);
-                                let mut sum = 0.0;
-                                let mut k = 0usize;
-                                for s in stats.iter() {
-                                    if let Some(m) = s.mean_s() {
-                                        sum += m;
-                                        k += 1;
-                                    }
-                                }
-                                if my_mean > 0.0 && k > 0 {
-                                    (sum / k as f64) / my_mean
-                                } else {
-                                    1.0
-                                }
-                            })
-                        };
-
-                        // Calibration: probe tasks come from our own bottom.
-                        let calib_start = Instant::now();
-                        for _ in 0..calib_samples {
-                            if failed_flag.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let Some((idx, _)) = my_deque.take_bottom(1) else {
-                                break;
-                            };
-                            if !exec_task(idx, 0, false) {
-                                break;
-                            }
-                            if over_budget() && leave_and_drain() {
-                                retire(&mut retired);
-                                break;
-                            }
-                        }
-                        if calib_samples > 0 {
-                            let elapsed = calib_start.elapsed();
-                            let mut cd = calibration_done.lock();
-                            if elapsed > *cd {
-                                *cd = elapsed;
-                            }
-                        }
-
-                        enum Slow {
-                            Retry { index: usize, attempt: usize },
-                            Range { start: usize, count: usize },
-                            Nothing,
-                        }
-                        'steal: while !retired {
-                            if failed_flag.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            // External demotion: drain our deque back into
-                            // circulation first, under the same progress
-                            // guards as the demand-driven loop.
-                            if gate.map(|g| g.is_demoted(wid)).unwrap_or(false)
-                                && queue.lock().retries.is_empty()
-                                && leave_and_drain()
-                            {
-                                workers_demoted.fetch_add(1, Ordering::Relaxed);
-                                break;
-                            }
-                            // Slow path first: panic retries, then ranges
-                            // reclaimed from departed workers.
-                            if retries_pending.load(Ordering::SeqCst) > 0
-                                || reclaimed_pending.load(Ordering::SeqCst) > 0
-                            {
-                                let slow = {
-                                    let mut q = queue.lock();
-                                    if q.failed.is_some() {
-                                        break;
-                                    }
-                                    if let Some((index, attempt)) = q.retries.pop_front() {
-                                        retries_pending.fetch_sub(1, Ordering::SeqCst);
-                                        Slow::Retry { index, attempt }
-                                    } else if let Some((start, count)) = q.reclaimed.pop_front() {
-                                        // Take one owner-sized bite; the
-                                        // rest goes back for the others.
-                                        let bite = policy.owner_chunk(count, workers, 1.0).max(1);
-                                        if bite < count {
-                                            q.reclaimed.push_back((start + bite, count - bite));
-                                        } else {
-                                            reclaimed_pending.fetch_sub(1, Ordering::SeqCst);
-                                        }
-                                        Slow::Range {
-                                            start,
-                                            count: bite.min(count),
-                                        }
-                                    } else {
-                                        Slow::Nothing
-                                    }
-                                };
-                                match slow {
-                                    Slow::Retry { index, attempt } => {
-                                        if !exec_task(index, attempt, false) {
-                                            break;
-                                        }
-                                        if over_budget() && leave_and_drain() {
-                                            retire(&mut retired);
-                                        }
-                                        continue;
-                                    }
-                                    Slow::Range { start, count } => {
-                                        for idx in start..start + count {
-                                            if !exec_task(idx, 0, false) {
-                                                break 'steal;
-                                            }
-                                        }
-                                        if over_budget() && leave_and_drain() {
-                                            retire(&mut retired);
-                                        }
-                                        continue;
-                                    }
-                                    Slow::Nothing => {}
-                                }
-                            }
-                            // Owner fast path: rank-weighted pop from our
-                            // own bottom.  Lock-free and allocation-free.
-                            let want = policy.owner_chunk(my_deque.len(), workers, rank_weight());
-                            if want > 0 {
-                                if let Some((start, count)) = my_deque.take_bottom(want) {
-                                    let _ = initial_chunk.compare_exchange(
-                                        0,
-                                        count,
-                                        Ordering::Relaxed,
-                                        Ordering::Relaxed,
-                                    );
-                                    for idx in start..start + count {
-                                        if !exec_task(idx, 0, false) {
-                                            break 'steal;
-                                        }
-                                    }
-                                    if over_budget() && leave_and_drain() {
-                                        retire(&mut retired);
-                                    }
-                                    continue;
-                                }
-                            }
-                            // Steal phase: pick the slowest-ranked victim
-                            // with at least two tasks exposed (the lone last
-                            // task always stays with its owner); with no
-                            // ranks yet, the longest deque stands in.
-                            let mut victim: Option<(usize, usize, Option<f64>)> = None;
-                            for v in 0..workers {
-                                if v == wid {
-                                    continue;
-                                }
-                                let len = deques[v].len();
-                                if len < 2 {
-                                    continue;
-                                }
-                                let mean =
-                                    ranks.and_then(|t| t.get(v)).or_else(|| stats[v].mean_s());
-                                let better = match &victim {
-                                    None => true,
-                                    Some((_, best_len, best_mean)) => match (mean, best_mean) {
-                                        (Some(m), Some(b)) => {
-                                            m > *b || (m == *b && len > *best_len)
-                                        }
-                                        (Some(_), None) => true,
-                                        (None, Some(_)) => false,
-                                        (None, None) => len > *best_len,
-                                    },
-                                };
-                                if better {
-                                    victim = Some((v, len, mean));
-                                }
-                            }
-                            match victim {
-                                Some((v, _, _)) => {
-                                    steals_attempted.fetch_add(1, Ordering::Relaxed);
-                                    if let Some((start, count)) = deques[v].steal_top_half() {
-                                        steals_completed.fetch_add(1, Ordering::Relaxed);
-                                        units_stolen.fetch_add(count, Ordering::Relaxed);
-                                        for idx in start..start + count {
-                                            if !exec_task(idx, 0, false) {
-                                                break 'steal;
-                                            }
-                                        }
-                                        if over_budget() && leave_and_drain() {
-                                            retire(&mut retired);
-                                        }
-                                    }
-                                    // A lost race (the victim drained its own
-                                    // deque first) just rescans.
-                                }
-                                None => {
-                                    // Nothing local, nothing stealable: done
-                                    // once no retries or reclaimed ranges are
-                                    // pending either.  Both counters are
-                                    // raised before their backing store
-                                    // drains/fills, so this unlocked scan
-                                    // cannot strand in-flight work; a task
-                                    // that panics later is requeued and
-                                    // finished by the panicking worker
-                                    // itself, which cannot retire while its
-                                    // retry is queued.
-                                    //
-                                    // A lone last task stays with its owner,
-                                    // who may still retire or be demoted and
-                                    // drain it.  So leave the active count
-                                    // first, then look once more: a peer
-                                    // that leaves after us raised its
-                                    // pending counter before it left (see
-                                    // `leave_and_drain`), so either it saw
-                                    // us still counted and we see its
-                                    // counter now, or it saw us gone —
-                                    // and, were it the last, stayed.
-                                    if my_deque.is_empty()
-                                        && retries_pending.load(Ordering::SeqCst) == 0
-                                        && reclaimed_pending.load(Ordering::SeqCst) == 0
-                                    {
-                                        active_workers.fetch_sub(1, Ordering::SeqCst);
-                                        if retries_pending.load(Ordering::SeqCst) == 0
-                                            && reclaimed_pending.load(Ordering::SeqCst) == 0
-                                        {
-                                            break;
-                                        }
-                                        active_workers.fetch_add(1, Ordering::SeqCst);
-                                    }
-                                    std::hint::spin_loop();
-                                }
-                            }
-                        }
-                        return local;
-                    }
-
-                    // ----------------- calibration pass -----------------
-                    let calib_start = Instant::now();
-                    for _ in 0..calib_samples {
-                        let idx = {
-                            let mut q = queue.lock();
-                            if q.failed.is_some() || q.next >= q.total {
-                                break;
-                            }
-                            let i = q.next;
-                            q.next += 1;
-                            i
-                        };
-                        if !exec_task(idx, 0, false) {
-                            break;
-                        }
-                        if over_budget() && leave_active() {
-                            retire(&mut retired);
-                            break;
-                        }
-                    }
-                    if calib_samples > 0 {
-                        let elapsed = calib_start.elapsed();
-                        let mut cd = calibration_done.lock();
-                        if elapsed > *cd {
-                            *cd = elapsed;
-                        }
-                    }
-
-                    // ----------------- execution pass -----------------
-                    'pull: while !retired {
-                        // An externally demoted worker (Algorithm 2's "drop
-                        // the slow node", flagged through the WorkerGate)
-                        // stops pulling under the same progress guards as
-                        // panic retirement: never while retries are pending,
-                        // never as the last active worker.  Its completed
-                        // work stands; the queue reroutes the rest.
-                        if gate.map(|g| g.is_demoted(wid)).unwrap_or(false)
-                            && queue.lock().retries.is_empty()
-                            && leave_active()
-                        {
-                            workers_demoted.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                        // Weight = pool mean time / this worker's mean time,
-                        // derived from the padded running sums (no locks).
-                        let my_mean = stats[wid].mean_s().unwrap_or(0.0);
-                        let pool_mean = {
-                            let mut sum = 0.0;
-                            let mut k = 0usize;
-                            for s in stats.iter() {
-                                if let Some(m) = s.mean_s() {
-                                    sum += m;
-                                    k += 1;
-                                }
-                            }
-                            if k == 0 {
-                                0.0
-                            } else {
-                                sum / k as f64
-                            }
-                        };
-                        let weight = if my_mean > 0.0 && pool_mean > 0.0 {
-                            pool_mean / my_mean
-                        } else {
-                            1.0
-                        };
-                        let job = {
-                            let mut q = queue.lock();
-                            if q.failed.is_some() {
-                                break;
-                            }
-                            if let Some((index, attempt)) = q.retries.pop_front() {
-                                retries_pending.fetch_sub(1, Ordering::SeqCst);
-                                Some(Job::Retry { index, attempt })
-                            } else {
-                                let remaining = q.total - q.next;
-                                if remaining == 0 {
-                                    None
-                                } else {
-                                    let c =
-                                        policy.next_chunk_with_total(remaining, n, workers, weight);
-                                    let start = q.next;
-                                    q.next += c;
-                                    Some(Job::Chunk { start, count: c })
-                                }
-                            }
-                        };
-                        let Some(job) = job else {
-                            // The tail: every fresh unit is claimed and no
-                            // retry is queued.  Instead of going idle, a
-                            // worker with a speculation policy duplicates an
-                            // in-flight unit and rescans (retries may have
-                            // appeared meanwhile); with none, it exits as
-                            // before.
-                            if try_speculate() {
-                                continue;
-                            }
-                            break;
-                        };
-                        match job {
-                            Job::Retry { index, attempt } => {
-                                if !exec_task(index, attempt, false) {
-                                    break;
-                                }
-                                if over_budget() && leave_active() {
-                                    retire(&mut retired);
-                                }
-                            }
-                            Job::Chunk { start, count } => {
-                                let _ = initial_chunk.compare_exchange(
-                                    0,
-                                    count,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                );
-                                // The chunk is finished even by a worker over
-                                // its panic budget: its tasks are claimed, so
-                                // retiring mid-chunk would strand them.
-                                for idx in start..start + count {
-                                    if !exec_task(idx, 0, false) {
-                                        break 'pull;
-                                    }
-                                }
-                                if over_budget() && leave_active() {
-                                    retire(&mut retired);
-                                }
-                            }
-                        }
-                    }
-                    local
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-
-        let queue = queue.into_inner();
-        if let Some(task) = queue.failed {
-            return Err(GraspError::WorkerFailed {
-                task,
-                attempts: max_attempts,
+        // partition of the task range over the workers taking part.  Ranges
+        // beyond the packed 32-bit bound — far past any supported workload —
+        // fall back to the demand-driven queue.
+        let deques = (matches!(farm.policy, SchedulePolicy::WorkStealing { .. }) && n <= MAX_RANGE)
+            .then(|| {
+                let mut deques: Vec<_> = (0..workers)
+                    .map(|_| CachePadded(StealDeque::empty()))
+                    .collect();
+                for (k, &w) in seeded.iter().enumerate() {
+                    let m = seeded.len();
+                    deques[w] = CachePadded(StealDeque::new(k * n / m, (k + 1) * n / m));
+                }
+                deques
             });
+        let flags = |len: usize| (0..len).map(|_| AtomicBool::new(false)).collect();
+        FarmRun {
+            n,
+            started: Instant::now(),
+            claimed: flags(n),
+            cursor: AtomicUsize::new(0),
+            queue: Mutex::new(Queue {
+                retries: VecDeque::new(),
+                failed: None,
+                reclaimed: VecDeque::new(),
+            }),
+            stats: (0..workers).map(|_| CachePadded::default()).collect(),
+            deques,
+            speculated: flags(if farm.speculation.is_some() { n } else { 0 }),
+            active_workers: AtomicUsize::new(seeded.len()),
+            sits_out,
+            retries_pending: AtomicUsize::new(0),
+            reclaimed_pending: AtomicUsize::new(0),
+            failed: AtomicBool::new(false),
+            counters,
+            farm,
         }
-        let mut runs = Vec::with_capacity(workers);
-        let mut locals = Vec::with_capacity(workers);
+    }
+
+    /// Worker `wid`'s whole part in the run — calibrate, then execute until
+    /// the work runs out, the run fails, or the worker retires or is
+    /// demoted — returning what it owns.
+    pub(crate) fn work<T, R, F, O>(
+        &self,
+        wid: usize,
+        items: &[T],
+        f: &F,
+        observer: &O,
+    ) -> WorkerLocal<R, O::Local>
+    where
+        F: Fn(usize, &T) -> R,
+        O: UnitObserver,
+    {
+        let mut worker = Worker {
+            run: self,
+            wid,
+            items,
+            f,
+            observer,
+            local: WorkerLocal {
+                results: Vec::with_capacity(self.n / self.farm.workers + 1),
+                retried: Vec::new(),
+                observed: O::Local::default(),
+                panics: 0,
+            },
+        };
+        if !self.sits_out[wid] && worker.calibrate() {
+            worker.execute();
+        }
+        worker.local
+    }
+
+    /// Collect the workers' hand-ins (one per worker that ran; none when
+    /// the run had no units) into the results in input order, the run
+    /// statistics, every worker's observer state, and the ascending input
+    /// indices of the units that completed only on a retry.
+    pub(crate) fn finish<R, L: Default>(
+        &self,
+        locals: Vec<WorkerLocal<R, L>>,
+    ) -> Result<(ObservedRun<R, L>, Vec<usize>), GraspError> {
+        let attempts = self.farm.max_task_attempts;
+        let failed = |task| GraspError::WorkerFailed { task, attempts };
+        if let Some(task) = self.queue.lock().failed {
+            return Err(failed(task));
+        }
+        let mut runs = Vec::with_capacity(locals.len());
+        let mut observed = Vec::with_capacity(self.farm.workers);
+        let mut retried = Vec::new();
         let mut panics = 0;
-        for out in outputs {
-            runs.push(out.results.into_inner());
-            locals.push(out.observed.into_inner());
-            panics += out.panics.get();
+        for local in locals {
+            runs.push(local.results);
+            observed.push(local.observed);
+            retried.extend(local.retried);
+            panics += local.panics;
         }
+        observed.resize_with(self.farm.workers, L::default);
+        retried.sort_unstable();
         // Defensive: no recorded failure but a unit was never recorded —
         // report it as a worker failure rather than panicking.
-        let output = merge_in_input_order(runs, n).map_err(|task| GraspError::WorkerFailed {
-            task,
-            attempts: max_attempts,
-        })?;
+        let results = merge_in_input_order(runs, self.n).map_err(failed)?;
+        let c = &self.counters;
         let stats = FarmStats {
-            workers: self.workers,
-            tasks_per_worker: stats
+            workers: self.farm.workers,
+            tasks_per_worker: self
+                .stats
                 .iter()
                 .map(|s| s.count.load(Ordering::Relaxed))
                 .collect(),
-            mean_task_time_per_worker: stats.iter().map(|s| s.mean_s().unwrap_or(0.0)).collect(),
-            calibration: *calibration_done.lock(),
-            total: started.elapsed(),
-            initial_chunk: initial_chunk.load(Ordering::Relaxed),
+            mean_task_time_per_worker: self
+                .stats
+                .iter()
+                .map(|s| s.mean_s().unwrap_or(0.0))
+                .collect(),
+            calibration: Duration::from_nanos(c.calibration_ns.load(Ordering::Relaxed)),
+            total: self.started.elapsed(),
+            initial_chunk: c.initial_chunk.load(Ordering::Relaxed),
             panics,
-            retried: retried_total.load(Ordering::Relaxed),
-            workers_lost: workers_lost.load(Ordering::Relaxed),
-            workers_demoted: workers_demoted.load(Ordering::Relaxed),
-            steals_attempted: steals_attempted.load(Ordering::Relaxed),
-            steals_completed: steals_completed.load(Ordering::Relaxed),
-            units_stolen: units_stolen.load(Ordering::Relaxed),
-            speculated_units: speculated_units.load(Ordering::Relaxed),
-            speculation_wins: speculation_wins.load(Ordering::Relaxed),
+            retried: retried.len(),
+            workers_lost: c.workers_lost.load(Ordering::Relaxed),
+            workers_demoted: c.workers_demoted.load(Ordering::Relaxed),
+            steals_attempted: c.steals_attempted.load(Ordering::Relaxed),
+            steals_completed: c.steals_completed.load(Ordering::Relaxed),
+            units_stolen: c.units_stolen.load(Ordering::Relaxed),
+            speculated_units: c.speculated_units.load(Ordering::Relaxed),
+            speculation_wins: c.speculation_wins.load(Ordering::Relaxed),
         };
-        Ok((output, stats, locals))
+        Ok(((results, stats, observed), retried))
+    }
+
+    /// Chunk weight of worker `wid`: the pool's mean task time over its
+    /// own (1 for policies that ignore weights, without reading the peers'
+    /// stats).  Work stealing prefers the engine's published ranks; every
+    /// mode falls back to the farm-local running means.  No locks.
+    fn weight(&self, wid: usize) -> f64 {
+        if !self.farm.policy.is_adaptive() {
+            return 1.0;
+        }
+        let workers = self.farm.workers;
+        self.deques
+            .as_ref()
+            .and(self.farm.ranks.as_deref())
+            .and_then(|ranks| pool_weight(wid, workers, |v| ranks.get(v)))
+            .or_else(|| pool_weight(wid, workers, |v| self.stats[v].mean_s()))
+            .unwrap_or(1.0)
+    }
+
+    /// Whether panic retries or reclaimed ranges await a taker.
+    fn work_pending(&self) -> bool {
+        self.retries_pending.load(Ordering::SeqCst) > 0
+            || self.reclaimed_pending.load(Ordering::SeqCst) > 0
+    }
+
+    /// Claim the next `size(remaining)` fresh units off the cursor.
+    fn claim(&self, size: impl Fn(usize) -> usize) -> Option<Range<usize>> {
+        let mut end = 0;
+        let start = self
+            .cursor
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |start| {
+                (start < self.n).then(|| {
+                    end = start + size(self.n - start);
+                    end
+                })
+            })
+            .ok()?;
+        Some(start..end)
+    }
+
+    /// The oldest queued retry, as `(unit range, attempt)`.
+    fn pop_retry(&self, q: &mut Queue) -> Option<(Range<usize>, usize)> {
+        let (index, attempt) = q.retries.pop_front()?;
+        self.retries_pending.fetch_sub(1, Ordering::SeqCst);
+        Some((index..index + 1, attempt))
+    }
+
+    /// Leave the active count, unless this is the last worker still in it,
+    /// which must soldier on to preserve progress.
+    fn leave_active(&self) -> bool {
+        self.active_workers
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |a| {
+                (a > 1).then(|| a - 1)
+            })
+            .is_ok()
+    }
+
+    /// The steal victim for `wid`: the slowest-ranked peer with at least two
+    /// tasks exposed (the lone last task always stays with its owner); with
+    /// no ranks yet, the longest deque stands in.
+    fn victim(&self, wid: usize, deques: &[CachePadded<StealDeque>]) -> Option<usize> {
+        let mut victim: Option<(Option<f64>, usize, usize)> = None;
+        for (v, deque) in deques.iter().enumerate() {
+            let len = deque.len();
+            if v == wid || len < 2 {
+                continue;
+            }
+            let mean = self
+                .farm
+                .ranks
+                .as_ref()
+                .and_then(|t| t.get(v))
+                .or_else(|| self.stats[v].mean_s());
+            if victim.map_or(true, |(best_mean, best_len, _)| {
+                (mean, len) > (best_mean, best_len)
+            }) {
+                victim = Some((mean, len, v));
+            }
+        }
+        victim.map(|(_, _, v)| v)
+    }
+}
+
+/// `pool mean / mean(wid)` over the workers `mean` knows; `None` until
+/// `wid` itself has a positive mean.
+fn pool_weight(wid: usize, workers: usize, mean: impl Fn(usize) -> Option<f64>) -> Option<f64> {
+    let mine = mean(wid).filter(|&m| m > 0.0)?;
+    let (sum, k) = (0..workers)
+        .filter_map(&mean)
+        .fold((0.0, 0usize), |(sum, k), m| (sum + m, k + 1));
+    Some(sum / k as f64 / mine)
+}
+
+/// One worker's view of a run: the shared state, the items and closure it
+/// runs, and everything it owns until it hands `local` back.
+struct Worker<'a, T, R, F, O: UnitObserver> {
+    run: &'a FarmRun,
+    wid: usize,
+    items: &'a [T],
+    f: &'a F,
+    observer: &'a O,
+    local: WorkerLocal<R, O::Local>,
+}
+
+impl<T, R, F, O> Worker<'_, T, R, F, O>
+where
+    F: Fn(usize, &T) -> R,
+    O: UnitObserver,
+{
+    /// Execute one attempt of unit `index`, isolating panics; `speculative`
+    /// marks a tail duplicate of a unit another worker may still be
+    /// running.  The clock is read just around the closure, and that one
+    /// pair feeds this worker's running mean and the observer.  Returns
+    /// `false` when the whole run must stop (task failed permanently).
+    fn exec(&mut self, index: usize, attempt: usize, speculative: bool) -> bool {
+        let (run, wid, f, items) = (self.run, self.wid, self.f, self.items);
+        let item = &items[index];
+        let started = Instant::now();
+        match catch_unwind(AssertUnwindSafe(|| f(wid, item))) {
+            Ok(out) => {
+                let timing = UnitTiming {
+                    started,
+                    finished: Instant::now(),
+                };
+                // First result wins: under speculation the other copy may
+                // already have claimed the unit, in which case this one is
+                // the cancelled loser — observed (its timing is real work),
+                // but neither recorded nor counted, so each unit is counted
+                // by exactly one worker.  The flag publishes no data (each
+                // result stays with its worker until the hand-in), so the
+                // swap needs atomicity only.
+                let recorded = !run.claimed[index].swap(true, Ordering::Relaxed);
+                let local = &mut self.local;
+                self.observer
+                    .unit_done(&mut local.observed, wid, index, timing, recorded);
+                if recorded {
+                    local.results.push((index, out));
+                    run.stats[wid].record(timing.elapsed());
+                    if attempt > 0 {
+                        local.retried.push(index);
+                    }
+                    if speculative {
+                        run.counters
+                            .speculation_wins
+                            .fetch_add(1, Ordering::Relaxed);
+                        if let Some(spec) = &run.farm.speculation {
+                            spec.note_win(index, wid);
+                        }
+                    }
+                }
+                true
+            }
+            // A panicked duplicate is simply dropped: the primary still owns
+            // the unit, so the ordinary retry path decides its fate.  And a
+            // unit whose duplicate already won needs no retry: the losing
+            // copy's panic is swallowed.
+            Err(_) if speculative || run.claimed[index].load(Ordering::Relaxed) => true,
+            Err(_) => {
+                self.local.panics += 1;
+                let mut q = run.queue.lock();
+                if attempt + 1 >= run.farm.max_task_attempts {
+                    q.failed.get_or_insert(index);
+                    run.failed.store(true, Ordering::SeqCst);
+                    false
+                } else {
+                    // Counter before queue entry: a peer's termination scan
+                    // must see the retry pending before it could see it
+                    // queued.
+                    run.retries_pending.fetch_add(1, Ordering::SeqCst);
+                    q.retries.push_back((index, attempt + 1));
+                    true
+                }
+            }
+        }
+    }
+
+    /// Run every unit of a claimed range at `attempt`, then retire if past
+    /// the panic budget.  The range is finished even by a worker over its
+    /// budget: its units are claimed, so retiring mid-range would strand
+    /// them.  Returns `false` when this worker stops (the run failed or it
+    /// retired).
+    fn run_units(&mut self, units: Range<usize>, attempt: usize) -> bool {
+        for index in units {
+            if !self.exec(index, attempt, false) {
+                return false;
+            }
+        }
+        // Never while retries are pending (this may be the only worker still
+        // looping, and a requeued task must not be stranded) and never as
+        // the last worker still pulling (see `leave`).
+        let run = self.run;
+        if self.local.panics > run.farm.worker_panic_budget
+            && run.queue.lock().retries.is_empty()
+            && self.leave()
+        {
+            run.counters.workers_lost.fetch_add(1, Ordering::Relaxed);
+            // Tell the gate (when present) so the adaptation layer's pool
+            // floor counts this worker as inactive.
+            if let Some(g) = &run.farm.gate {
+                g.mark_retired(self.wid);
+            }
+            return false;
+        }
+        true
+    }
+
+    /// Leave the active count (refused for the last worker in it) and, in
+    /// work-stealing mode, drain this worker's deque back into circulation,
+    /// so `conserves_units_of` holds even when a worker leaves
+    /// mid-partition.  The pending counter is raised BEFORE the count is
+    /// left and before the drain: a peer that later sees this deque empty is
+    /// thereby guaranteed to also see the counter, and so is a peer that
+    /// leaves the count after us (see `Worker::steal`) — drained work always
+    /// has a live taker.
+    fn leave(&self) -> bool {
+        let run = self.run;
+        let Some(deques) = &run.deques else {
+            return run.leave_active();
+        };
+        run.reclaimed_pending.fetch_add(1, Ordering::SeqCst);
+        if !run.leave_active() {
+            run.reclaimed_pending.fetch_sub(1, Ordering::SeqCst);
+            return false;
+        }
+        match deques[self.wid].drain_all() {
+            Some(range) => run.queue.lock().reclaimed.push_back(range),
+            None => {
+                run.reclaimed_pending.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        true
+    }
+
+    /// Whether this worker stops on an external demotion (Algorithm 2's
+    /// "drop the slow node", flagged through the [`WorkerGate`]), under the
+    /// progress guards of panic retirement: never while retries are
+    /// pending, never as the last active worker.  Its completed work
+    /// stands; the rest is rerouted.
+    fn leaves_on_demotion(&self) -> bool {
+        let run = self.run;
+        let leaves = run
+            .farm
+            .gate
+            .as_ref()
+            .is_some_and(|g| g.is_demoted(self.wid))
+            && run.queue.lock().retries.is_empty()
+            && self.leave();
+        if leaves {
+            run.counters.workers_demoted.fetch_add(1, Ordering::Relaxed);
+        }
+        leaves
+    }
+
+    /// Calibration: up to `calibration_samples` probe units, one at a time —
+    /// from this worker's own deque bottom in work-stealing mode, off the
+    /// cursor otherwise.  The slowest worker's pass is the run's
+    /// calibration time.  Returns `false` when this worker stops.
+    fn calibrate(&mut self) -> bool {
+        let run = self.run;
+        let samples = run.farm.calibration_samples;
+        if samples == 0 {
+            return true;
+        }
+        let started = Instant::now();
+        let mut going = true;
+        for _ in 0..samples {
+            if run.failed.load(Ordering::SeqCst) {
+                break;
+            }
+            let probe = match &run.deques {
+                Some(deques) => deques[self.wid]
+                    .take_bottom(1)
+                    .map(|(index, _)| index..index + 1),
+                None => run.claim(|_| 1),
+            };
+            let Some(units) = probe else { break };
+            going = self.run_units(units, 0);
+            if !going {
+                break;
+            }
+        }
+        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        run.counters.calibration_ns.fetch_max(ns, Ordering::Relaxed);
+        going
+    }
+
+    /// Execution, until the work runs out, the run fails, or this worker
+    /// leaves.  Each turn takes the slow path first — panic retries, then
+    /// ranges reclaimed from departed workers (work stealing only), under
+    /// the queue lock and only while one is pending — then the lock-free
+    /// fast path: the next policy-sized chunk off the shared cursor, or a
+    /// rank-weighted bite off this worker's own deque bottom.  With both
+    /// dry, a demand-driven worker speculates on the tail or exits, and a
+    /// stealing one steals or exits.
+    fn execute(&mut self) {
+        let run = self.run;
+        let (wid, workers, policy) = (self.wid, run.farm.workers, run.farm.policy);
+        while !run.failed.load(Ordering::SeqCst) && !self.leaves_on_demotion() {
+            if run.work_pending() {
+                let slow = {
+                    let mut q = run.queue.lock();
+                    if q.failed.is_some() {
+                        return;
+                    }
+                    // A reclaimed range goes out one owner-sized bite at a
+                    // time; the rest goes back for the others.
+                    run.pop_retry(&mut q).or_else(|| {
+                        let (start, count) = q.reclaimed.pop_front()?;
+                        let bite = policy.owner_chunk(count, workers, 1.0).clamp(1, count);
+                        if bite < count {
+                            q.reclaimed.push_back((start + bite, count - bite));
+                        } else {
+                            run.reclaimed_pending.fetch_sub(1, Ordering::SeqCst);
+                        }
+                        Some((start..start + bite, 0))
+                    })
+                };
+                if let Some((units, attempt)) = slow {
+                    if !self.run_units(units, attempt) {
+                        return;
+                    }
+                    continue;
+                }
+            }
+            let weight = run.weight(wid);
+            let fresh = match &run.deques {
+                None => {
+                    run.claim(|left| policy.next_chunk_with_total(left, run.n, workers, weight))
+                }
+                Some(deques) => {
+                    let mine = &deques[wid];
+                    mine.take_bottom(policy.owner_chunk(mine.len(), workers, weight))
+                        .map(|(start, count)| start..start + count)
+                }
+            };
+            let going = match (fresh, &run.deques) {
+                (Some(units), _) => {
+                    // Only the run's first chunk sets it; reading first
+                    // keeps every later chunk from taking the line.
+                    let c = &run.counters.initial_chunk;
+                    if c.load(Ordering::Relaxed) == 0 {
+                        let _ = c.compare_exchange(
+                            0,
+                            units.len(),
+                            Ordering::Relaxed,
+                            Ordering::Relaxed,
+                        );
+                    }
+                    self.run_units(units, 0)
+                }
+                (None, None) => self.try_speculate(),
+                (None, Some(deques)) => self.steal(deques),
+            };
+            if !going {
+                return;
+            }
+        }
+    }
+
+    /// Tail speculation (demand-driven modes): duplicate one in-flight unit
+    /// on this otherwise idle worker.  Returns `true` when a duplicate ran
+    /// (or lost its claim race), so the caller rescans.
+    fn try_speculate(&mut self) -> bool {
+        let run = self.run;
+        let Some(spec) = &run.farm.speculation else {
+            return false;
+        };
+        // In-flight = dispatched units nobody has claimed a result for yet
+        // (includes panicked units awaiting retry — their re-execution is
+        // exactly what a duplicate races).  The flag scan is racy by design:
+        // a unit completing mid-scan only makes the in-flight count stale by
+        // one, and the speculated flag still guards uniqueness.
+        let dispatched = run.cursor.load(Ordering::Relaxed);
+        let mut in_flight = 0usize;
+        let mut candidate = None;
+        for index in 0..dispatched {
+            if !run.claimed[index].load(Ordering::Relaxed) {
+                in_flight += 1;
+                if candidate.is_none() && !run.speculated[index].load(Ordering::Relaxed) {
+                    candidate = Some(index);
+                }
+            }
+        }
+        let Some(index) = candidate else {
+            return false;
+        };
+        if !spec.allow(in_flight, run.n) {
+            return false;
+        }
+        if run.speculated[index]
+            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+            .is_err()
+        {
+            return true; // lost the claim race — rescan
+        }
+        run.counters
+            .speculated_units
+            .fetch_add(1, Ordering::Relaxed);
+        spec.note_launched(index, self.wid);
+        self.exec(index, 0, true)
+    }
+
+    /// Work stealing's tail, with this worker's own deque dry: steal the top
+    /// half of a victim's deque, or exit once nothing is stealable or
+    /// pending.  Returns `false` when this worker stops.
+    fn steal(&mut self, deques: &[CachePadded<StealDeque>]) -> bool {
+        let run = self.run;
+        let Some(v) = run.victim(self.wid, deques) else {
+            // Nothing local, nothing stealable: done once no retries or
+            // reclaimed ranges are pending either.  Both counters are raised
+            // before their backing store drains/fills, so this unlocked scan
+            // cannot strand in-flight work; a task that panics later is
+            // requeued and finished by the panicking worker itself, which
+            // cannot leave while its retry is queued.
+            //
+            // A lone last task stays with its owner, who may still retire or
+            // be demoted and drain it.  So leave the active count first, then
+            // look once more: a peer that leaves after us raised its pending
+            // counter before it left (see `leave`), so either it saw us still
+            // counted and we see its counter now, or it saw us gone — and,
+            // were it the last, stayed.
+            if deques[self.wid].is_empty() && !run.work_pending() {
+                run.active_workers.fetch_sub(1, Ordering::SeqCst);
+                if !run.work_pending() {
+                    return false;
+                }
+                run.active_workers.fetch_add(1, Ordering::SeqCst);
+            }
+            std::hint::spin_loop();
+            return true;
+        };
+        run.counters
+            .steals_attempted
+            .fetch_add(1, Ordering::Relaxed);
+        // A lost race (the victim drained its own deque first) just rescans.
+        let Some((start, count)) = deques[v].steal_top_half() else {
+            return true;
+        };
+        run.counters
+            .steals_completed
+            .fetch_add(1, Ordering::Relaxed);
+        run.counters
+            .units_stolen
+            .fetch_add(count, Ordering::Relaxed);
+        self.run_units(start..start + count, 0)
     }
 }
 
@@ -1321,7 +1270,9 @@ impl ThreadFarm {
 mod tests {
     use super::*;
     use crate::backend::spin as spin_work;
+    use crate::pool::WorkerPool;
     use proptest::prelude::*;
+    use std::cell::RefCell;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -1353,6 +1304,21 @@ mod tests {
         assert_eq!(out.len(), 50);
         assert_eq!(stats.tasks_per_worker, vec![50]);
         assert_eq!(stats.imbalance(), 50.0_f64.max(1.0) / 50.0);
+    }
+
+    #[test]
+    fn imbalance_is_infinite_when_only_some_workers_ran_anything() {
+        let (_, mut stats) = ThreadFarm::new(2).run(&[] as &[u32], |&x| x);
+        assert_eq!(stats.imbalance(), 1.0, "nobody ran anything: balanced");
+        for (counts, expected) in [
+            (vec![1, 0], f64::INFINITY),
+            (vec![12, 0], f64::INFINITY),
+            (vec![6, 3], 2.0),
+            (vec![4, 4], 1.0),
+        ] {
+            stats.tasks_per_worker = counts;
+            assert_eq!(stats.imbalance(), expected, "{:?}", stats.tasks_per_worker);
+        }
     }
 
     #[test]
@@ -1684,30 +1650,84 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Random panic schedules × {Guided, WorkStealing} × 1–4 workers ×
         /// speculation on/off: with more attempts per unit than faults
         /// injected into it, the run succeeds, its results come back in
         /// input order, and every unit is recorded exactly once — by the
         /// observer's count, by `tasks_per_worker`, and per worker.
+        ///
+        /// `resident` runs the same case as three rounds in a row on one
+        /// `WorkerPool` (`run_stealing` when `stealing`, else `run`), each
+        /// with the same injected panics, taking a random worker out of
+        /// rotation between rounds: it must complete nothing while out.
         #[test]
         fn farm_records_every_unit_once_in_input_order(
             workers in 1usize..5,
             stealing in any::<bool>(),
             speculate in any::<bool>(),
+            resident in any::<bool>(),
             n in 1usize..150,
             faults in prop::collection::vec(0usize..8, 150),
             panic_budget in 0usize..4,
             calibration in 0usize..3,
+            rotate in 0usize..4,
         ) {
             // Up to two faults per unit (a quarter of the units get any).
             const MAX_FAULTS: usize = 2;
-            let fault_left: Vec<AtomicUsize> = faults[..n]
+            let schedule: Vec<usize> = faults[..n]
                 .iter()
-                .map(|&f| AtomicUsize::new(f.saturating_sub(8 - 1 - MAX_FAULTS)))
+                .map(|&f| f.saturating_sub(8 - 1 - MAX_FAULTS))
                 .collect();
-            let injected: usize = fault_left.iter().map(|f| f.load(Ordering::Relaxed)).sum();
+            let injected: usize = schedule.iter().sum();
+            let fault_left: Arc<Vec<AtomicUsize>> =
+                Arc::new(schedule.iter().map(|&f| AtomicUsize::new(f)).collect());
+            let task = {
+                let fault_left = Arc::clone(&fault_left);
+                move |x: u64| {
+                    let f = &fault_left[x as usize];
+                    if f.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1)).is_ok() {
+                        panic!("injected fault");
+                    }
+                    spin_work(x % 7 * 40) ^ x
+                }
+            };
+            let items: Vec<u64> = (0..n as u64).collect();
+            let expected: Vec<u64> = items.iter().map(|&x| spin_work(x % 7 * 40) ^ x).collect();
+            let failed = |e: GraspError| TestCaseError::fail(format!("{e} with {injected} faults injected"));
+            if resident {
+                let pool = WorkerPool::start(workers, {
+                    let task = task.clone();
+                    move |_, &x: &u64| task(x)
+                });
+                let mut out_of_rotation = None;
+                for round in 0..3 {
+                    for (f, &k) in fault_left.iter().zip(&schedule) {
+                        f.store(k, Ordering::Relaxed);
+                    }
+                    let lease = pool.lease();
+                    let out = if stealing {
+                        lease.run_stealing(items.clone(), MAX_FAULTS + 1)
+                    } else {
+                        lease.run(items.clone(), MAX_FAULTS + 1)
+                    }
+                    .map_err(failed)?;
+                    drop(lease);
+                    prop_assert_eq!(&out.results, &expected);
+                    prop_assert_eq!(out.stats.tasks_per_worker.iter().sum::<usize>(), n);
+                    if let Some(w) = out_of_rotation.take() {
+                        prop_assert_eq!(out.stats.tasks_per_worker[w], 0, "worker {} was out", w);
+                        pool.set_active(w, true);
+                    }
+                    prop_assert!(out.stats.panics <= injected);
+                    let w = (rotate + round) % workers;
+                    if pool.set_active(w, false) {
+                        out_of_rotation = Some(w);
+                    }
+                }
+                return Ok(());
+            }
             let policy = if stealing {
                 SchedulePolicy::WorkStealing { min_chunk: 1 }
             } else {
@@ -1724,23 +1744,10 @@ mod tests {
             let counter = RecordCounter {
                 recorded: (0..n).map(|_| AtomicUsize::new(0)).collect(),
             };
-            let items: Vec<u64> = (0..n as u64).collect();
-            let run = farm.try_run_observed(&items, &counter, |_, &x| {
-                let f = &fault_left[x as usize];
-                if f.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1)).is_ok() {
-                    panic!("injected fault");
-                }
-                spin_work(x % 7 * 40) ^ x
-            });
-            let (out, stats, per_worker) = match run {
-                Ok(run) => run,
-                Err(e) => {
-                    return Err(TestCaseError::fail(format!(
-                        "{e} with {injected} faults injected"
-                    )))
-                }
-            };
-            prop_assert_eq!(out, items.iter().map(|&x| spin_work(x % 7 * 40) ^ x).collect::<Vec<_>>());
+            let (out, stats, per_worker) = farm
+                .try_run_observed(&items, &counter, |_, &x| task(x))
+                .map_err(failed)?;
+            prop_assert_eq!(out, expected);
             for (index, c) in counter.recorded.iter().enumerate() {
                 prop_assert_eq!(c.load(Ordering::Relaxed), 1, "unit {} recorded", index);
             }

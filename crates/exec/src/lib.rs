@@ -11,14 +11,17 @@
 //! * [`farm::ThreadFarm`] runs a **calibration pass** (a few probe tasks per
 //!   worker) before settling on a chunk size, then executes the remaining
 //!   tasks demand-driven, recording per-worker statistics.
+//! * [`pool::WorkerPool`] keeps its threads resident across **dispatch
+//!   rounds** (the service's pool); each round runs the farm's own worker
+//!   loop on them, so the two differ only in how long their threads live.
 //! * [`pipeline::ThreadPipeline`] runs each stage on its own thread connected
 //!   by bounded channels, measures per-stage service times, and can
 //!   **replicate the bottleneck stage** when its observed service time
 //!   exceeds the adaptation threshold — the shared-memory analogue of
 //!   remapping a stage to a faster node.
 //!
-//! Both skeletons guarantee that results are delivered in submission order,
-//! and neither uses `unsafe`.
+//! Every engine delivers results in submission order, and none uses
+//! `unsafe`.
 //!
 //! On top of the two engines, [`backend::ThreadBackend`] implements the
 //! `grasp-core` `Backend` trait, so any composable `Skeleton` expression —

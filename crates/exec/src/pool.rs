@@ -10,72 +10,48 @@
 //! once and then serve an arbitrary number of **dispatch rounds**.  A round
 //! is obtained by taking a [`PoolLease`] (exclusive — one round at a time,
 //! mirroring the one-master discipline of the other backends) and calling
-//! [`PoolLease::run`] with a task list.  Workers pull tasks demand-driven
-//! off a shared cursor, exactly like the farm's chunk loop, and the lease
-//! returns when every task has completed.
+//! [`PoolLease::run`] or [`PoolLease::run_stealing`] with a task list.
 //!
-//! Fault isolation follows the farm's rules at round granularity: a handler
-//! panic is caught, the task is retried on the next attempt pass (panicked
-//! tasks of one pass become the task list of the next), and a task that
-//! fails every bounded attempt surfaces as [`GraspError::WorkerFailed`].
-//! Workers can be taken out of rotation with [`WorkerPool::set_active`]
-//! (the demotion hook for an adaptation engine driving the pool); the last
-//! active worker can never be deactivated, so a leased round always drains.
+//! A round is a farm run on resident threads: the lease publishes the
+//! run's shared state, every resident thread runs the farm's own worker
+//! loop on it and hands in its records, and the lease finishes the run
+//! exactly as [`crate::farm::ThreadFarm`] does — results in submission
+//! order, a handler panic caught and the task requeued on the farm's retry
+//! queue, and a task that fails every bounded attempt surfacing as
+//! [`GraspError::WorkerFailed`].  Rounds take no calibration probes and
+//! never retire a resident thread after panics.  Workers can be taken out
+//! of rotation with [`WorkerPool::set_active`] (the demotion hook for an
+//! adaptation engine driving the pool, honoured through the farm's
+//! [`WorkerGate`]); the last active worker can never be deactivated, so a
+//! leased round always drains.
 
-use crate::deque::{StealDeque, MAX_RANGE};
-use crate::padded::CachePadded;
+use crate::farm::{FarmRun, FarmStats, ThreadFarm, WorkerGate, WorkerLocal};
 use grasp_core::error::GraspError;
+use grasp_core::SchedulePolicy;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Work-stealing state of one round (present only for stealing rounds):
-/// per-worker deques over the pass's task positions, plus the reclaimed
-/// ranges of workers that left rotation mid-pass.
-struct StealState {
-    deques: Vec<CachePadded<StealDeque>>,
-    /// Ranges drained from deactivated workers' deques, awaiting pickup.
-    reclaimed: Mutex<Vec<(usize, usize)>>,
-    /// Raised *before* a deque drains into `reclaimed`, so an idle worker's
-    /// termination scan (which reads the deques first) can never miss an
-    /// in-flight drain and strand its tasks.
-    reclaimed_pending: AtomicUsize,
-    steals_attempted: AtomicUsize,
-    steals_completed: AtomicUsize,
-    units_stolen: AtomicUsize,
-}
+/// Calibration probes per worker in a round: none — a service calibrates
+/// from its own measurements across rounds.
+const CALIBRATION_SAMPLES: usize = 0;
 
-/// One in-flight dispatch round: the shared cursor the workers pull from
-/// and the harvest they hand in when they finish.
-struct Round<T, R> {
-    /// `(original index, task)` pairs for this attempt pass.
-    tasks: Vec<(usize, T)>,
-    cursor: AtomicUsize,
-    /// Work-stealing dispatch state; `None` = shared-cursor demand-driven.
-    steal: Option<StealState>,
-    /// What the workers that finished the pass handed in; the lease waits
-    /// until every worker has.
-    harvest: Mutex<Harvest<R>>,
-    finished_cv: Condvar,
-}
-
-/// The pass's deliveries, merged from each worker's own records when it
-/// finishes — one lock per worker per pass, none per unit.
-struct Harvest<R> {
-    /// Workers that have finished the pass.
-    finished: usize,
-    /// Delivered results, `(original index, result)`.
-    results: Vec<(usize, R)>,
-    /// Original indices whose handler panicked in this pass.
-    panicked: Vec<usize>,
-    /// Units completed per worker in this pass.
-    per_worker: Vec<usize>,
-}
+/// Panics a resident worker may absorb in a round before it retires: no
+/// limit, since a retired resident thread would be lost to later rounds.
+const PANIC_BUDGET: usize = usize::MAX;
 
 /// The per-unit handler a pool runs: `(worker index, task) -> result`.
 type Handler<T, R> = Box<dyn Fn(usize, &T) -> R + Send + Sync>;
+
+/// One published round: the farm run, the tasks it runs, and what the
+/// resident workers hand in when they stop.
+struct Round<T, R> {
+    run: FarmRun,
+    tasks: Vec<T>,
+    handed_in: Mutex<Vec<WorkerLocal<R, ()>>>,
+    all_in: Condvar,
+}
 
 /// The versioned current round: sleeping workers detect a new one by the
 /// counter; `None` between rounds.
@@ -86,16 +62,17 @@ struct Shared<T, R> {
     handler: Handler<T, R>,
     state: RoundState<T, R>,
     wake: Condvar,
-    /// Per-worker rotation flags (`false` = demoted: stops pulling).
-    active: Vec<AtomicBool>,
+    /// Rotation: a demoted worker stops pulling.
+    gate: Arc<WorkerGate>,
     shutdown: AtomicBool,
     rounds: AtomicU64,
 }
 
-/// A resident pool of `workers` threads executing demand-driven dispatch
-/// rounds (see the module docs).  Dropping the pool shuts the threads down.
+/// A resident pool of `workers` threads executing dispatch rounds (see
+/// the module docs).  Dropping the pool shuts the threads down.
 pub struct WorkerPool<T: Send + Sync + 'static, R: Send + 'static> {
     shared: Arc<Shared<T, R>>,
+    workers: usize,
     lease_gate: Mutex<()>,
     handles: Vec<JoinHandle<()>>,
 }
@@ -112,22 +89,12 @@ pub struct PoolLease<'p, T: Send + Sync + 'static, R: Send + 'static> {
 pub struct RoundOutcome<R> {
     /// One result per submitted task, in submission order.
     pub results: Vec<R>,
-    /// Handler panics absorbed across all attempt passes.
-    pub panics: usize,
-    /// Tasks that completed only after at least one failed attempt.
-    pub retried: usize,
-    /// Execution attempts per task, in submission order (1 = completed
-    /// cleanly on the first pull).
-    pub attempts: Vec<usize>,
-    /// Tasks completed per worker (successful attempts only).
-    pub completed_per_worker: Vec<usize>,
-    /// Steal attempts across all passes (stealing rounds only; zero under
-    /// shared-cursor dispatch).
-    pub steals_attempted: usize,
-    /// Steal attempts that moved a non-empty range between deques.
-    pub steals_completed: usize,
-    /// Task units moved between workers by completed steals.
-    pub units_stolen: usize,
+    /// The round's farm statistics: panics absorbed, retries, tasks
+    /// completed per worker, steal counters.
+    pub stats: FarmStats,
+    /// Submission indices of the tasks that completed only after a
+    /// panicked attempt, ascending.
+    pub retried_tasks: Vec<usize>,
 }
 
 impl<T: Send + Sync + 'static, R: Send + 'static> WorkerPool<T, R> {
@@ -142,7 +109,7 @@ impl<T: Send + Sync + 'static, R: Send + 'static> WorkerPool<T, R> {
             handler: Box::new(handler),
             state: Mutex::new((0, None)),
             wake: Condvar::new(),
-            active: (0..workers).map(|_| AtomicBool::new(true)).collect(),
+            gate: Arc::new(WorkerGate::new(workers)),
             shutdown: AtomicBool::new(false),
             rounds: AtomicU64::new(0),
         });
@@ -151,12 +118,13 @@ impl<T: Send + Sync + 'static, R: Send + 'static> WorkerPool<T, R> {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("grasp-pool-{wid}"))
-                    .spawn(move || worker_loop(wid, shared))
+                    .spawn(move || resident(wid, shared))
                     .expect("spawning a pool worker thread failed")
             })
             .collect();
         WorkerPool {
             shared,
+            workers,
             lease_gate: Mutex::new(()),
             handles,
         }
@@ -164,41 +132,32 @@ impl<T: Send + Sync + 'static, R: Send + 'static> WorkerPool<T, R> {
 
     /// Number of resident worker threads (fixed for the pool's lifetime).
     pub fn workers(&self) -> usize {
-        self.shared.active.len()
+        self.workers
     }
 
     /// Workers currently in rotation.
     pub fn active_workers(&self) -> usize {
-        self.shared
-            .active
-            .iter()
-            .filter(|a| a.load(Ordering::Relaxed))
-            .count()
+        self.workers - self.shared.gate.demoted_count()
     }
 
     /// Whether `worker` is currently in rotation.
     pub fn is_active(&self, worker: usize) -> bool {
-        self.shared
-            .active
-            .get(worker)
-            .map(|a| a.load(Ordering::Relaxed))
-            .unwrap_or(false)
+        worker < self.workers && !self.shared.gate.is_demoted(worker)
     }
 
     /// Put `worker` in or out of rotation; returns whether the flag changed.
     /// Deactivating is refused when it would leave no active worker (a
     /// leased round must always be able to drain).
     pub fn set_active(&self, worker: usize, active: bool) -> bool {
-        let Some(flag) = self.shared.active.get(worker) else {
-            return false;
-        };
-        if !active && self.active_workers() <= 1 && flag.load(Ordering::Relaxed) {
-            return false;
+        let gate = &self.shared.gate;
+        if active {
+            gate.reinstate(worker)
+        } else {
+            self.active_workers() > 1 && gate.demote(worker)
         }
-        flag.swap(active, Ordering::Relaxed) != active
     }
 
-    /// Dispatch rounds completed so far (attempt passes count once).
+    /// Dispatch rounds completed so far.
     pub fn rounds(&self) -> u64 {
         self.shared.rounds.load(Ordering::Relaxed)
     }
@@ -231,161 +190,77 @@ impl<T: Send + Sync + 'static, R: Send + 'static> Drop for WorkerPool<T, R> {
 }
 
 impl<T: Send + Sync + 'static, R: Send + 'static> PoolLease<'_, T, R> {
-    /// Execute `tasks` on the resident pool, retrying panicked tasks up to
-    /// `max_attempts` times each, and return the collected results in
-    /// submission order.
+    /// Execute `tasks` on the resident pool, one task per pull
+    /// ([`SchedulePolicy::SelfScheduling`]), attempting each at most
+    /// `max_attempts` times, and return the results in submission order.
     ///
     /// Errors with [`GraspError::WorkerFailed`] when one task panicked on
     /// every attempt.
-    pub fn run(&self, tasks: Vec<T>, max_attempts: usize) -> Result<RoundOutcome<R>, GraspError>
-    where
-        T: Clone,
-    {
-        self.run_with(tasks, max_attempts, false)
+    pub fn run(&self, tasks: Vec<T>, max_attempts: usize) -> Result<RoundOutcome<R>, GraspError> {
+        self.run_with(tasks, max_attempts, SchedulePolicy::SelfScheduling)
     }
 
-    /// [`PoolLease::run`] with work-stealing dispatch: each pass seeds one
-    /// deque per worker from a one-shot partition of the task positions,
-    /// workers pop from their own bottom, and an idle worker steals the top
-    /// half of the longest deque.  A worker taken out of rotation
-    /// mid-pass drains its deque back into circulation, so a round always
-    /// conserves its tasks.
+    /// [`PoolLease::run`] with the farm's work-stealing dispatch: one deque
+    /// per worker in rotation, seeded from a one-shot partition of the
+    /// tasks; idle workers steal from the slowest peer.
     pub fn run_stealing(
         &self,
         tasks: Vec<T>,
         max_attempts: usize,
-    ) -> Result<RoundOutcome<R>, GraspError>
-    where
-        T: Clone,
-    {
-        self.run_with(tasks, max_attempts, true)
+    ) -> Result<RoundOutcome<R>, GraspError> {
+        self.run_with(
+            tasks,
+            max_attempts,
+            SchedulePolicy::WorkStealing { min_chunk: 1 },
+        )
     }
 
     fn run_with(
         &self,
         tasks: Vec<T>,
         max_attempts: usize,
-        steal: bool,
-    ) -> Result<RoundOutcome<R>, GraspError>
-    where
-        T: Clone,
-    {
-        let shared = &self.pool.shared;
-        let workers = self.pool.workers();
-        let n = tasks.len();
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut per_worker = vec![0usize; workers];
-        let mut attempts_per_task = vec![0usize; n];
-        let mut panics = 0usize;
-        let mut retried = 0usize;
-        let mut steals_attempted = 0usize;
-        let mut steals_completed = 0usize;
-        let mut units_stolen = 0usize;
-        let max_attempts = max_attempts.max(1);
-        let mut pass: Vec<(usize, T)> = tasks.into_iter().enumerate().collect();
-        let mut attempt = 0usize;
-        while !pass.is_empty() {
-            attempt += 1;
-            let pass_len = pass.len();
-            let round = Arc::new(Round {
-                tasks: pass,
-                cursor: AtomicUsize::new(0),
-                steal: (steal && pass_len <= MAX_RANGE).then(|| StealState {
-                    deques: (0..workers)
-                        .map(|w| {
-                            CachePadded(StealDeque::new(
-                                w * pass_len / workers,
-                                (w + 1) * pass_len / workers,
-                            ))
-                        })
-                        .collect(),
-                    reclaimed: Mutex::new(Vec::new()),
-                    reclaimed_pending: AtomicUsize::new(0),
-                    steals_attempted: AtomicUsize::new(0),
-                    steals_completed: AtomicUsize::new(0),
-                    units_stolen: AtomicUsize::new(0),
-                }),
-                harvest: Mutex::new(Harvest {
-                    finished: 0,
-                    results: Vec::with_capacity(pass_len),
-                    panicked: Vec::new(),
-                    per_worker: vec![0; workers],
-                }),
-                finished_cv: Condvar::new(),
-            });
+        policy: SchedulePolicy,
+    ) -> Result<RoundOutcome<R>, GraspError> {
+        let (shared, workers) = (&self.pool.shared, self.pool.workers);
+        let farm = ThreadFarm::new(workers)
+            .with_policy(policy)
+            .with_calibration_samples(CALIBRATION_SAMPLES)
+            .with_max_task_attempts(max_attempts)
+            .with_worker_panic_budget(PANIC_BUDGET)
+            .with_gate(Arc::clone(&shared.gate));
+        let round = Arc::new(Round {
+            run: FarmRun::new(farm, tasks.len()),
+            tasks,
+            handed_in: Mutex::new(Vec::with_capacity(workers)),
+            all_in: Condvar::new(),
+        });
+        if !round.tasks.is_empty() {
             {
                 let mut state = shared.state.lock();
                 state.0 += 1;
                 state.1 = Some(Arc::clone(&round));
             }
             shared.wake.notify_all();
-            let mut harvest = round.harvest.lock();
-            while harvest.finished < workers {
-                round.finished_cv.wait(&mut harvest);
+            let mut handed_in = round.handed_in.lock();
+            while handed_in.len() < workers {
+                round.all_in.wait(&mut handed_in);
             }
             shared.state.lock().1 = None;
-            // Harvest the pass: delivered results fill their slots, panicked
-            // tasks form the next pass.
-            for (idx, _) in &round.tasks {
-                attempts_per_task[*idx] += 1;
-            }
-            for (idx, r) in harvest.results.drain(..) {
-                if attempt > 1 {
-                    retried += 1;
-                }
-                slots[idx] = Some(r);
-            }
-            for (total, c) in per_worker.iter_mut().zip(&harvest.per_worker) {
-                *total += c;
-            }
-            if let Some(st) = &round.steal {
-                steals_attempted += st.steals_attempted.load(Ordering::Relaxed);
-                steals_completed += st.steals_completed.load(Ordering::Relaxed);
-                units_stolen += st.units_stolen.load(Ordering::Relaxed);
-            }
-            let failed = std::mem::take(&mut harvest.panicked);
-            drop(harvest);
-            panics += failed.len();
-            if let Some(&task) = failed.first() {
-                if attempt >= max_attempts {
-                    return Err(GraspError::WorkerFailed {
-                        task,
-                        attempts: attempt,
-                    });
-                }
-            }
-            // Clone only the panicked payloads for the retry pass (workers
-            // may still hold their reference to the round briefly, so the
-            // task vector cannot be moved out of the Arc).
-            pass = round
-                .tasks
-                .iter()
-                .filter(|(idx, _)| failed.contains(idx))
-                .cloned()
-                .collect();
         }
+        let locals = std::mem::take(&mut *round.handed_in.lock());
+        let ((results, stats, _), retried_tasks) = round.run.finish(locals)?;
         shared.rounds.fetch_add(1, Ordering::Relaxed);
-        let results = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| r.ok_or(GraspError::TaskLost { task: i }))
-            .collect::<Result<Vec<R>, GraspError>>()?;
         Ok(RoundOutcome {
             results,
-            panics,
-            retried,
-            attempts: attempts_per_task,
-            completed_per_worker: per_worker,
-            steals_attempted,
-            steals_completed,
-            units_stolen,
+            stats,
+            retried_tasks,
         })
     }
 }
 
-/// The resident thread body: sleep until a new round is published, drain
-/// the shared cursor (skipping pulls while demoted), report in, repeat.
-fn worker_loop<T: Send + Sync, R: Send>(wid: usize, shared: Arc<Shared<T, R>>) {
+/// The resident thread body: sleep until a new round is published, run
+/// the farm's worker loop on it, hand in this worker's records, repeat.
+fn resident<T: Send + Sync, R: Send>(wid: usize, shared: Arc<Shared<T, R>>) {
     let mut seen = 0u64;
     loop {
         let round = {
@@ -399,105 +274,15 @@ fn worker_loop<T: Send + Sync, R: Send>(wid: usize, shared: Arc<Shared<T, R>>) {
                         seen = state.0;
                         break Arc::clone(r);
                     }
-                    // A harvested round: remember we saw its version.
+                    // A finished round: remember we saw its version.
                     seen = state.0;
                 }
                 shared.wake.wait(&mut state);
             }
         };
-        // This worker's own records of the pass, handed in once at the end.
-        let mut results: Vec<(usize, R)> = Vec::new();
-        let mut panicked: Vec<usize> = Vec::new();
-        let mut exec = |i: usize| {
-            let (idx, task) = &round.tasks[i];
-            match catch_unwind(AssertUnwindSafe(|| (shared.handler)(wid, task))) {
-                Ok(r) => results.push((*idx, r)),
-                Err(_) => panicked.push(*idx),
-            }
-        };
-        if let Some(st) = &round.steal {
-            loop {
-                if !shared.active[wid].load(Ordering::Relaxed) {
-                    // Raise the pending flag *before* draining so an idle
-                    // peer's termination scan (deques first, then the flag)
-                    // can never miss the in-flight hand-back.
-                    st.reclaimed_pending.fetch_add(1, Ordering::SeqCst);
-                    match st.deques[wid].drain_all() {
-                        Some((start, count)) => st.reclaimed.lock().push((start, count)),
-                        None => {
-                            st.reclaimed_pending.fetch_sub(1, Ordering::SeqCst);
-                        }
-                    }
-                    break;
-                }
-                // Ranges handed back by deactivated workers come first.
-                let range = st.reclaimed.lock().pop();
-                if let Some((start, count)) = range {
-                    st.reclaimed_pending.fetch_sub(1, Ordering::SeqCst);
-                    for i in start..start + count {
-                        exec(i);
-                    }
-                    continue;
-                }
-                // Own-bottom fast path.
-                let len = st.deques[wid].len();
-                if len > 0 {
-                    if let Some((start, count)) = st.deques[wid].take_bottom((len / 4).max(1)) {
-                        for i in start..start + count {
-                            exec(i);
-                        }
-                        continue;
-                    }
-                }
-                // Steal the top half of the longest other deque.
-                let victim = (0..st.deques.len())
-                    .filter(|&v| v != wid)
-                    .map(|v| (st.deques[v].len(), v))
-                    .max();
-                if let Some((vlen, v)) = victim {
-                    if vlen >= 2 {
-                        st.steals_attempted.fetch_add(1, Ordering::Relaxed);
-                        if let Some((start, count)) = st.deques[v].steal_top_half() {
-                            st.steals_completed.fetch_add(1, Ordering::Relaxed);
-                            st.units_stolen.fetch_add(count, Ordering::Relaxed);
-                            for i in start..start + count {
-                                exec(i);
-                            }
-                        }
-                        continue;
-                    }
-                }
-                // Termination: every deque is completely empty (a demoted
-                // owner drains even a lone last task, so `len <= 1` is not
-                // enough) and no drained range awaits pickup.  The deques
-                // are read *before* the flag: a drain that empties one was
-                // preceded by its flag raise, so seeing the drained deque
-                // guarantees seeing the flag.
-                if st.deques.iter().all(|d| d.is_empty())
-                    && st.reclaimed_pending.load(Ordering::SeqCst) == 0
-                {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-        } else {
-            loop {
-                if !shared.active[wid].load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = round.cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= round.tasks.len() {
-                    break;
-                }
-                exec(i);
-            }
-        }
-        let mut harvest = round.harvest.lock();
-        harvest.per_worker[wid] += results.len();
-        harvest.results.append(&mut results);
-        harvest.panicked.append(&mut panicked);
-        harvest.finished += 1;
-        round.finished_cv.notify_all();
+        let local = round.run.work(wid, &round.tasks, &shared.handler, &());
+        round.handed_in.lock().push(local);
+        round.all_in.notify_all();
     }
 }
 
@@ -518,8 +303,8 @@ mod tests {
         for _ in 0..4 {
             let out = pool.lease().run((0..50).collect(), 3).unwrap();
             assert_eq!(out.results, (0..50).map(|t| t * 2).collect::<Vec<_>>());
-            assert_eq!(out.panics, 0);
-            assert_eq!(out.completed_per_worker.iter().sum::<usize>(), 50);
+            assert_eq!(out.stats.panics, 0);
+            assert_eq!(out.stats.tasks_per_worker.iter().sum::<usize>(), 50);
         }
         assert_eq!(pool.rounds(), 4);
         assert!(
@@ -539,14 +324,9 @@ mod tests {
         });
         let out = pool.lease().run((0..20).collect(), 3).unwrap();
         assert_eq!(out.results, (0..20).collect::<Vec<_>>());
-        assert_eq!(out.panics, 1);
-        assert_eq!(out.retried, 1);
-        assert_eq!(out.attempts[7], 2);
-        assert!(out
-            .attempts
-            .iter()
-            .enumerate()
-            .all(|(t, &a)| a == 1 || t == 7));
+        assert_eq!(out.stats.panics, 1);
+        assert_eq!(out.stats.retried, 1);
+        assert_eq!(out.retried_tasks, vec![7], "only task 7 needed a retry");
     }
 
     #[test]
@@ -583,9 +363,7 @@ mod tests {
         assert_eq!(pool.active_workers(), 1);
         let out = pool.lease().run((0..12).collect(), 3).unwrap();
         assert_eq!(out.results.len(), 12);
-        assert_eq!(out.completed_per_worker[1], 0);
-        assert_eq!(out.completed_per_worker[2], 0);
-        assert_eq!(out.completed_per_worker[0], 12);
+        assert_eq!(out.stats.tasks_per_worker, vec![12, 0, 0]);
         assert!(pool.set_active(1, true));
         assert_eq!(pool.active_workers(), 2);
     }
@@ -603,7 +381,7 @@ mod tests {
         for _ in 0..3 {
             let out = pool.lease().run_stealing((0..200).collect(), 3).unwrap();
             assert_eq!(out.results, (0..200).map(|t| t * 2).collect::<Vec<_>>());
-            assert_eq!(out.completed_per_worker.iter().sum::<usize>(), 200);
+            assert_eq!(out.stats.tasks_per_worker.iter().sum::<usize>(), 200);
         }
     }
 
@@ -623,12 +401,12 @@ mod tests {
         });
         let out = pool.lease().run_stealing((0..400).collect(), 3).unwrap();
         assert_eq!(out.results, (0..400).collect::<Vec<_>>());
-        assert!(out.steals_attempted >= out.steals_completed);
+        assert!(out.stats.steals_attempted >= out.stats.steals_completed);
         assert!(
-            out.steals_completed >= 1,
+            out.stats.steals_completed >= 1,
             "no steals on an asymmetric round"
         );
-        assert!(out.units_stolen >= 1);
+        assert!(out.stats.units_stolen >= 1);
     }
 
     #[test]
@@ -640,8 +418,8 @@ mod tests {
         assert!(pool.set_active(3, false));
         let out = pool.lease().run_stealing((0..120).collect(), 3).unwrap();
         assert_eq!(out.results, (0..120).collect::<Vec<_>>());
-        assert_eq!(out.completed_per_worker[3], 0, "demoted worker pulled");
-        assert_eq!(out.completed_per_worker.iter().sum::<usize>(), 120);
+        assert_eq!(out.stats.tasks_per_worker[3], 0, "demoted worker pulled");
+        assert_eq!(out.stats.tasks_per_worker.iter().sum::<usize>(), 120);
     }
 
     #[test]
@@ -655,17 +433,52 @@ mod tests {
         });
         let out = pool.lease().run_stealing((0..60).collect(), 3).unwrap();
         assert_eq!(out.results, (0..60).collect::<Vec<_>>());
-        assert_eq!(out.panics, 1);
-        assert_eq!(out.retried, 1);
-        assert_eq!(out.attempts[11], 2);
+        assert_eq!(out.stats.panics, 1);
+        assert_eq!(out.stats.retried, 1);
+        assert_eq!(out.retried_tasks, vec![11], "only task 11 needed a retry");
+    }
+
+    #[test]
+    fn a_panicking_round_leaves_no_state_on_the_resident_threads() {
+        // Round 1: the first execution of every task on worker 1 panics
+        // (and is retried) — past any finite panic budget.  Round 2 must
+        // still find worker 1 pulling: neither retirement nor the gate's
+        // retired flag may outlive the round.
+        let first_round = Arc::new(AtomicBool::new(true));
+        let panicked: Vec<AtomicBool> = (0..20).map(|_| AtomicBool::new(false)).collect();
+        let pool: WorkerPool<usize, usize> = WorkerPool::start(2, {
+            let first_round = Arc::clone(&first_round);
+            move |w, &t: &usize| {
+                if !first_round.load(Ordering::SeqCst) {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                } else if w == 1 && !panicked[t].swap(true, Ordering::SeqCst) {
+                    panic!("injected");
+                } else {
+                    std::thread::sleep(std::time::Duration::from_micros(200));
+                }
+                t
+            }
+        });
+        let out = pool.lease().run((0..20).collect(), 3).unwrap();
+        assert_eq!(out.results, (0..20).collect::<Vec<_>>());
+        assert_eq!(out.stats.workers_lost, 0);
+        assert_eq!(out.stats.retried, out.stats.panics);
+        first_round.store(false, Ordering::SeqCst);
+        let out = pool.lease().run((0..20).collect(), 3).unwrap();
+        assert_eq!(out.results, (0..20).collect::<Vec<_>>());
+        assert!(
+            out.stats.tasks_per_worker[1] >= 1,
+            "worker 1 sat out round 2: {:?}",
+            out.stats.tasks_per_worker
+        );
     }
 
     #[test]
     fn demand_rounds_report_zero_steal_counters() {
         let pool: WorkerPool<usize, usize> = WorkerPool::start(3, |_w, &t| t);
         let out = pool.lease().run((0..30).collect(), 3).unwrap();
-        assert_eq!(out.steals_attempted, 0);
-        assert_eq!(out.steals_completed, 0);
-        assert_eq!(out.units_stolen, 0);
+        assert_eq!(out.stats.steals_attempted, 0);
+        assert_eq!(out.stats.steals_completed, 0);
+        assert_eq!(out.stats.units_stolen, 0);
     }
 }

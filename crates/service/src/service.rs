@@ -439,14 +439,14 @@ fn run_round(
     // Harvest per-unit results into per-job accounting and feed the shared
     // engine its per-worker normalised observations.
     let mut measured: HashMap<(usize, usize), (f64, f64)> = HashMap::new();
+    for &i in &round.retried_tasks {
+        jobs[round.results[i].slot].retried += 1;
+    }
     for (i, r) in round.results.iter().enumerate() {
         let job = &mut jobs[r.slot];
         job.completions
             .insert(r.unit, (r.done_s - round_start_s).max(0.0));
         job.per_worker[r.worker] += 1;
-        if round.attempts.get(i).copied().unwrap_or(1) > 1 {
-            job.retried += 1;
-        }
         let per_unit = r.elapsed_s / r.work.max(1e-9);
         engine.observe(NodeId(r.worker), per_unit);
         let kind_idx = unit_tasks[i].kind_idx;
@@ -589,9 +589,9 @@ fn run_round(
                 profile_misses,
                 workers,
                 tasks_per_worker: per_worker,
-                steals_attempted: round.steals_attempted,
-                steals_completed: round.steals_completed,
-                units_stolen: round.units_stolen,
+                steals_attempted: round.stats.steals_attempted,
+                steals_completed: round.stats.steals_completed,
+                units_stolen: round.stats.units_stolen,
             },
         };
         let _ = adm.tx.send(Ok(outcome));
