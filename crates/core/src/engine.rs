@@ -12,15 +12,14 @@
 //! * it consumes **work-normalised time observations** (seconds per work
 //!   unit) stamped with [`SimTime`] instants — virtual seconds on the
 //!   simulated grid, or wall-clock seconds via [`WallClock`] on real
-//!   threads;
-//! * it emits typed [`AdaptationDirective`]s (recalibrate, demote an
-//!   executor, remap/replicate a stage) that the **caller applies**.  The
-//!   engine never touches executors itself: what "demote node 3" means
-//!   (drop it from the chosen set; stop handing a worker thread chunks) is
-//!   the backend's business, as is any additional gating (e.g. the farm's
-//!   `min_active_nodes` floor).  Once the caller has acted it reports back
-//!   through the `note_*`/`apply_*` methods, which write the audit log and
-//!   update the engine state.
+//!   threads — one rule per completed unit
+//!   ([`AdaptationEngine::observe_unit`]), whose first observations can be
+//!   the calibration prefix (Algorithm 1) that arms *Z*;
+//! * in executor mode it **steers** ([`AdaptationEngine::steer`]) an
+//!   [`ExecutorSet`], the one thing a surface supplies: what "demote node
+//!   3" means (drop it from the chosen set, stop handing a worker thread
+//!   chunks, close a member's channel) is the set's business; the pool
+//!   floor, the recalibration budget and the audit log are the engine's.
 //!
 //! Two monitoring disciplines are supported, matching the paper's two
 //! skeletons:
@@ -32,21 +31,22 @@
 //! * **stage mode** ([`AdaptationEngine::for_stages`]) — the pipeline's
 //!   variant: each stage has its own threshold *Zₛ* and a recent-service
 //!   window; a full window whose mean exceeds *Zₛ* yields a
-//!   [`AdaptationDirective::RemapStage`] directive.
+//!   [`AdaptationDirective::RemapStage`] directive, which the pipeline
+//!   applies itself.
 //!
 //! Recalibration comes in two flavours because the backends have different
-//! information available.  The simulated farm re-ranks its pool from
-//! monitored load/bandwidth and re-bases *Z* on the retained nodes'
-//! *expected* times ([`AdaptationEngine::apply_recalibration`]).  A
-//! wall-clock backend has no load model to consult, so it takes a **real
-//! re-calibration sample** instead ([`AdaptationEngine::begin_resample`]):
-//! the monitor window is flushed and the *next* full interval of fresh
+//! information available ([`Recalibration`]).  The simulated farm re-ranks
+//! its pool from monitored load/bandwidth and re-bases *Z* on the retained
+//! nodes' *expected* times.  A wall-clock backend has no load model to
+//! consult, so it takes a **real re-calibration sample** instead: the
+//! monitor window is flushed and the *next* full interval of fresh
 //! observations re-bases *Z* — the cost is one interval of tolerance, the
 //! gain is that the new *Z* reflects measured post-degradation reality.
 
 use crate::adaptation::{AdaptationAction, AdaptationLog};
 use crate::config::ExecutionConfig;
 use crate::execution::{ExecutionMonitor, MonitorVerdict};
+use crate::task::normalize_time;
 use crate::threshold::ThresholdPolicy;
 use gridsim::{NodeId, SimTime};
 use std::collections::VecDeque;
@@ -89,12 +89,15 @@ impl Default for WallClock {
     }
 }
 
-/// A typed adaptation decision the engine asks its caller to apply.
+/// A typed adaptation decision.
 ///
-/// Directives are *requests*: the caller owns the executor set and may apply
-/// additional gating (minimum pool size, last-worker guards, pending
-/// retries) before acting.  Applied directives are reported back via the
-/// engine's `note_*`/`apply_*` methods so the audit log matches reality.
+/// Executor-mode decisions ([`AdaptationDirective::DemoteExecutor`],
+/// [`AdaptationDirective::Recalibrate`]) are applied by the engine itself
+/// through [`AdaptationEngine::steer`]; [`AdaptationEngine::poll`] exposes
+/// them without applying anything.  Stage remaps and tail speculation are
+/// answers to a caller's question ([`AdaptationEngine::observe_stage`],
+/// [`AdaptationEngine::maybe_speculate`]): the caller acts and records what
+/// it did through the matching `note_*` method.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AdaptationDirective {
     /// The whole pool degraded (`min T > Z`): feed back into calibration.
@@ -132,8 +135,41 @@ pub enum AdaptationDirective {
 pub struct EnginePoll {
     /// The monitor's verdict (table *T*, `min T`, threshold *Z* in force).
     pub verdict: MonitorVerdict,
-    /// Directives for the caller to apply, demotions first.
+    /// Directives derived from the verdict, demotions first.
     pub directives: Vec<AdaptationDirective>,
+}
+
+/// What a whole-pool breach does to an [`ExecutorSet`] (see
+/// [`ExecutorSet::recalibrate`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Recalibration {
+    /// Nothing to steer: no budget is consumed and nothing is logged.
+    Decline,
+    /// Take a fresh sample: the next full interval's observations re-base
+    /// *Z* (the wall-clock flavour).
+    Resample,
+    /// The set re-ranked itself: re-base *Z* now on the retained executors'
+    /// expected seconds per work unit (the model-based flavour; an empty
+    /// list keeps *Z*).
+    Rebase(Vec<f64>),
+}
+
+/// The executors an executor-mode engine steers — all a surface supplies to
+/// [`AdaptationEngine::steer`].
+pub trait ExecutorSet {
+    /// The executors still handed work.
+    fn active(&self) -> Vec<NodeId>;
+
+    /// Stop handing `executor` work; `false` when it cannot be stopped
+    /// (already out, unknown, or refused by the surface).  Called only when
+    /// the pool floor allows one fewer executor.
+    fn demote(&mut self, executor: NodeId) -> bool;
+
+    /// A whole-pool breach (`min T > Z`) with budget left, applied after the
+    /// interval's demotions; runs at `now`.  Defaults to a fresh sample.
+    fn recalibrate(&mut self, _now: SimTime) -> Recalibration {
+        Recalibration::Resample
+    }
 }
 
 /// The backend-neutral calibrate→monitor→act loop (see module docs).
@@ -143,8 +179,19 @@ pub struct AdaptationEngine {
     adaptive: bool,
     max_recalibrations: usize,
     recalibrations: usize,
+    /// The pool floor demotions respect: `max(1, min_active_nodes)`.
+    min_active: usize,
     monitor: ExecutionMonitor,
-    /// Set by [`AdaptationEngine::begin_resample`]: the next full interval's
+    /// Per-unit observations are in seconds per work unit, skipping
+    /// zero-work units (see [`AdaptationEngine::observe_unit`]); `false`
+    /// for an all-zero-work job, which is monitored in raw seconds.
+    job_has_work: bool,
+    /// The calibration prefix: kept observations until `sample_target` of
+    /// them arm the engine at `armed_at` (0 = no prefix).
+    sample: Vec<f64>,
+    sample_target: usize,
+    armed_at: Option<SimTime>,
+    /// Set by a `Recalibration::Resample`: the next full interval's
     /// per-executor means re-base *Z* instead of producing a verdict.
     pending_rebase: bool,
     /// Stage-mode state: per-stage recent-service windows and thresholds.
@@ -180,7 +227,12 @@ impl AdaptationEngine {
             adaptive: exec.adaptive,
             max_recalibrations: exec.max_recalibrations,
             recalibrations: 0,
+            min_active: exec.min_active_nodes.max(1),
             monitor,
+            job_has_work: true,
+            sample: Vec::new(),
+            sample_target: 0,
+            armed_at: None,
             pending_rebase: false,
             stage_windows: Vec::new(),
             stage_thresholds: Vec::new(),
@@ -199,6 +251,18 @@ impl AdaptationEngine {
         engine.stage_windows = vec![VecDeque::new(); stage_thresholds.len()];
         engine.stage_thresholds = stage_thresholds;
         engine
+    }
+
+    /// Feed this engine unit by unit through
+    /// [`AdaptationEngine::observe_unit`]: `job_has_work` is whether any of
+    /// the job's units declares work (a multi-job engine passes `true`, the
+    /// default), and the first `calibration_units` kept observations are
+    /// the calibration sample that derives *Z* (0: *Z* comes from the
+    /// constructor or [`AdaptationEngine::calibrate`]).
+    pub fn with_units(mut self, job_has_work: bool, calibration_units: usize) -> Self {
+        self.job_has_work = job_has_work;
+        self.sample_target = calibration_units;
+        self
     }
 
     /// Override the stage-mode recent-service window size (defaults to the
@@ -266,7 +330,8 @@ impl AdaptationEngine {
     /// calibration sample only becomes available mid-run (e.g. a thread
     /// farm whose probe tasks execute inside the job) construct the engine
     /// with an empty reference sample — *Z* = ∞, nothing can fire — and
-    /// call this once the sample is in.
+    /// call this once the sample is in (or let the calibration prefix of
+    /// [`AdaptationEngine::with_units`] call it).
     pub fn calibrate(&mut self, reference_times: &[f64], now: SimTime) {
         self.monitor
             .set_threshold(self.policy.compute(reference_times));
@@ -291,6 +356,46 @@ impl AdaptationEngine {
         self.monitor.record(executor, time_per_unit);
     }
 
+    /// The observation one completed unit makes: seconds per declared work
+    /// unit, `None` for a zero-work unit of a job that has work (it carries
+    /// no signal in that unit and would spuriously demote its executor),
+    /// and raw seconds for an all-zero-work job.
+    pub fn unit_time(job_has_work: bool, work: f64, elapsed_s: f64) -> Option<f64> {
+        (work > 0.0 || !job_has_work).then(|| normalize_time(work, elapsed_s))
+    }
+
+    /// Per-unit report: `executor` ran a unit of `work` declared units in
+    /// `elapsed_s` seconds, finishing at `now`.  Its
+    /// [`AdaptationEngine::unit_time`] joins the calibration prefix until
+    /// the prefix is full — the last one arms *Z* at its own `now` — and
+    /// the monitor afterwards.
+    pub fn observe_unit(&mut self, executor: NodeId, work: f64, elapsed_s: f64, now: SimTime) {
+        let Some(t) = Self::unit_time(self.job_has_work, work, elapsed_s) else {
+            return;
+        };
+        if self.sample.len() < self.sample_target {
+            self.sample.push(t);
+            if self.sample.len() == self.sample_target {
+                self.calibrate(&self.sample.clone(), now);
+                self.armed_at = Some(now);
+            }
+        } else {
+            self.monitor.record(executor, t);
+        }
+    }
+
+    /// When the calibration prefix completed (`None` before, or without a
+    /// prefix).
+    pub fn armed_at(&self) -> Option<SimTime> {
+        self.armed_at
+    }
+
+    /// The best time of the calibration prefix so far — once armed, the
+    /// wall-clock backends' unloaded baseline.
+    pub fn sample_best(&self) -> f64 {
+        self.sample.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
     /// Whether the monitoring interval has elapsed at `now` (cheap check a
     /// hot path may use before paying for [`AdaptationEngine::poll`]).
     pub fn due(&self, now: SimTime) -> bool {
@@ -305,7 +410,8 @@ impl AdaptationEngine {
     /// `min T > Z` and the recalibration budget is not exhausted.  Returns
     /// `None` when adaptation is disabled, the interval has not elapsed, no
     /// times were reported, or a pending resample consumed the interval to
-    /// re-base *Z* (see [`AdaptationEngine::begin_resample`]).
+    /// re-base *Z* (see [`Recalibration::Resample`]).  Applies nothing:
+    /// [`AdaptationEngine::steer`] is the poll that acts.
     pub fn poll(&mut self, now: SimTime) -> Option<EnginePoll> {
         if !self.adaptive {
             return None;
@@ -341,6 +447,57 @@ impl AdaptationEngine {
             verdict,
             directives,
         })
+    }
+
+    /// Algorithm 2's action step: [`AdaptationEngine::poll`] at `now`, then
+    /// apply its directives to `set` — every demotion first, each only while
+    /// more than `max(1, min_active_nodes)` executors are active and only if
+    /// `set` accepts it, then a whole-pool breach through
+    /// [`ExecutorSet::recalibrate`].  Every applied action is logged against
+    /// the verdict that caused it; a declined recalibration logs nothing and
+    /// consumes no budget.
+    pub fn steer(&mut self, now: SimTime, set: &mut impl ExecutorSet) {
+        let Some(poll) = self.poll(now) else {
+            return;
+        };
+        let verdict = poll.verdict;
+        for directive in poll.directives {
+            let action = match directive {
+                AdaptationDirective::DemoteExecutor {
+                    executor,
+                    recent_mean,
+                } => {
+                    if set.active().len() <= self.min_active || !set.demote(executor) {
+                        continue;
+                    }
+                    AdaptationAction::NodeDemoted {
+                        node: executor,
+                        recent_mean_time: recent_mean,
+                    }
+                }
+                AdaptationDirective::Recalibrate => {
+                    match set.recalibrate(now) {
+                        Recalibration::Decline => continue,
+                        Recalibration::Resample => self.pending_rebase = true,
+                        Recalibration::Rebase(expected) if !expected.is_empty() => {
+                            self.monitor.set_threshold(self.policy.compute(&expected))
+                        }
+                        Recalibration::Rebase(_) => {}
+                    }
+                    self.monitor.reset(now);
+                    self.recalibrations += 1;
+                    AdaptationAction::Recalibrated {
+                        new_chosen: set.active(),
+                    }
+                }
+                // Never emitted by an executor-mode poll.
+                AdaptationDirective::RemapStage { .. } | AdaptationDirective::Speculate { .. } => {
+                    continue
+                }
+            };
+            self.log
+                .record(now, action, verdict.threshold, verdict.min_time);
+        }
     }
 
     /// Tail-speculation decision (Time-Warp-flavoured optimistic execution):
@@ -416,72 +573,6 @@ impl AdaptationEngine {
             },
             self.monitor.threshold(),
             0.0,
-        );
-    }
-
-    /// Record that the caller applied a demotion directive.
-    pub fn note_demoted(
-        &mut self,
-        now: SimTime,
-        node: NodeId,
-        recent_mean_time: f64,
-        verdict: &MonitorVerdict,
-    ) {
-        self.log.record(
-            now,
-            AdaptationAction::NodeDemoted {
-                node,
-                recent_mean_time,
-            },
-            verdict.threshold,
-            verdict.min_time,
-        );
-    }
-
-    /// Apply a model-based recalibration (the simulated farm's flavour):
-    /// *Z* is re-based on the retained executors' `expected_times` (skipped
-    /// when empty), the monitor restarts at `now`, the budget is consumed
-    /// and the action is logged.
-    pub fn apply_recalibration(
-        &mut self,
-        now: SimTime,
-        new_chosen: Vec<NodeId>,
-        expected_times: &[f64],
-        verdict: &MonitorVerdict,
-    ) {
-        if !expected_times.is_empty() {
-            self.monitor
-                .set_threshold(self.policy.compute(expected_times));
-        }
-        self.monitor.reset(now);
-        self.recalibrations += 1;
-        self.log.record(
-            now,
-            AdaptationAction::Recalibrated { new_chosen },
-            verdict.threshold,
-            verdict.min_time,
-        );
-    }
-
-    /// Apply a sample-based recalibration (the wall-clock flavour): the
-    /// monitor restarts at `now` and the *next* full interval of fresh
-    /// observations re-bases *Z* (a real re-calibration sample — no stale
-    /// pre-degradation times involved).  Budget is consumed and the action
-    /// logged immediately.
-    pub fn begin_resample(
-        &mut self,
-        now: SimTime,
-        new_chosen: Vec<NodeId>,
-        verdict: &MonitorVerdict,
-    ) {
-        self.monitor.reset(now);
-        self.pending_rebase = true;
-        self.recalibrations += 1;
-        self.log.record(
-            now,
-            AdaptationAction::Recalibrated { new_chosen },
-            verdict.threshold,
-            verdict.min_time,
         );
     }
 
@@ -680,19 +771,49 @@ mod tests {
         assert!(e.rank_snapshot().is_empty(), "poll consumed the window");
     }
 
+    /// A fixed executor set whose whole-pool breach answers `recalibration`.
+    struct Pool {
+        active: Vec<NodeId>,
+        recalibration: Recalibration,
+    }
+
+    impl Pool {
+        fn of(nodes: &[usize], recalibration: Recalibration) -> Self {
+            Pool {
+                active: nodes.iter().copied().map(NodeId).collect(),
+                recalibration,
+            }
+        }
+    }
+
+    impl ExecutorSet for Pool {
+        fn active(&self) -> Vec<NodeId> {
+            self.active.clone()
+        }
+
+        fn demote(&mut self, executor: NodeId) -> bool {
+            let before = self.active.len();
+            self.active.retain(|&n| n != executor);
+            self.active.len() < before
+        }
+
+        fn recalibrate(&mut self, _now: SimTime) -> Recalibration {
+            self.recalibration.clone()
+        }
+    }
+
     #[test]
     fn pool_degradation_emits_recalibrate_within_budget() {
         let mut e = AdaptationEngine::for_executors(&exec(1.0), &[1.0], SimTime::ZERO);
         e.observe(NodeId(0), 5.0);
         e.observe(NodeId(1), 6.0);
-        let poll = e.poll(t(1.0)).unwrap();
+        let poll = e.clone().poll(t(1.0)).unwrap();
         assert!(poll.directives.contains(&AdaptationDirective::Recalibrate));
-        // Applying the recalibration re-bases Z and logs the action.
-        e.apply_recalibration(
+        // Steering applies the recalibration: Z is re-based and the action
+        // logged.
+        e.steer(
             t(1.0),
-            vec![NodeId(0), NodeId(1)],
-            &[5.0, 6.0],
-            &poll.verdict,
+            &mut Pool::of(&[0, 1], Recalibration::Rebase(vec![5.0, 6.0])),
         );
         assert!((e.threshold() - 10.0).abs() < 1e-12);
         assert_eq!(e.recalibrations(), 1);
@@ -725,7 +846,7 @@ mod tests {
         let mut e = AdaptationEngine::for_executors(&exec(1.0), &[1.0], SimTime::ZERO);
         e.observe(NodeId(0), 1.1);
         e.observe(NodeId(7), 60.0); // > demote_factor (3) × Z (2)
-        let poll = e.poll(t(1.0)).unwrap();
+        let poll = e.clone().poll(t(1.0)).unwrap();
         match &poll.directives[..] {
             [AdaptationDirective::DemoteExecutor {
                 executor,
@@ -736,7 +857,7 @@ mod tests {
             }
             other => panic!("unexpected directives {other:?}"),
         }
-        e.note_demoted(t(1.0), NodeId(7), 60.0, &poll.verdict);
+        e.steer(t(1.0), &mut Pool::of(&[0, 5, 7], Recalibration::Resample));
         assert_eq!(e.log().demotions(), 1);
     }
 
@@ -754,9 +875,9 @@ mod tests {
     fn resample_rebases_z_from_the_next_fresh_interval() {
         let mut e = AdaptationEngine::for_executors(&exec(1.0), &[1.0], SimTime::ZERO);
         e.observe(NodeId(0), 9.0);
-        let poll = e.poll(t(1.0)).unwrap();
+        let poll = e.clone().poll(t(1.0)).unwrap();
         assert!(poll.directives.contains(&AdaptationDirective::Recalibrate));
-        e.begin_resample(t(1.0), vec![NodeId(0)], &poll.verdict);
+        e.steer(t(1.0), &mut Pool::of(&[0], Recalibration::Resample));
         assert_eq!(e.log().recalibrations(), 1);
         // The next interval's fresh observations are the recalibration
         // sample: they re-base Z instead of producing a verdict.
@@ -910,5 +1031,44 @@ mod tests {
         }
         // The migration consumed the action slot: the next breach waits.
         assert!(e.observe_stage(t(11.0), 0, 9.0).is_none());
+    }
+
+    #[test]
+    fn a_zero_work_unit_is_skipped_when_the_job_has_work() {
+        let mut e = AdaptationEngine::for_executors(&exec(1.0), &[1.0], SimTime::ZERO);
+        e.observe_unit(NodeId(0), 0.0, 0.5, t(0.5));
+        assert!(e.rank_snapshot().is_empty(), "no signal per work unit");
+        e.observe_unit(NodeId(0), 4.0, 2.0, t(0.6));
+        assert_eq!(e.rank_snapshot(), vec![(NodeId(0), 0.5)]);
+    }
+
+    #[test]
+    fn an_all_zero_work_job_is_monitored_in_raw_seconds() {
+        let mut e =
+            AdaptationEngine::for_executors(&exec(1.0), &[1.0], SimTime::ZERO).with_units(false, 0);
+        e.observe_unit(NodeId(1), 0.0, 0.25, t(0.5));
+        assert_eq!(e.rank_snapshot(), vec![(NodeId(1), 0.25)]);
+    }
+
+    #[test]
+    fn the_calibration_prefix_arms_on_its_last_observation() {
+        let mut e =
+            AdaptationEngine::for_executors(&exec(1.0), &[], SimTime::ZERO).with_units(true, 3);
+        e.observe_unit(NodeId(0), 2.0, 2.0, t(0.1));
+        e.observe_unit(NodeId(1), 0.0, 9.0, t(0.2)); // skipped: not a sample
+        e.observe_unit(NodeId(1), 1.0, 3.0, t(0.3));
+        assert_eq!(e.armed_at(), None);
+        assert!(e.threshold().is_infinite(), "nothing can fire before Z");
+        e.observe_unit(NodeId(0), 1.0, 1.5, t(0.4));
+        assert_eq!(e.armed_at(), Some(t(0.4)));
+        assert!((e.sample_best() - 1.0).abs() < 1e-12);
+        assert!((e.threshold() - 2.0).abs() < 1e-12, "Z = 2 x best sample");
+        // The sample never reached the monitor; the next unit does.
+        assert!(e.rank_snapshot().is_empty());
+        e.observe_unit(NodeId(1), 1.0, 1.25, t(0.5));
+        assert_eq!(e.rank_snapshot(), vec![(NodeId(1), 1.25)]);
+        // The monitor interval restarted at the arming observation.
+        assert!(!e.due(t(1.3)));
+        assert!(e.due(t(1.5)));
     }
 }

@@ -22,7 +22,7 @@
 use crate::adaptation::AdaptationLog;
 use crate::calibration::{CalibrationMode, CalibrationReport, Calibrator};
 use crate::config::GraspConfig;
-use crate::engine::{AdaptationDirective, AdaptationEngine};
+use crate::engine::{AdaptationEngine, ExecutorSet, Recalibration};
 use crate::error::GraspError;
 use crate::metrics::ThroughputTimeline;
 use crate::properties::SkeletonProperties;
@@ -156,9 +156,6 @@ impl TaskFarm {
         let master = self.config.master.unwrap_or(candidates[0]);
         let mut registry = MonitorRegistry::new(master, 256);
         let calibrator = Calibrator::new(self.config.calibration);
-        // Mirrors the calibrator's unit decision: per-work-unit times when
-        // the job has real work, raw seconds for a pure-transfer job.
-        let job_has_work = tasks.iter().any(|t| t.work > 0.0);
 
         // --------------------------- Calibration ---------------------------
         let calibration = calibrator.calibrate(
@@ -179,13 +176,16 @@ impl TaskFarm {
 
         let exec_cfg = &self.config.execution;
         // The calibrate→monitor→act loop lives in the backend-neutral
-        // engine; this farm is a consumer: it feeds observations in, applies
-        // the directives that come out, and reports what it did.
+        // engine; this farm feeds observations in and supplies the pool it
+        // steers.  Its monitor unit mirrors the calibrator's: per-work-unit
+        // times when the job has real work, raw seconds for a pure-transfer
+        // job.
         let mut engine = AdaptationEngine::for_executors(
             exec_cfg,
             &calibration.chosen_reference_times(),
             calibration.duration,
-        );
+        )
+        .with_units(tasks.iter().any(|t| t.work > 0.0), 0);
 
         let mut active: Vec<NodeId> = calibration.chosen.clone();
         let mut weights: BTreeMap<NodeId, f64> = calibration
@@ -256,158 +256,25 @@ impl TaskFarm {
                 *per_node.entry(o.node).or_insert(0) += 1;
                 timeline.record(o.completed);
                 makespan = makespan.max(o.completed);
-                // The monitor's unit matches the job's (see calibration):
-                // per-work-unit when the job has real work — zero-work tasks
-                // carry no signal in that unit and would spuriously demote
-                // their node — and raw seconds for an all-zero-work job,
-                // where normalized_time() already returns raw durations.
-                if o.work > 0.0 || !job_has_work {
-                    engine.observe(o.node, o.normalized_time());
-                }
+                engine.observe_unit(o.node, o.work, o.duration().as_secs(), now);
             }
 
             // ----------------------- Algorithm 2 -----------------------
-            // The engine runs the monitor→threshold loop and emits typed
-            // directives; the farm applies them against its active set.
-            if let Some(poll) = engine.poll(now) {
-                let verdict = &poll.verdict;
-                for directive in &poll.directives {
-                    match directive {
-                        // Demote individually pathological nodes first (the
-                        // engine emits demotions before the recalibrate
-                        // directive).  Gating against the shrinking active
-                        // set is the farm's business: the engine does not
-                        // know which nodes are still dispatchable.
-                        AdaptationDirective::DemoteExecutor {
-                            executor: slow,
-                            recent_mean,
-                        } if active.len() > exec_cfg.min_active_nodes && active.contains(slow) => {
-                            active.retain(|n| n != slow);
-                            engine.note_demoted(now, *slow, *recent_mean, verdict);
-                        }
-                        // Whole-pool degradation: feed back into calibration.
-                        //
-                        // The initial calibration runs Algorithm 1 verbatim
-                        // (sample tasks on every node).  Recalibration re-uses
-                        // the monitoring data instead of re-sampling: the pool is
-                        // re-ranked from the nodes' base speeds scaled by their
-                        // currently observed availability, the chunking weights
-                        // and the chosen set are recomputed, and the threshold Z
-                        // is re-based on the execution times the monitor just
-                        // collected — so the feedback itself costs the job no
-                        // extra work and imposes no barrier.
-                        AdaptationDirective::Recalibrate if !pending.is_empty() => {
-                            // (node, effective speed, bandwidth availability)
-                            let mut ranked: Vec<(NodeId, f64, f64)> = candidates
-                                .iter()
-                                .copied()
-                                .filter(|&n| grid.is_up(n, now))
-                                .map(|n| {
-                                    let obs = registry.observe(grid, n, now);
-                                    let base = grid.node(n).map(|s| s.base_speed).unwrap_or(1.0);
-                                    (
-                                        n,
-                                        base * (1.0 - obs.cpu_load).max(0.02),
-                                        obs.bandwidth_availability.clamp(0.02, 1.0),
-                                    )
-                                })
-                                .collect();
-                            ranked.sort_by(|a, b| {
-                                b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
-                            });
-                            if !ranked.is_empty() {
-                                let frac =
-                                    self.config.calibration.selection_fraction.clamp(1e-6, 1.0);
-                                let want = ((ranked.len() as f64) * frac).ceil() as usize;
-                                let count = want
-                                    .max(self.config.calibration.min_nodes.max(1))
-                                    .max(exec_cfg.min_active_nodes)
-                                    .min(ranked.len());
-                                active = ranked[..count].iter().map(|(n, _, _)| *n).collect();
-                                let chosen_mean =
-                                    ranked[..count].iter().map(|(_, s, _)| *s).sum::<f64>()
-                                        / count as f64;
-                                weights = ranked
-                                    .iter()
-                                    .map(|(n, s, _)| {
-                                        let w = if active.contains(n) && chosen_mean > 0.0 {
-                                            s / chosen_mean
-                                        } else {
-                                            0.0
-                                        };
-                                        (*n, w)
-                                    })
-                                    .collect();
-                                // Re-base Z on what the retained nodes are *expected*
-                                // to achieve under the observed conditions.  The
-                                // verdict's window means straddle the degradation
-                                // onset and would under-estimate the new steady
-                                // state, re-triggering a spurious second
-                                // recalibration.  Expected time = degraded compute
-                                // (1/effective-speed, the calibration table's
-                                // seconds-per-work-unit unit) plus the node's
-                                // calibrated communication overhead scaled by its
-                                // currently observed bandwidth availability —
-                                // dropping either term would under-shoot Z on
-                                // communication-heavy workloads or congested links
-                                // and loop instead.
-                                let retained_expected: Vec<f64> = ranked[..count]
-                                    .iter()
-                                    .map(|(n, s, bw)| {
-                                        // Comm at nominal bandwidth = calibrated
-                                        // total − calibrated compute, rescaled to
-                                        // nominal bandwidth.  What "calibrated"
-                                        // means depends on the mode: TimeOnly
-                                        // rows hold raw totals at the degraded
-                                        // speed and observed bandwidth, while the
-                                        // statistical modes have already removed
-                                        // the load (and, for Multivariate, the
-                                        // bandwidth) effect from adjusted_time.
-                                        let nominal_comm = calibration
-                                            .table
-                                            .iter()
-                                            .find(|c| c.node == *n)
-                                            .map(|c| {
-                                                let base = grid
-                                                    .node(*n)
-                                                    .map(|sp| sp.base_speed)
-                                                    .unwrap_or(1.0)
-                                                    .max(1e-9);
-                                                let (compute_ref, bw_scale) = match calibration.mode
-                                                {
-                                                    CalibrationMode::TimeOnly => (
-                                                        1.0 / (base * (1.0 - c.cpu_load).max(0.02)),
-                                                        c.bandwidth_availability.clamp(0.02, 1.0),
-                                                    ),
-                                                    CalibrationMode::Univariate => (
-                                                        1.0 / base,
-                                                        c.bandwidth_availability.clamp(0.02, 1.0),
-                                                    ),
-                                                    CalibrationMode::Multivariate => {
-                                                        (1.0 / base, 1.0)
-                                                    }
-                                                };
-                                                (c.adjusted_time - compute_ref).max(0.0) * bw_scale
-                                            })
-                                            .filter(|c| c.is_finite())
-                                            .unwrap_or(0.0);
-                                        1.0 / s.max(1e-9) + nominal_comm / bw
-                                    })
-                                    .collect();
-                                engine.apply_recalibration(
-                                    now,
-                                    active.clone(),
-                                    &retained_expected,
-                                    verdict,
-                                );
-                            }
-                        }
-                        // A recalibrate directive with no pending work left:
-                        // nothing to steer, let the job drain.
-                        _ => {}
-                    }
-                }
-            }
+            // The engine runs the monitor→threshold loop and steers the
+            // farm's pool.
+            engine.steer(
+                now,
+                &mut SimPool {
+                    active: &mut active,
+                    weights: &mut weights,
+                    has_pending: !pending.is_empty(),
+                    grid,
+                    registry: &mut registry,
+                    candidates,
+                    calibration: &calibration,
+                    config: &self.config,
+                },
+            );
 
             // Keep every idle active node fed (unless a recalibration barrier
             // is still in progress).
@@ -653,6 +520,133 @@ fn set_busy(busy: &mut Vec<bool>, node: NodeId, value: bool) {
         busy.resize(i + 1, false);
     }
     busy[i] = value;
+}
+
+/// The sim farm's executor set: its dispatchable nodes, plus what the
+/// model-based re-rank of a whole-pool breach reads and rewrites.
+struct SimPool<'a> {
+    active: &'a mut Vec<NodeId>,
+    weights: &'a mut BTreeMap<NodeId, f64>,
+    has_pending: bool,
+    grid: &'a Grid,
+    registry: &'a mut MonitorRegistry,
+    candidates: &'a [NodeId],
+    calibration: &'a CalibrationReport,
+    config: &'a GraspConfig,
+}
+
+impl ExecutorSet for SimPool<'_> {
+    fn active(&self) -> Vec<NodeId> {
+        self.active.clone()
+    }
+
+    fn demote(&mut self, node: NodeId) -> bool {
+        let before = self.active.len();
+        self.active.retain(|&n| n != node);
+        self.active.len() < before
+    }
+
+    /// Whole-pool degradation: feed back into calibration.
+    ///
+    /// The initial calibration runs Algorithm 1 verbatim (sample tasks on
+    /// every node).  Recalibration re-uses the monitoring data instead of
+    /// re-sampling: the pool is re-ranked from the nodes' base speeds scaled
+    /// by their currently observed availability, the chunking weights and
+    /// the chosen set are recomputed, and the threshold Z is re-based on the
+    /// execution times the monitor just collected — so the feedback itself
+    /// costs the job no extra work and imposes no barrier.  With no pending
+    /// work left there is nothing to steer: the job drains.
+    fn recalibrate(&mut self, now: SimTime) -> Recalibration {
+        if !self.has_pending {
+            return Recalibration::Decline;
+        }
+        let (grid, calibration) = (self.grid, self.calibration);
+        // (node, effective speed, bandwidth availability)
+        let mut ranked: Vec<(NodeId, f64, f64)> = self
+            .candidates
+            .iter()
+            .copied()
+            .filter(|&n| grid.is_up(n, now))
+            .map(|n| {
+                let obs = self.registry.observe(grid, n, now);
+                let base = grid.node(n).map(|s| s.base_speed).unwrap_or(1.0);
+                (
+                    n,
+                    base * (1.0 - obs.cpu_load).max(0.02),
+                    obs.bandwidth_availability.clamp(0.02, 1.0),
+                )
+            })
+            .collect();
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        if ranked.is_empty() {
+            return Recalibration::Decline;
+        }
+        let frac = self.config.calibration.selection_fraction.clamp(1e-6, 1.0);
+        let want = ((ranked.len() as f64) * frac).ceil() as usize;
+        let count = want
+            .max(self.config.calibration.min_nodes.max(1))
+            .max(self.config.execution.min_active_nodes)
+            .min(ranked.len());
+        *self.active = ranked[..count].iter().map(|(n, _, _)| *n).collect();
+        let chosen_mean = ranked[..count].iter().map(|(_, s, _)| *s).sum::<f64>() / count as f64;
+        *self.weights = ranked
+            .iter()
+            .map(|(n, s, _)| {
+                let w = if self.active.contains(n) && chosen_mean > 0.0 {
+                    s / chosen_mean
+                } else {
+                    0.0
+                };
+                (*n, w)
+            })
+            .collect();
+        // Re-base Z on what the retained nodes are *expected* to achieve under
+        // the observed conditions.  The verdict's window means straddle the
+        // degradation onset and would under-estimate the new steady state,
+        // re-triggering a spurious second recalibration.  Expected time =
+        // degraded compute (1/effective-speed, the calibration table's
+        // seconds-per-work-unit unit) plus the node's calibrated communication
+        // overhead scaled by its currently observed bandwidth availability —
+        // dropping either term would under-shoot Z on communication-heavy
+        // workloads or congested links and loop instead.
+        let retained_expected: Vec<f64> = ranked[..count]
+            .iter()
+            .map(|(n, s, bw)| {
+                // Comm at nominal bandwidth = calibrated total − calibrated
+                // compute, rescaled to nominal bandwidth.  What "calibrated"
+                // means depends on the mode: TimeOnly rows hold raw totals at
+                // the degraded speed and observed bandwidth, while the
+                // statistical modes have already removed the load (and, for
+                // Multivariate, the bandwidth) effect from adjusted_time.
+                let nominal_comm = calibration
+                    .table
+                    .iter()
+                    .find(|c| c.node == *n)
+                    .map(|c| {
+                        let base = grid
+                            .node(*n)
+                            .map(|sp| sp.base_speed)
+                            .unwrap_or(1.0)
+                            .max(1e-9);
+                        let (compute_ref, bw_scale) = match calibration.mode {
+                            CalibrationMode::TimeOnly => (
+                                1.0 / (base * (1.0 - c.cpu_load).max(0.02)),
+                                c.bandwidth_availability.clamp(0.02, 1.0),
+                            ),
+                            CalibrationMode::Univariate => {
+                                (1.0 / base, c.bandwidth_availability.clamp(0.02, 1.0))
+                            }
+                            CalibrationMode::Multivariate => (1.0 / base, 1.0),
+                        };
+                        (c.adjusted_time - compute_ref).max(0.0) * bw_scale
+                    })
+                    .filter(|c| c.is_finite())
+                    .unwrap_or(0.0);
+                1.0 / s.max(1e-9) + nominal_comm / bw
+            })
+            .collect();
+        Recalibration::Rebase(retained_expected)
+    }
 }
 
 #[cfg(test)]

@@ -2,11 +2,65 @@
 //! bookkeeping and configuration validation.
 
 use grasp_core::calibration::Calibrator;
+use grasp_core::engine::{ExecutorSet, Recalibration};
 use grasp_core::execution::ExecutionMonitor;
 use grasp_core::prelude::*;
 use gridmon::MonitorRegistry;
 use gridsim::{Grid, NodeId, SimTime, TopologyBuilder};
 use proptest::prelude::*;
+
+/// A scripted executor set: `refusals` says which `demote` calls it refuses
+/// and `answers` how it meets each whole-pool breach (0 decline, 1 resample,
+/// 2 re-rank to every executor and rebase).  It records what the engine
+/// did to it.
+struct FakeSet {
+    executors: usize,
+    active: Vec<NodeId>,
+    floor: usize,
+    refusals: Vec<bool>,
+    answers: Vec<u8>,
+    demote_calls: usize,
+    recalibrate_calls: usize,
+    accepted: Vec<NodeId>,
+    below_floor_calls: usize,
+    /// `active()` right after each breach the set did not decline.
+    chosen_after: Vec<Vec<NodeId>>,
+}
+
+impl ExecutorSet for FakeSet {
+    fn active(&self) -> Vec<NodeId> {
+        self.active.clone()
+    }
+
+    fn demote(&mut self, executor: NodeId) -> bool {
+        if self.active.len() <= self.floor {
+            self.below_floor_calls += 1;
+        }
+        let refuse = self.refusals[self.demote_calls % self.refusals.len()];
+        self.demote_calls += 1;
+        if refuse || !self.active.contains(&executor) {
+            return false;
+        }
+        self.active.retain(|&n| n != executor);
+        self.accepted.push(executor);
+        true
+    }
+
+    fn recalibrate(&mut self, _now: SimTime) -> Recalibration {
+        let answer = self.answers[self.recalibrate_calls % self.answers.len()];
+        self.recalibrate_calls += 1;
+        let answer = match answer {
+            0 => return Recalibration::Decline,
+            1 => Recalibration::Resample,
+            _ => {
+                self.active = (0..self.executors).map(NodeId).collect();
+                Recalibration::Rebase(vec![1.5; self.executors])
+            }
+        };
+        self.chosen_after.push(self.active.clone());
+        answer
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -113,6 +167,69 @@ proptest! {
                 "worsening times un-demoted node {node:?}"
             );
         }
+    }
+
+    /// The engine steers any executor set under one discipline: the pool
+    /// never shrinks below `max(1, min_active_nodes)`, the log records
+    /// exactly the demotions the set accepted and the recalibrations it did
+    /// not decline (each with the set's active executors after its hook),
+    /// and only applied recalibrations spend the budget.
+    #[test]
+    fn steering_respects_the_floor_the_set_and_the_budget(
+        executors in 1usize..7,
+        intervals in prop::collection::vec(
+            prop::collection::vec((0usize..7, 0.05f64..30.0), 0..12),
+            1..16,
+        ),
+        min_active_nodes in 0usize..=4,
+        budget in 0usize..=3,
+        refusals in prop::collection::vec(any::<bool>(), 1..8),
+        answers in prop::collection::vec(0u8..3, 1..8),
+    ) {
+        let exec = ExecutionConfig {
+            threshold: ThresholdPolicy::Factor { factor: 2.0 },
+            monitor_interval_s: 1.0,
+            min_active_nodes,
+            max_recalibrations: budget,
+            ..ExecutionConfig::default()
+        };
+        let floor = min_active_nodes.max(1);
+        let mut engine = AdaptationEngine::for_executors(&exec, &[1.0], SimTime::ZERO);
+        let mut set = FakeSet {
+            executors,
+            active: (0..executors).map(NodeId).collect(),
+            floor,
+            refusals: refusals.clone(),
+            answers: answers.clone(),
+            demote_calls: 0,
+            recalibrate_calls: 0,
+            accepted: Vec::new(),
+            below_floor_calls: 0,
+            chosen_after: Vec::new(),
+        };
+        for (k, observations) in intervals.iter().enumerate() {
+            for &(executor, t) in observations {
+                engine.observe(NodeId(executor % executors), t);
+            }
+            engine.steer(SimTime::new((k + 1) as f64), &mut set);
+            prop_assert!(set.active.len() >= floor.min(executors));
+            prop_assert!(engine.recalibrations() <= budget);
+        }
+        prop_assert_eq!(set.below_floor_calls, 0, "demote called at the floor");
+        let mut demoted = Vec::new();
+        let mut chosen = Vec::new();
+        for event in engine.log().events() {
+            match &event.action {
+                AdaptationAction::NodeDemoted { node, .. } => demoted.push(*node),
+                AdaptationAction::Recalibrated { new_chosen } => chosen.push(new_chosen.clone()),
+                other => prop_assert!(false, "unexpected action {:?}", other),
+            }
+        }
+        prop_assert_eq!(&demoted, &set.accepted);
+        prop_assert_eq!(&chosen, &set.chosen_after);
+        // Declined breaches spent nothing: the budget used is exactly the
+        // applied recalibrations.
+        prop_assert_eq!(engine.recalibrations(), set.chosen_after.len());
     }
 
     /// Config validation accepts exactly the documented parameter ranges.

@@ -21,11 +21,11 @@
 //! [`grasp_core::engine::AdaptationEngine`] the simulated grid uses
 //! (Algorithms 1–2): farm workers report wall-clock seconds-per-work-unit
 //! observations, the engine compares them against the calibrated threshold
-//! *Z* every monitor interval, and its directives are applied for real —
-//! a pathological worker is demoted through the farm's
-//! [`crate::farm::WorkerGate`] (it stops pulling chunks), and a whole-pool
-//! breach triggers a fresh re-calibration sample that re-bases *Z*
-//! ([`grasp_core::engine::AdaptationEngine::begin_resample`]).  Pipelines
+//! *Z* every monitor interval, and steers the pool through the farm's
+//! [`crate::farm::WorkerGate`] — a pathological worker is demoted (it stops
+//! pulling chunks), and a whole-pool breach triggers a fresh
+//! re-calibration sample that re-bases *Z*
+//! ([`grasp_core::engine::AdaptationEngine::steer`]).  Pipelines
 //! run the stage-mode loop: a breached stage activates a standby replica
 //! ([`ThreadPipeline::with_adaptation`]).  Observations are also plumbed
 //! into a [`gridmon::MonitorRegistry`] so the same forecasters that smooth
@@ -37,7 +37,7 @@ use crate::padded::CachePadded;
 use crate::pipeline::ThreadPipeline;
 use grasp_core::adaptation::AdaptationLog;
 use grasp_core::config::{BackendConfig, ExecutionConfig, FaultInjection};
-use grasp_core::engine::{AdaptationDirective, AdaptationEngine, WallClock};
+use grasp_core::engine::{AdaptationEngine, WallClock};
 use grasp_core::error::GraspError;
 use grasp_core::skeleton::{
     Backend, OutcomeDetail, ResilienceReport, Skeleton, SkeletonOutcome, UnitSpan,
@@ -200,12 +200,10 @@ impl ThreadBackend {
 }
 
 /// The wall-clock driver of the shared [`AdaptationEngine`] for farm runs:
-/// workers report per-work-unit times through [`ThreadAdaptation::report`],
-/// which treats the first `calib_target` observations as the Algorithm-1
-/// calibration sample (deriving *Z*), feeds later observations to the
-/// engine and the gridmon forecasters, and applies the engine's directives
-/// — demotion through the [`WorkerGate`], whole-pool breaches through a
-/// fresh re-calibration sample.
+/// workers report each completed unit through [`ThreadAdaptation::report`],
+/// which hands the engine its calibration prefix (Algorithm 1, arming *Z*),
+/// then feeds the engine and the gridmon forecasters per-interval means and
+/// lets the engine steer the pool through the [`WorkerGate`].
 struct ThreadAdaptation {
     engine: Mutex<AdaptationEngine>,
     clock: WallClock,
@@ -216,14 +214,11 @@ struct ThreadAdaptation {
     ranks: Arc<RankTable>,
     /// gridmon plumbing: per-worker wall observations → forecasters.
     registry: Mutex<MonitorRegistry>,
-    /// Normalised times of the calibration prefix (arms the engine when
-    /// `calib_target` observations have been collected).
-    calib: Mutex<Vec<f64>>,
-    calib_target: usize,
+    /// Whether the job declares any work: the engine's observation rule
+    /// ([`AdaptationEngine::unit_time`]), applied here without its lock.
+    job_has_work: bool,
+    /// Set once the engine's calibration prefix armed it.
     armed: AtomicBool,
-    /// Best calibrated per-work-unit time as f64 bits (written once when
-    /// the engine arms) — the load-estimate baseline.
-    baseline_bits: AtomicU64,
     /// Per-worker running observation totals, each on its own cache line
     /// and written only by its worker, so recording an observation takes
     /// no lock and no shared write.  The engine and registry locks are
@@ -237,33 +232,28 @@ struct ThreadAdaptation {
     /// the lock-free gate each worker checks against its cached copy.
     next_due_micros: AtomicU64,
     interval_micros: u64,
-    min_active: usize,
     workers: usize,
 }
 
 impl ThreadAdaptation {
-    fn new(exec: &ExecutionConfig, workers: usize, calib_target: usize) -> Self {
+    fn new(exec: &ExecutionConfig, workers: usize, calib_units: usize, job_has_work: bool) -> Self {
         ThreadAdaptation {
             // Armed with an empty reference sample: Z stays infinite until
             // the calibration prefix completes, so nothing can fire early.
-            engine: Mutex::new(AdaptationEngine::for_executors(
-                exec,
-                &[],
-                gridsim::SimTime::ZERO,
-            )),
+            engine: Mutex::new(
+                AdaptationEngine::for_executors(exec, &[], gridsim::SimTime::ZERO)
+                    .with_units(job_has_work, calib_units),
+            ),
             clock: WallClock::start(),
             gate: Arc::new(WorkerGate::new(workers)),
             ranks: Arc::new(RankTable::new(workers)),
             registry: Mutex::new(MonitorRegistry::new(NodeId(0), 64)),
-            calib: Mutex::new(Vec::with_capacity(calib_target)),
-            calib_target: calib_target.max(1),
+            job_has_work,
             armed: AtomicBool::new(false),
-            baseline_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             totals: (0..workers).map(|_| CachePadded::default()).collect(),
             flushed: Mutex::new(vec![(0.0, 0); workers]),
             next_due_micros: AtomicU64::new(u64::MAX),
             interval_micros: (exec.monitor_interval_s * 1e6).max(1.0) as u64,
-            min_active: exec.min_active_nodes.max(1),
             workers,
         }
     }
@@ -279,42 +269,23 @@ impl ThreadAdaptation {
     /// into the engine (the monitor evaluates per-interval per-worker
     /// *means*, so accumulating the interval's observations into one mean
     /// per worker is the same table *T* the verdict would have computed)
-    /// and applies the resulting directives.
-    fn report(
-        &self,
-        local: &mut ObsLocal,
-        wid: usize,
-        work: f64,
-        timing: &UnitTiming,
-        job_has_work: bool,
-    ) {
-        // Unit selection mirrors the simulated farm: per-work-unit times
-        // when the job has real work (zero-work units carry no signal in
-        // that unit), raw seconds for an all-zero-work job.
-        if work <= 0.0 && job_has_work {
-            return;
-        }
+    /// and lets it steer.
+    fn report(&self, local: &mut ObsLocal, wid: usize, work: f64, timing: &UnitTiming) {
         let elapsed_s = timing.elapsed().as_secs_f64();
-        let t_norm = if work > 0.0 {
-            elapsed_s / work
-        } else {
-            elapsed_s
-        };
         let now = self.clock.at(timing.finished);
         if !local.armed {
             if !self.armed.load(Ordering::Acquire) {
-                // Algorithm 1: the first `calib_target` observations are
-                // the calibration sample; completing it derives Z and
-                // starts the monitor interval.
-                let mut calib = self.calib.lock();
+                // Algorithm 1: the engine takes the calibration prefix
+                // itself; completing it derives Z and starts the monitor
+                // interval.
+                let mut engine = self.engine.lock();
                 if !self.armed.load(Ordering::Acquire) {
-                    calib.push(t_norm);
-                    if calib.len() >= self.calib_target {
-                        self.engine.lock().calibrate(&calib, now);
-                        let best = calib.iter().copied().fold(f64::INFINITY, f64::min);
-                        self.baseline_bits.store(best.to_bits(), Ordering::Relaxed);
-                        self.next_due_micros
-                            .store(Self::micros(now) + self.interval_micros, Ordering::Relaxed);
+                    engine.observe_unit(NodeId(wid), work, elapsed_s, now);
+                    if let Some(armed_at) = engine.armed_at() {
+                        self.next_due_micros.store(
+                            Self::micros(armed_at) + self.interval_micros,
+                            Ordering::Relaxed,
+                        );
                         self.armed.store(true, Ordering::Release);
                     }
                     return;
@@ -322,6 +293,9 @@ impl ThreadAdaptation {
             }
             local.armed = true;
         }
+        let Some(t_norm) = AdaptationEngine::unit_time(self.job_has_work, work, elapsed_s) else {
+            return;
+        };
         self.totals[wid].add(t_norm);
         // Lock-free due gate, checked against this worker's cached copy
         // first: the shared word only moves forward, so the cache is a
@@ -352,7 +326,7 @@ impl ThreadAdaptation {
         // Flush every worker's interval mean into the engine and the
         // gridmon forecasters (the slowdown relative to the calibrated
         // baseline becomes the load estimate).
-        let baseline = f64::from_bits(self.baseline_bits.load(Ordering::Relaxed));
+        let baseline = engine.sample_best();
         let mut registry = self.registry.lock();
         let mut flushed = self.flushed.lock();
         for (w, (totals, last)) in self.totals.iter().zip(flushed.iter_mut()).enumerate() {
@@ -378,51 +352,9 @@ impl ThreadAdaptation {
         for (node, mean) in engine.rank_snapshot() {
             self.ranks.set(node.index(), mean);
         }
-        if let Some(poll) = engine.poll(now) {
-            for directive in &poll.directives {
-                match directive {
-                    AdaptationDirective::DemoteExecutor {
-                        executor,
-                        recent_mean,
-                    } => {
-                        let w = executor.index();
-                        // The pool floor mirrors the sim farm's gating and
-                        // counts every worker no longer pulling — demoted
-                        // here or retired by the farm after panics.  A
-                        // retirement landing between this check and the
-                        // demote can undershoot the floor by one (the
-                        // flags are written by concurrently panicking
-                        // workers; closing that window would need a lock
-                        // shared with the farm's fault path) — the hard
-                        // liveness guarantee is the gate's own last-active-
-                        // worker rule, which never stops the final puller.
-                        if self.workers - self.gate.inactive_count() > self.min_active
-                            && self.gate.demote(w)
-                        {
-                            engine.note_demoted(now, *executor, *recent_mean, &poll.verdict);
-                        }
-                    }
-                    AdaptationDirective::Recalibrate => {
-                        // No load model to consult on real threads: take a
-                        // real re-calibration sample instead — the next
-                        // fresh interval re-bases Z.  The logged chosen set
-                        // is the workers still pulling: neither demoted nor
-                        // panic-retired.
-                        let chosen = (0..self.workers)
-                            .filter(|w| !self.gate.is_inactive(*w))
-                            .map(NodeId)
-                            .collect();
-                        engine.begin_resample(now, chosen, &poll.verdict);
-                    }
-                    AdaptationDirective::RemapStage { .. } => {}
-                    // Speculation is pull-driven here: idle farm workers ask
-                    // the engine directly through the [`SpeculationPolicy`]
-                    // bridge, so a poll-emitted directive has nothing left
-                    // to do.
-                    AdaptationDirective::Speculate { .. } => {}
-                }
-            }
-        }
+        // The gate is the pool: a demoted worker stops pulling, and a
+        // whole-pool breach takes a fresh re-calibration sample.
+        engine.steer(now, &mut &*self.gate);
     }
 
     /// Microseconds of a clock stamp (saturating; the run is far shorter
@@ -540,7 +472,6 @@ struct ObsLocal {
 struct FarmAccounting<'a> {
     units: &'a [(usize, f64)],
     adaptation: Option<&'a ThreadAdaptation>,
-    job_has_work: bool,
     run_start: Instant,
     stamp_completions: bool,
 }
@@ -571,7 +502,7 @@ impl UnitObserver for FarmAccounting<'_> {
         // Every execution is real work on its worker, the losing copy of a
         // speculated unit included: the engine sees them all.
         if let Some(driver) = self.adaptation {
-            driver.report(&mut account.obs, worker, work, &timing, self.job_has_work);
+            driver.report(&mut account.obs, worker, work, &timing);
         }
         // Work credit and completion only for the recorded copy: a
         // superseded straggler must not be charged to its worker.
@@ -667,12 +598,12 @@ impl Backend for ThreadBackend {
                 // completed units are the calibration sample (they execute
                 // inside the job, exactly as on the grid); without a
                 // calibration sample there is no Z, hence no engine.
-                let job_has_work = units.iter().any(|&(_, w)| w > 0.0);
                 let adaptation = (config.execution.adaptive && samples > 0).then(|| {
                     Arc::new(ThreadAdaptation::new(
                         &config.execution,
                         self.workers,
                         self.workers * samples,
+                        units.iter().any(|&(_, w)| w > 0.0),
                     ))
                 });
                 let mut farm = ThreadFarm::new(self.workers)
@@ -701,7 +632,6 @@ impl Backend for ThreadBackend {
                 let accounting = FarmAccounting {
                     units,
                     adaptation: adaptation.as_deref(),
-                    job_has_work,
                     run_start: Instant::now(),
                     stamp_completions: !spans.is_empty(),
                 };

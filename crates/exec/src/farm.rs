@@ -49,8 +49,10 @@
 
 use crate::deque::{StealDeque, MAX_RANGE};
 use crate::padded::CachePadded;
+use grasp_core::engine::ExecutorSet;
 use grasp_core::error::GraspError;
 use grasp_core::SchedulePolicy;
+use gridsim::NodeId;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -121,10 +123,9 @@ impl RankTable {
 #[derive(Debug, Default)]
 pub struct WorkerGate {
     demoted: Vec<AtomicBool>,
-    /// Workers the farm retired after exhausting their panic budget.  The
-    /// farm reports these so the adaptation layer's pool-floor arithmetic
-    /// (`workers − inactive > min_active`) counts every worker that is no
-    /// longer pulling, not just the ones it demoted itself.
+    /// Workers the farm retired after exhausting their panic budget, so the
+    /// adaptation layer's pool floor counts every worker that is no longer
+    /// pulling, not just the ones it demoted itself.
     retired: Vec<AtomicBool>,
 }
 
@@ -187,15 +188,21 @@ impl WorkerGate {
             .filter(|f| f.load(Ordering::Relaxed))
             .count()
     }
+}
 
-    /// Number of workers no longer pulling for any reason — demoted by the
-    /// adaptation layer or retired by the farm after panics.
-    pub fn inactive_count(&self) -> usize {
-        self.demoted
-            .iter()
-            .zip(&self.retired)
-            .filter(|(d, r)| d.load(Ordering::Relaxed) || r.load(Ordering::Relaxed))
-            .count()
+/// The thread surface's executor set: the workers still pulling.  A
+/// retirement racing the engine's floor check can undershoot the floor by
+/// one; the hard liveness guarantee is the farm's last-active-worker rule.
+impl ExecutorSet for &WorkerGate {
+    fn active(&self) -> Vec<NodeId> {
+        (0..self.demoted.len())
+            .filter(|&w| !self.is_inactive(w))
+            .map(NodeId)
+            .collect()
+    }
+
+    fn demote(&mut self, executor: NodeId) -> bool {
+        WorkerGate::demote(self, executor.index())
     }
 }
 

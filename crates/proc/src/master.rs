@@ -17,11 +17,12 @@
 //!   first result is recorded and later copies are discarded on arrival;
 //! * **tail speculation** — once the pending queue drains, the engine's
 //!   `maybe_speculate` decides whether an idle slot duplicates a straggler;
-//! * **the adaptation driver** — the founders' first `founders × samples`
-//!   observations arm the shared [`AdaptationEngine`] (Algorithm 1); later
-//!   observations feed it and its directives are applied: a demotion
-//!   closes the member's channel (it drains its window, reads EOF and
-//!   leaves), a pool-wide breach takes a fresh re-calibration sample;
+//! * **adaptation** — every completed unit goes to the shared
+//!   [`AdaptationEngine`], whose calibration prefix is the founders' first
+//!   `founders × samples` observations (Algorithm 1); the engine then
+//!   steers the members table: a demotion closes the member's channel (it
+//!   drains its window, reads EOF and leaves), a pool-wide breach takes a
+//!   fresh re-calibration sample;
 //! * **departures** — a `Goodbye` stops new dispatches and releases the
 //!   member with `Shutdown` once its window drains; a death (EOF, torn
 //!   frame, or heartbeat timeout) requeues its in-flight units, counts the
@@ -32,10 +33,9 @@
 //! finished run is reported as.
 
 use grasp_core::adaptation::AdaptationLog;
-use grasp_core::config::{BackendConfig, ExecutionConfig, FaultInjection};
-use grasp_core::engine::{AdaptationDirective, AdaptationEngine, WallClock};
+use grasp_core::config::{BackendConfig, FaultInjection};
+use grasp_core::engine::{AdaptationEngine, ExecutorSet, WallClock};
 use grasp_core::error::GraspError;
-use grasp_core::execution::MonitorVerdict;
 use grasp_core::shm::ShmRing;
 use grasp_core::skeleton::{
     NetDeparture, NetMemberReport, OutcomeDetail, ResilienceReport, Skeleton, SkeletonOutcome,
@@ -352,76 +352,28 @@ impl Drop for Member {
     }
 }
 
-/// Master-side driver of the shared adaptation engine (executor mode): the
-/// calibration prefix arms it, later observations feed it, and its
-/// directives come back to the master loop for application.
-struct MasterAdaptation {
-    engine: AdaptationEngine,
-    calib: Vec<f64>,
-    calib_target: usize,
-    armed: bool,
-    calibration_done_s: f64,
-    min_active: usize,
-    /// The verdict of the latest evaluation, kept so applied directives are
-    /// logged against the table *T* that produced them.
-    last_verdict: Option<MonitorVerdict>,
-}
+/// The frame master's executor set for [`AdaptationEngine::steer`]: its
+/// members table.  Demotion across a process or network boundary closes
+/// the member's channel: it finishes its window, reads EOF and exits;
+/// remaining results still flow back.
+struct Members<'m>(&'m mut [Member]);
 
-impl MasterAdaptation {
-    fn new(exec: &ExecutionConfig, calib_target: usize) -> Self {
-        MasterAdaptation {
-            // Armed with an empty reference sample: Z stays infinite until
-            // the calibration prefix completes (same discipline as the
-            // thread backend).
-            engine: AdaptationEngine::for_executors(exec, &[], SimTime::ZERO),
-            calib: Vec::with_capacity(calib_target),
-            calib_target: calib_target.max(1),
-            armed: false,
-            calibration_done_s: 0.0,
-            min_active: exec.min_active_nodes.max(1),
-            last_verdict: None,
-        }
+impl ExecutorSet for Members<'_> {
+    fn active(&self) -> Vec<NodeId> {
+        (0..self.0.len())
+            .filter(|&w| self.0[w].can_dispatch())
+            .map(NodeId)
+            .collect()
     }
 
-    /// Feed one completed unit (real or probe); returns directives to
-    /// apply, if an evaluation was due.
-    fn observe(
-        &mut self,
-        worker: usize,
-        work: f64,
-        elapsed_s: f64,
-        now: SimTime,
-        job_has_work: bool,
-    ) -> Vec<AdaptationDirective> {
-        // Unit selection mirrors the other backends: per-work-unit times
-        // when the job has real work, raw seconds for pure-transfer jobs.
-        if work <= 0.0 && job_has_work {
-            return Vec::new();
-        }
-        let t_norm = if work > 0.0 {
-            elapsed_s / work
-        } else {
-            elapsed_s
+    fn demote(&mut self, executor: NodeId) -> bool {
+        let member = self.0.get_mut(executor.index());
+        let Some(m) = member.filter(|m| m.alive && !m.demoted) else {
+            return false;
         };
-        if !self.armed {
-            self.calib.push(t_norm);
-            if self.calib.len() >= self.calib_target {
-                self.engine.calibrate(&self.calib, now);
-                self.armed = true;
-                self.calibration_done_s = now.as_secs();
-            }
-            return Vec::new();
-        }
-        self.engine.observe(NodeId(worker), t_norm);
-        match self.engine.poll(now) {
-            Some(poll) => {
-                // The verdict is consumed here; demotions are re-checked
-                // against the pool floor before being applied.
-                self.last_verdict = Some(poll.verdict);
-                poll.directives
-            }
-            None => Vec::new(),
-        }
+        m.demoted = true;
+        m.tx = None;
+        true
     }
 }
 
@@ -431,7 +383,6 @@ impl MasterAdaptation {
 pub struct FrameMaster<'a> {
     settings: &'a FrameSettings,
     job: &'a FrameJob,
-    job_has_work: bool,
     members: Vec<Member>,
     /// Cloned into every member's reader thread and handed out by
     /// [`FrameMaster::events`].
@@ -441,7 +392,9 @@ pub struct FrameMaster<'a> {
     /// Liveness only: heartbeats and the stale-member sweep.  Execution
     /// times go to the engine, not here.
     registry: MonitorRegistry,
-    adaptation: Option<MasterAdaptation>,
+    /// The shared adaptation engine, fed per unit; its calibration prefix
+    /// is the founders' first `founders × samples` observations.
+    engine: Option<AdaptationEngine>,
     /// Probe units a mid-run joiner owes before real units.
     join_probes: usize,
     /// Declared work of one probe unit (the job's mean positive unit work).
@@ -490,24 +443,27 @@ impl<'a> FrameMaster<'a> {
         let samples = settings
             .calibration_samples
             .unwrap_or(config.calibration.samples_per_node);
-        let adaptation = (config.execution.adaptive && samples > 0)
-            .then(|| MasterAdaptation::new(&config.execution, founders * samples));
         let (positive_work, positive_units) = job
             .units
             .iter()
             .filter(|&&(_, w)| w > 0.0)
             .fold((0.0, 0usize), |(sum, n), &(_, w)| (sum + w, n + 1));
+        // Armed with an empty reference sample: Z stays infinite until the
+        // calibration prefix completes.
+        let engine = (config.execution.adaptive && samples > 0).then(|| {
+            AdaptationEngine::for_executors(&config.execution, &[], SimTime::ZERO)
+                .with_units(positive_units > 0, (founders * samples).max(1))
+        });
         let (tx, rx) = mpsc::channel();
         FrameMaster {
             settings,
             job,
-            job_has_work: positive_units > 0,
             members: Vec::new(),
             tx,
             rx,
             clock: WallClock::start(),
             registry: MonitorRegistry::new(NodeId(0), 64),
-            adaptation,
+            engine,
             join_probes: join_probes.unwrap_or(samples),
             probe_work: if positive_units == 0 {
                 1.0
@@ -627,9 +583,9 @@ impl<'a> FrameMaster<'a> {
         // mid-run joiner owes a probe prefix before real units (pointless
         // when the adaptation engine is off).
         let mid_run = self.started;
-        let probes_target = match &mut self.adaptation {
-            Some(ad) if mid_run => {
-                ad.engine.note_node_joined(now, NodeId(w));
+        let probes_target = match &mut self.engine {
+            Some(engine) if mid_run => {
+                engine.note_node_joined(now, NodeId(w));
                 self.join_probes
             }
             _ => 0,
@@ -816,8 +772,8 @@ impl<'a> FrameMaster<'a> {
         }
         loop {
             let in_flight = self.total_in_flight();
-            let allowed = match &self.adaptation {
-                Some(ad) => ad.engine.maybe_speculate(in_flight, total).is_some(),
+            let allowed = match &self.engine {
+                Some(engine) => engine.maybe_speculate(in_flight, total).is_some(),
                 None => false,
             };
             if !allowed {
@@ -853,9 +809,8 @@ impl<'a> FrameMaster<'a> {
             let now = self.clock.now();
             self.spec_in_flight.insert(idx, w);
             self.resilience.speculated_units += 1;
-            if let Some(ad) = &mut self.adaptation {
-                ad.engine
-                    .note_speculated(now, self.job.units[idx].0, NodeId(w));
+            if let Some(engine) = &mut self.engine {
+                engine.note_speculated(now, self.job.units[idx].0, NodeId(w));
             }
         }
     }
@@ -897,8 +852,8 @@ impl<'a> FrameMaster<'a> {
         self.resilience.requeued_tasks += stranded.len();
         if !was_demoted {
             self.resilience.nodes_lost += 1;
-            if let Some(ad) = &mut self.adaptation {
-                ad.engine.note_node_lost(now, NodeId(w), stranded.len());
+            if let Some(engine) = &mut self.engine {
+                engine.note_node_lost(now, NodeId(w), stranded.len());
             }
         }
     }
@@ -918,69 +873,12 @@ impl<'a> FrameMaster<'a> {
         self.registry.forget_heartbeat(NodeId(w));
     }
 
-    /// Apply engine directives under the master's pool-floor gating.
-    fn apply_directives(&mut self, directives: Vec<AdaptationDirective>) {
-        let now = self.clock.now();
-        for directive in directives {
-            match directive {
-                AdaptationDirective::DemoteExecutor {
-                    executor,
-                    recent_mean,
-                } => {
-                    let w = executor.index();
-                    let Some(min_active) = self.adaptation.as_ref().map(|a| a.min_active) else {
-                        continue;
-                    };
-                    if w < self.members.len()
-                        && self.members[w].alive
-                        && !self.members[w].demoted
-                        && self.dispatchable() > min_active
-                    {
-                        // Demotion across a process or network boundary:
-                        // close the member's channel.  It finishes its
-                        // window, reads EOF and exits; remaining results
-                        // still flow back.
-                        self.members[w].demoted = true;
-                        self.members[w].tx = None;
-                        if let Some(ad) = &mut self.adaptation {
-                            if let Some(verdict) = ad.last_verdict.clone() {
-                                ad.engine.note_demoted(now, executor, recent_mean, &verdict);
-                            }
-                        }
-                    }
-                }
-                AdaptationDirective::Recalibrate => {
-                    let chosen: Vec<NodeId> = self
-                        .members
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, m)| m.alive && !m.demoted && !m.departing)
-                        .map(|(i, _)| NodeId(i))
-                        .collect();
-                    if let Some(ad) = &mut self.adaptation {
-                        if let Some(verdict) = ad.last_verdict.clone() {
-                            ad.engine.begin_resample(now, chosen, &verdict);
-                        }
-                    }
-                }
-                AdaptationDirective::RemapStage { .. } => {}
-                // Speculation is driven from the dispatch loop (the master
-                // asks `maybe_speculate` whenever the pending queue drains),
-                // so a poll-emitted directive has nothing left to do.
-                AdaptationDirective::Speculate { .. } => {}
-            }
-        }
-    }
-
-    /// Feed one observation of member `w` to the engine and apply what it
-    /// directs.
-    fn observe(&mut self, w: usize, work: f64, elapsed_s: f64, now: SimTime, job_has_work: bool) {
-        let directives = match &mut self.adaptation {
-            Some(ad) => ad.observe(w, work, elapsed_s, now, job_has_work),
-            None => return,
-        };
-        if !directives.is_empty() {
-            self.apply_directives(directives);
+    /// Feed one observation of member `w` to the engine and let it steer
+    /// the members table.
+    fn observe(&mut self, w: usize, work: f64, elapsed_s: f64, now: SimTime) {
+        if let Some(engine) = &mut self.engine {
+            engine.observe_unit(NodeId(w), work, elapsed_s, now);
+            engine.steer(now, &mut Members(&mut self.members));
         }
     }
 
@@ -1040,7 +938,7 @@ impl<'a> FrameMaster<'a> {
         m.probe_in_flight = m.probe_in_flight.saturating_sub(1);
         m.probes_done += 1;
         if let Some(elapsed_s) = elapsed_s {
-            self.observe(w, self.probe_work, elapsed_s, now, true);
+            self.observe(w, self.probe_work, elapsed_s, now);
         }
         self.maybe_finish_departing(w);
     }
@@ -1075,14 +973,14 @@ impl<'a> FrameMaster<'a> {
             // duplicate, the straggler was rescued.
             if self.spec_in_flight.remove(&idx) == Some(w) {
                 self.resilience.speculation_wins += 1;
-                if let Some(ad) = &mut self.adaptation {
-                    ad.engine.note_speculation_won(now, id, NodeId(w));
+                if let Some(engine) = &mut self.engine {
+                    engine.note_speculation_won(now, id, NodeId(w));
                 }
             }
         }
         // A discarded copy was still real work on its member: the engine
         // sees its timing either way.
-        self.observe(w, work, elapsed_s, now, self.job_has_work);
+        self.observe(w, work, elapsed_s, now);
         self.maybe_finish_departing(w);
         // Hard-kill injection: after the configured number of results,
         // refill the victim's window so units are genuinely in flight, then
@@ -1169,8 +1067,11 @@ impl<'a> FrameMaster<'a> {
             unit_digests: std::mem::take(&mut self.digests).into_iter().collect(),
             members,
         };
-        let (calibration_s, adaptation_log) = match self.adaptation {
-            Some(ad) => (ad.calibration_done_s, ad.engine.into_log()),
+        let (calibration_s, adaptation_log) = match self.engine {
+            Some(engine) => (
+                engine.armed_at().map_or(0.0, |t| t.as_secs()),
+                engine.into_log(),
+            ),
             None => (0.0, AdaptationLog::new()),
         };
         let unit_ids: Vec<usize> = self.completions.keys().copied().collect();

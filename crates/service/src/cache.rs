@@ -8,8 +8,8 @@
 //! dispatches immediately.
 //!
 //! Invalidation contract: a cached profile stays valid until the shared
-//! `AdaptationEngine` flags drift — i.e. it emits a `Recalibrate` directive
-//! because the whole pool degraded past *Z*.  The service then clears the
+//! `AdaptationEngine` flags drift — i.e. it calls the service's recalibrate
+//! hook because the whole pool degraded past *Z*.  The service then clears the
 //! cache and the next dispatch round re-measures.  No timer, no ad-hoc
 //! heuristics: the engine is the single authority on staleness, exactly as
 //! it is on demotion.

@@ -10,7 +10,7 @@
 //!   once, leased per dispatch round — never torn down between jobs) and a
 //!   single shared [`grasp_core::engine::AdaptationEngine`] monitoring it
 //!   across all jobs.  No adaptation logic is forked: the service feeds the
-//!   engine observations and applies its directives (demotion takes a pool
+//!   engine observations and the engine steers the pool (demotion takes a
 //!   worker out of rotation; drift invalidates the calibration cache and
 //!   re-bases the threshold), exactly like the one-shot backends.
 //! * [`GraspService::submit`] admits a [`grasp_core::prelude::Skeleton`]

@@ -3,13 +3,14 @@
 use crate::admission::AdmissionQueue;
 use crate::cache::{ProfileCache, ProfileCacheStats};
 use crate::job::{JobHandle, JobId, JobSpec};
+use grasp_core::engine::{ExecutorSet, Recalibration};
 use grasp_core::prelude::{
-    AdaptationDirective, AdaptationEngine, AdaptationLog, GraspConfig, GraspError, OutcomeDetail,
-    ResilienceReport, SchedulePolicy, Skeleton, SkeletonOutcome, WallClock,
+    AdaptationEngine, AdaptationLog, GraspConfig, GraspError, OutcomeDetail, ResilienceReport,
+    SchedulePolicy, Skeleton, SkeletonOutcome, WallClock,
 };
 use grasp_core::skeleton::UnitSpan;
 use grasp_exec::{spin, WorkerPool};
-use gridsim::NodeId;
+use gridsim::{NodeId, SimTime};
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -336,6 +337,40 @@ fn dispatcher_loop(inner: Arc<Inner>, config: ServiceConfig) {
     }
 }
 
+/// The service's executor set for [`AdaptationEngine::steer`]: the resident
+/// pool's rotation.  Demotions are counted in the service stats; a
+/// whole-pool breach also invalidates every cached calibration profile, so
+/// the next round measures afresh.
+struct PoolSet<'a> {
+    inner: &'a Inner,
+    pool: &'a WorkerPool<UnitTask, UnitResult>,
+    calibrated: &'a mut bool,
+}
+
+impl ExecutorSet for PoolSet<'_> {
+    fn active(&self) -> Vec<NodeId> {
+        (0..self.pool.workers())
+            .filter(|&w| self.pool.is_active(w))
+            .map(NodeId)
+            .collect()
+    }
+
+    fn demote(&mut self, executor: NodeId) -> bool {
+        let demoted = self.pool.set_active(executor.index(), false);
+        if demoted {
+            self.inner.demotions.fetch_add(1, Ordering::Relaxed);
+        }
+        demoted
+    }
+
+    fn recalibrate(&mut self, _now: SimTime) -> Recalibration {
+        self.inner.cache.lock().invalidate_all();
+        *self.calibrated = false;
+        self.inner.recalibrations.fetch_add(1, Ordering::Relaxed);
+        Recalibration::Resample
+    }
+}
+
 /// Execute one shared dispatch round: lower every admitted skeleton, run
 /// the flat unit list on the resident pool, drive the shared engine, and
 /// resolve every job handle.
@@ -437,7 +472,9 @@ fn run_round(
         }
     };
     // Harvest per-unit results into per-job accounting and feed the shared
-    // engine its per-worker normalised observations.
+    // engine each unit.  Its Z spans jobs in seconds per work unit, so it
+    // skips zero-work units whatever the round's jobs declare.
+    let now = clock.now();
     let mut measured: HashMap<(usize, usize), (f64, f64)> = HashMap::new();
     for &i in &round.retried_tasks {
         jobs[round.results[i].slot].retried += 1;
@@ -447,8 +484,7 @@ fn run_round(
         job.completions
             .insert(r.unit, (r.done_s - round_start_s).max(0.0));
         job.per_worker[r.worker] += 1;
-        let per_unit = r.elapsed_s / r.work.max(1e-9);
-        engine.observe(NodeId(r.worker), per_unit);
+        engine.observe_unit(NodeId(r.worker), r.work, r.elapsed_s, now);
         let kind_idx = unit_tasks[i].kind_idx;
         let slot = measured.entry((r.worker, kind_idx)).or_insert((0.0, 0.0));
         slot.0 += r.elapsed_s;
@@ -496,47 +532,21 @@ fn run_round(
             })
             .collect();
         if !times.is_empty() {
-            engine.calibrate(&times, clock.now());
+            engine.calibrate(&times, now);
             *calibrated = true;
         }
     }
-    // Algorithm 2: one monitoring evaluation per round at most, applying the
-    // engine's directives to the resident pool.
+    // Algorithm 2: one monitoring evaluation per round at most, steering
+    // the resident pool.
     let log_mark = engine.log().len();
-    let now = clock.now();
-    if engine.due(now) {
-        if let Some(poll) = engine.poll(now) {
-            for directive in &poll.directives {
-                match directive {
-                    AdaptationDirective::DemoteExecutor {
-                        executor,
-                        recent_mean,
-                    } => {
-                        let min_active = config.grasp.execution.min_active_nodes.max(1);
-                        if pool.active_workers() > min_active && pool.set_active(executor.0, false)
-                        {
-                            engine.note_demoted(now, *executor, *recent_mean, &poll.verdict);
-                            inner.demotions.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    AdaptationDirective::Recalibrate => {
-                        let chosen: Vec<NodeId> = (0..pool.workers())
-                            .filter(|&w| pool.is_active(w))
-                            .map(NodeId)
-                            .collect();
-                        engine.begin_resample(now, chosen, &poll.verdict);
-                        inner.cache.lock().invalidate_all();
-                        *calibrated = false;
-                        inner.recalibrations.fetch_add(1, Ordering::Relaxed);
-                    }
-                    AdaptationDirective::RemapStage { .. } => {}
-                    // The resident pool batches whole jobs per round; there
-                    // is no per-unit tail to speculate on at this level.
-                    AdaptationDirective::Speculate { .. } => {}
-                }
-            }
-        }
-    }
+    engine.steer(
+        now,
+        &mut PoolSet {
+            inner,
+            pool,
+            calibrated,
+        },
+    );
     // Any adaptation taken during this round belongs to every job that rode
     // it: copy the engine's new audit events into each job's own log.
     let new_events = engine.log().events()[log_mark..].to_vec();
@@ -827,6 +837,30 @@ mod tests {
             .unwrap();
         assert_eq!(outcome.completed, 8);
         assert!(service.stats().profile.entries >= 1);
+    }
+
+    #[test]
+    fn zero_work_jobs_leave_a_healthy_pool_alone() {
+        let service = GraspService::start(adaptive_config(2));
+        service
+            .submit(farm(12, 1.0), JobSpec::default())
+            .unwrap()
+            .wait()
+            .unwrap();
+        // A zero-work unit has no time per work unit: it must not reach a
+        // monitor whose Z is in seconds per work unit.
+        for _ in 0..60 {
+            service
+                .submit(farm(6, 0.0), JobSpec::default())
+                .unwrap()
+                .wait()
+                .unwrap();
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let stats = service.stats();
+        assert_eq!(stats.demotions, 0, "{stats:?}");
+        assert_eq!(stats.recalibrations, 0, "{stats:?}");
+        assert_eq!(stats.profile.invalidations, 0, "{stats:?}");
     }
 
     #[test]
