@@ -15,7 +15,7 @@ use grasp_core::calibration::Calibrator;
 use grasp_core::prelude::*;
 use grasp_exec::ThreadBackend;
 use grasp_net::worker::{run_connection, WorkerOptions};
-use grasp_net::{LoopbackNet, NetBackend};
+use grasp_net::{FaultScript, FrameFault, LoopbackNet, NetBackend};
 use grasp_proc::ProcBackend;
 use grasp_service::{GraspService, JobSpec, ServiceConfig};
 use grasp_workloads::matmul::MatMulJob;
@@ -792,13 +792,19 @@ pub fn e12_proc_backend(matmul_n: usize, block_rows: usize) -> Table {
 /// a calibration prefix of probe units before receiving real work).  Both
 /// runs use the deterministic loopback transport — workers are in-process
 /// protocol threads, so the comparison measures membership mechanics, not
-/// socket noise — and both must conserve the unit set exactly.  The table
+/// socket noise — and both must conserve the unit set exactly.  The growing
+/// run's join race is scripted, not left to the scheduler: the late
+/// workers' `Join` is held 100 ms so the founders register first, and each
+/// founder's first `Done` past the join point is held 500 ms so the joiners
+/// probe and take real units before the founders can drain the job — so
+/// the growing row's makespan includes that scripted hold.  The table
 /// reports how the growing pool closes the gap: admissions on the audit
 /// trail, calibration probes spent, and the share of real units the late
 /// joiners absorbed — plus the master's frame-encode seconds and the payload
 /// bytes copied per unit (the loopback transport's channel hand-off is the
 /// one copy its in-process delivery cannot avoid).
 pub fn e13_net_membership(tasks_n: usize, pool: usize) -> Table {
+    use std::time::Duration;
     let pool = pool.max(2);
     let founders = (pool / 2).max(1);
     let hold_until = (tasks_n / 4).max(1);
@@ -832,9 +838,23 @@ pub fn e13_net_membership(tasks_n: usize, pool: usize) -> Table {
                 .with_hold_joins_until(hold_until)
                 .with_join_calibration_units(probes_per_joiner);
         }
+        // With heartbeats off a worker's outbound frame 0 is its Join and
+        // frame k its k-th Done: holding every founder's frame
+        // ⌈hold_until / founders⌉ + 1 holds its first Done past the join
+        // point.
+        let held = |frame, ms| {
+            FaultScript::clean().with(frame, FrameFault::Delay(Duration::from_millis(ms)))
+        };
         let handles: Vec<_> = (0..pool)
-            .map(|_| {
-                let conn = net.connect().expect("loopback connect failed");
+            .map(|i| {
+                let script = match (grow, i < founders) {
+                    (false, _) => FaultScript::clean(),
+                    (true, true) => held(hold_until.div_ceil(founders) + 1, 500),
+                    (true, false) => held(0, 100),
+                };
+                let conn = net
+                    .connect_faulty(script, FaultScript::clean())
+                    .expect("loopback connect failed");
                 std::thread::spawn(move || run_connection(conn, WorkerOptions::default()))
             })
             .collect();

@@ -2,13 +2,12 @@
 //!
 //! The registry is what the GRASP phases actually hold: one bounded series
 //! and one adaptive forecaster per monitored node (CPU) and, optionally, per
-//! node pair (bandwidth towards the root node, i.e. the master), plus a
-//! liveness table of heartbeats.  Each holder pays only for what it reads: calibration
-//! samples every candidate once and reads the *current* values it gets back
-//! to adjust the execution-time table, and so does the sim farm's
-//! recalibration; the thread backend feeds one observation per worker per
-//! monitor interval and reads the CPU-load forecasts at the end of a run; the
-//! frame master uses the liveness table only.
+//! node pair (bandwidth towards the root node, i.e. the master).  Each
+//! holder pays only for what it reads: calibration samples every candidate
+//! once and reads the *current* values it gets back to adjust the
+//! execution-time table, and so does the sim farm's recalibration; the
+//! thread backend feeds one observation per worker per monitor interval and
+//! reads the CPU-load forecasts at the end of a run.
 
 use crate::forecast::{AdaptiveForecaster, Forecaster};
 use crate::series::TimeSeries;
@@ -82,11 +81,6 @@ impl NodeMonitor {
 /// Registry of per-node monitors.
 pub struct MonitorRegistry {
     monitors: BTreeMap<NodeId, NodeMonitor>,
-    /// Liveness: last heartbeat per node (see
-    /// [`MonitorRegistry::note_heartbeat`]).  Kept separate from the
-    /// performance monitors because a node can prove it is alive long before
-    /// it has produced any load observation.
-    heartbeats: BTreeMap<NodeId, SimTime>,
     history: usize,
     root: NodeId,
 }
@@ -98,7 +92,6 @@ impl MonitorRegistry {
     pub fn new(root: NodeId, history: usize) -> Self {
         MonitorRegistry {
             monitors: BTreeMap::new(),
-            heartbeats: BTreeMap::new(),
             history: history.max(1),
             root,
         }
@@ -193,47 +186,10 @@ impl MonitorRegistry {
             .unwrap_or_default()
     }
 
-    /// Record a liveness heartbeat from `node` at time `t`.
-    ///
-    /// Heartbeats are the monitoring-message side of executor liveness: a
-    /// remote worker that can no longer be observed (hard-killed, network
-    /// partition) simply stops producing them, and the master detects the
-    /// loss through [`MonitorRegistry::stale_nodes`].  Any observation-style
-    /// message (a result, a monitor report) doubles as a heartbeat.
-    pub fn note_heartbeat(&mut self, node: NodeId, t: SimTime) {
-        let entry = self.heartbeats.entry(node).or_insert(t);
-        if t > *entry {
-            *entry = t;
-        }
-    }
-
-    /// The time of the last heartbeat recorded for `node`, if any.
-    pub fn last_heartbeat(&self, node: NodeId) -> Option<SimTime> {
-        self.heartbeats.get(&node).copied()
-    }
-
-    /// Nodes that have heartbeated at least once but whose last heartbeat is
-    /// older than `timeout_s` at `now` — presumed dead until they report
-    /// again.
-    pub fn stale_nodes(&self, now: SimTime, timeout_s: f64) -> Vec<NodeId> {
-        self.heartbeats
-            .iter()
-            .filter(|(_, &last)| (now - last).as_secs() > timeout_s)
-            .map(|(&n, _)| n)
-            .collect()
-    }
-
-    /// Forget a node's liveness record (after the caller has acted on its
-    /// loss, so it is not re-reported every sweep).
-    pub fn forget_heartbeat(&mut self, node: NodeId) {
-        self.heartbeats.remove(&node);
-    }
-
     /// Drop all recorded state (used when a recalibration decides to start
     /// from scratch).
     pub fn clear(&mut self) {
         self.monitors.clear();
-        self.heartbeats.clear();
     }
 }
 
@@ -341,60 +297,8 @@ mod tests {
         let g = grid();
         let mut reg = MonitorRegistry::new(NodeId(0), 16);
         reg.observe(&g, NodeId(1), SimTime::ZERO);
-        reg.note_heartbeat(NodeId(1), SimTime::ZERO);
         assert_eq!(reg.monitored_nodes(), 1);
         reg.clear();
         assert_eq!(reg.monitored_nodes(), 0);
-        assert!(reg.last_heartbeat(NodeId(1)).is_none());
-    }
-
-    #[test]
-    fn heartbeat_timeouts_flag_silent_nodes_only() {
-        let mut reg = MonitorRegistry::new(NodeId(0), 16);
-        reg.note_heartbeat(NodeId(1), SimTime::new(1.0));
-        reg.note_heartbeat(NodeId(2), SimTime::new(9.5));
-        // A never-seen node is not reported: it has nothing to go stale.
-        assert!(reg.last_heartbeat(NodeId(7)).is_none());
-        assert_eq!(reg.stale_nodes(SimTime::new(10.0), 2.0), vec![NodeId(1)]);
-        // A fresh heartbeat clears the suspicion…
-        reg.note_heartbeat(NodeId(1), SimTime::new(10.0));
-        assert!(reg.stale_nodes(SimTime::new(10.0), 2.0).is_empty());
-        // …and heartbeats never move a node's clock backwards.
-        reg.note_heartbeat(NodeId(1), SimTime::new(3.0));
-        assert_eq!(reg.last_heartbeat(NodeId(1)), Some(SimTime::new(10.0)));
-        // Forgetting a node stops it from being re-reported every sweep.
-        reg.note_heartbeat(NodeId(3), SimTime::ZERO);
-        assert_eq!(reg.stale_nodes(SimTime::new(50.0), 2.0).len(), 3);
-        reg.forget_heartbeat(NodeId(3));
-        assert_eq!(reg.stale_nodes(SimTime::new(50.0), 2.0).len(), 2);
-    }
-
-    #[test]
-    fn a_node_re_registering_after_staleness_starts_with_fresh_liveness() {
-        // Dynamic membership: a node declared stale, acted upon, and later
-        // re-admitted must not inherit its old heartbeat record.  The
-        // caller's contract is forget-then-note on re-registration; after
-        // that, the node is fresh — not instantly stale again — and the
-        // sweep stops re-reporting it in between.
-        let mut reg = MonitorRegistry::new(NodeId(0), 16);
-        reg.note_heartbeat(NodeId(1), SimTime::ZERO);
-        assert_eq!(reg.stale_nodes(SimTime::new(10.0), 2.0), vec![NodeId(1)]);
-        // The caller acts on the loss: forget.  No more re-reports.
-        reg.forget_heartbeat(NodeId(1));
-        assert!(reg.stale_nodes(SimTime::new(10.0), 2.0).is_empty());
-        assert!(reg.last_heartbeat(NodeId(1)).is_none());
-        // Re-registration at t=10: without the preceding forget, the
-        // never-move-backwards rule would pin the node to its dead past
-        // (note_heartbeat(10) after a surviving record of 0 is fine — but a
-        // *stray late frame* re-inserting t=0 would make it stale forever).
-        reg.forget_heartbeat(NodeId(1)); // idempotent on the caller's path
-        reg.note_heartbeat(NodeId(1), SimTime::new(10.0));
-        assert!(
-            reg.stale_nodes(SimTime::new(11.0), 2.0).is_empty(),
-            "a re-registered node is fresh"
-        );
-        assert_eq!(reg.last_heartbeat(NodeId(1)), Some(SimTime::new(10.0)));
-        // And it goes stale again only on its own new silence.
-        assert_eq!(reg.stale_nodes(SimTime::new(13.0), 2.0), vec![NodeId(1)]);
     }
 }

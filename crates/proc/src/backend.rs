@@ -13,7 +13,7 @@
 //! executors that can vanish without unwinding: this is the paper's grid
 //! model made concrete on one machine.
 
-use crate::master::{Arrival, FrameJob, FrameMaster, FrameReport, FrameSettings, Membership};
+use crate::master::{FrameJob, FrameMaster, FrameSettings, JoinPolicy};
 use grasp_core::config::{BackendConfig, FaultInjection};
 use grasp_core::error::GraspError;
 use grasp_core::shm::{self, ShmRing};
@@ -108,12 +108,12 @@ impl ProcBackend {
         self.workers
     }
 
-    /// Spawn worker `w` on the configured transport, ready for admission.
-    fn spawn(&self, w: usize, bin: &Path) -> Result<Arrival, GraspError> {
+    /// Spawn worker `w` on the configured transport and hand it to `master`.
+    fn spawn(&self, w: usize, bin: &Path, master: &mut FrameMaster) -> Result<(), GraspError> {
         let unavailable = |e: std::io::Error| GraspError::WorkerUnavailable {
             detail: format!("could not spawn {}: {e}", bin.display()),
         };
-        let (child, sink, source, ring, peer) = match self.transport {
+        let (child, sink, source, ring) = match self.transport {
             Transport::Pipes => {
                 let mut child = Command::new(bin)
                     .stdin(Stdio::piped())
@@ -123,9 +123,8 @@ impl ProcBackend {
                     .map_err(unavailable)?;
                 let stdin = child.stdin.take().expect("stdin was piped");
                 let stdout = child.stdout.take().expect("stdout was piped");
-                let peer = format!("pipe:{w}");
-                let (sink, source) = stream_connection(peer.clone(), stdin, stdout).split();
-                (child, sink, source, None, peer)
+                let (sink, source) = stream_connection(format!("pipe:{w}"), stdin, stdout).split();
+                (child, sink, source, None)
             }
             Transport::Shm => {
                 let path = shm::ring_path(&format!("w{w}"));
@@ -144,19 +143,10 @@ impl ProcBackend {
                     Box::new(sink) as Box<dyn FrameSink>,
                     Box::new(source) as Box<dyn FrameSource>,
                     Some(path),
-                    format!("shm:{w}"),
                 )
             }
         };
-        Ok(Arrival {
-            peer,
-            pid: u64::from(child.id()),
-            sink,
-            source,
-            child: Some(child),
-            ring,
-            joined: false,
-        })
+        master.arrive(u64::from(child.id()), sink, source, Some(child), ring)
     }
 }
 
@@ -191,28 +181,31 @@ impl Backend for ProcBackend {
         config: &GraspConfig,
         compiled: &Self::Compiled,
     ) -> Result<SkeletonOutcome, GraspError> {
-        let mut master = FrameMaster::new(&self.frame, config, &compiled.job, self.workers, None);
+        let mut master = FrameMaster::new(
+            &self.frame,
+            config,
+            &compiled.job,
+            self.workers,
+            None,
+            JoinPolicy::default(),
+        );
         for w in 0..self.workers {
-            master.admit(self.spawn(w, &compiled.worker_bin)?);
+            self.spawn(w, &compiled.worker_bin, &mut master)?;
         }
-        master.run(&mut Spawned)
-    }
-}
-
-/// The process backend's membership: the fixed pool admitted at launch.
-struct Spawned;
-
-impl Membership for Spawned {
-    fn detail(&self, r: FrameReport) -> OutcomeDetail {
-        OutcomeDetail::ProcFarm {
-            workers: r.workers,
-            tasks_per_worker: r.tasks_per_worker,
-            bytes_sent: r.bytes_sent,
-            bytes_received: r.bytes_received,
-            wire_write_s: r.wire_write_s,
-            wire_encode_s: r.wire_encode_s,
-            bytes_copied: r.bytes_copied,
-            unit_digests: r.unit_digests,
-        }
+        let run = master.run()?;
+        let r = run.report;
+        Ok(SkeletonOutcome {
+            detail: OutcomeDetail::ProcFarm {
+                workers: r.members.len(),
+                tasks_per_worker: r.members.iter().map(|m| m.units_completed).collect(),
+                bytes_sent: r.bytes_sent,
+                bytes_received: r.bytes_received,
+                wire_write_s: r.wire_write_s,
+                wire_encode_s: r.wire_encode_s,
+                bytes_copied: r.bytes_copied,
+                unit_digests: r.unit_digests,
+            },
+            ..run.outcome
+        })
     }
 }

@@ -18,15 +18,14 @@
 //!   the backend-neutral [`grasp_core::engine::AdaptationEngine`] in
 //!   executor mode, so calibrate → monitor → threshold-*Z* → demote/resample
 //!   works unchanged — *demotion closes the worker's channel*;
-//! * a hard-killed worker (`kill -9`) is detected by pipe EOF and by a
-//!   heartbeat timeout in the [`gridmon::MonitorRegistry`], and its
-//!   in-flight units are requeued exactly like the simulated grid's
-//!   revocation path, so unit conservation and the
-//!   [`grasp_core::ResilienceReport`] hold.
+//! * a hard-killed worker (`kill -9`) is detected by pipe EOF or by its
+//!   heartbeats going silent, and its in-flight units are requeued exactly
+//!   like the simulated grid's revocation path, so unit conservation and
+//!   the [`grasp_core::ResilienceReport`] hold.
 //!
-//! The master loop is [`master::FrameMaster`], which the socket backend
-//! (`grasp-net`) drives too; the worker's serve loop is
-//! [`worker::serve`], likewise shared.
+//! The master is a pure core behind one threaded driver,
+//! [`master::FrameMaster`], which the socket backend (`grasp-net`) drives
+//! too; the worker's serve loop is [`worker::serve`], likewise shared.
 //!
 //! ## The worker binary
 //!
