@@ -63,7 +63,6 @@ pub struct JoinPolicy {
 }
 
 /// What happened, as the core sees it.
-#[derive(Debug)]
 pub(crate) enum Input {
     /// Link `link` passed its handshake: worker process `pid`, registered
     /// with `Join` (takes units at once) or spawned (once it says `Hello`).
