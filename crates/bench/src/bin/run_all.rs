@@ -6,6 +6,7 @@
 //! cargo run --release -p grasp-bench --bin run_all > results.txt
 //! cargo run --release -p grasp-bench --bin run_all -- --smoke   # tiny CI scale
 //! cargo run --release -p grasp-bench --bin run_all -- --json out.json
+//! cargo run --release -p grasp-bench --bin run_all -- --only E4      # one experiment
 //! cargo run --release -p grasp-bench --bin run_all -- --check out.json --baseline BENCH_baseline.json
 //! ```
 //!
@@ -13,6 +14,11 @@
 //! CI gate that the whole harness stays runnable); the default is paper
 //! scale.  `--json PATH` overrides the output path (default
 //! `BENCH_results.json` in the working directory).
+//!
+//! `--only E<n>` runs that one experiment (at the chosen scale) and prints
+//! its table and/or series; it writes no results file, so a partial run can
+//! never overwrite a complete one.  An unknown id exits 2 with the list of
+//! valid ids, and a failing experiment exits 1.
 //!
 //! A panicking experiment no longer aborts the run: its panic is caught and
 //! recorded as a structured `{"type":"failed",…}` entry so the remaining
@@ -98,9 +104,17 @@ const SMOKE: Scale = Scale {
     e17: (12, 25.0),
 };
 
+/// Every experiment id, in run order.
+const IDS: [&str; 17] = [
+    "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E14", "E15",
+    "E16", "E17",
+];
+
 /// Collects printed experiment results and their JSON renderings.
 #[derive(Default)]
 struct Results {
+    /// Run only this experiment (`--only`); `None` runs them all.
+    only: Option<String>,
     json_parts: Vec<String>,
     failed: usize,
 }
@@ -120,6 +134,9 @@ impl Results {
     /// structured `failed` record (and drops its partial output) instead of
     /// aborting the rest of the harness.
     fn experiment(&mut self, id: &str, run: impl FnOnce(&mut Results)) {
+        if self.only.as_deref().is_some_and(|only| only != id) {
+            return;
+        }
         let recorded_before = self.json_parts.len();
         if let Err(panic) = catch_unwind(AssertUnwindSafe(|| run(self))) {
             let message = panic
@@ -158,7 +175,7 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         Some(i) => match args.get(i + 1) {
             Some(v) if !v.starts_with("--") => Some(v.clone()),
             _ => {
-                eprintln!("run_all: {flag} requires a path argument");
+                eprintln!("run_all: {flag} requires a value");
                 std::process::exit(2);
             }
         },
@@ -188,10 +205,27 @@ fn main() {
     } else {
         PAPER
     };
-    let json_path = flag_value(&args, "--json").unwrap_or_else(|| "BENCH_results.json".to_string());
+    let json_path = flag_value(&args, "--json");
+    let only = flag_value(&args, "--only");
+    if let Some(id) = &only {
+        if !IDS.contains(&id.as_str()) {
+            eprintln!(
+                "run_all: unknown experiment id `{id}`; valid ids: {}",
+                IDS.join(", ")
+            );
+            std::process::exit(2);
+        }
+        if json_path.is_some() {
+            eprintln!("run_all: --only writes no results file; drop --json");
+            std::process::exit(2);
+        }
+    }
 
     let seed = ScenarioSeed::default();
-    let mut out = Results::default();
+    let mut out = Results {
+        only,
+        ..Results::default()
+    };
 
     out.experiment("E1", |out| {
         out.table(&e1_calibration_quality(scale.e1.0, scale.e1.1, seed));
@@ -261,5 +295,11 @@ fn main() {
         out.table(&e17_speculation(scale.e17.0, scale.e17.1));
     });
 
-    out.write(&json_path);
+    if out.only.is_some() {
+        if out.failed > 0 {
+            std::process::exit(1);
+        }
+        return;
+    }
+    out.write(json_path.as_deref().unwrap_or("BENCH_results.json"));
 }

@@ -1,8 +1,8 @@
 //! The experiments of DESIGN.md's index (E1–E17), as reusable functions.
 //!
 //! Each function runs one experiment at a caller-chosen scale and returns a
-//! [`Table`] and/or [`Series`] ready to print.  The `exp_*` binaries call
-//! them at "paper scale"; the unit tests call them at a reduced scale to keep
+//! [`Table`] and/or [`Series`] ready to print.  The `run_all` binary calls
+//! them at "paper scale" (or smoke scale); the unit tests call them at a reduced scale to keep
 //! the suite fast while still asserting the qualitative shape of each result
 //! (who wins, in which direction parameters move the outcome).
 

@@ -1,10 +1,11 @@
 //! # grasp-bench — the experiment harness
 //!
-//! One module per experiment of DESIGN.md's experiment index (E1–E11), plus
+//! One module per experiment of DESIGN.md's experiment index (E1–E17), plus
 //! shared scenario builders and plain-text table/series formatters.  The
-//! `exp_*` binaries under `src/bin/` print the tables and figure series the
-//! paper-style evaluation reports; the Criterion benches under `benches/`
-//! measure the wall-clock cost of the same code paths.
+//! `run_all` binary prints the tables and figure series the paper-style
+//! evaluation reports (all of them, or one with `--only E<n>`); the
+//! Criterion benches under `benches/` measure the wall-clock cost of the
+//! same code paths.
 //!
 //! Everything here is deterministic: scenarios are seeded, and the simulated
 //! grid advances virtual time only.

@@ -1,8 +1,8 @@
 //! Plain-text report formatting (aligned tables and CSV-style series).
 //!
-//! The experiment binaries print their results through these helpers so the
-//! output of `cargo run -p grasp-bench --bin exp_*` can be pasted directly
-//! into EXPERIMENTS.md.
+//! The experiment harness prints its results through these helpers so the
+//! output of `cargo run -p grasp-bench --bin run_all -- --only E<n>` can be
+//! pasted directly into EXPERIMENTS.md.
 
 /// A simple column-aligned table.
 #[derive(Debug, Clone, Default)]

@@ -104,15 +104,6 @@ impl CalibrationReport {
             .collect()
     }
 
-    /// The calibrated weight of a node (1.0 for unknown nodes).
-    pub fn weight_of(&self, node: NodeId) -> f64 {
-        self.table
-            .iter()
-            .find(|c| c.node == node)
-            .map(|c| c.weight)
-            .unwrap_or(1.0)
-    }
-
     /// Render the table as an aligned text report (used by examples and the
     /// experiment binaries).
     pub fn to_table_string(&self) -> String {
@@ -542,8 +533,9 @@ mod tests {
         // 50 % selection of 4 nodes → the 2 fastest.
         assert_eq!(report.chosen, vec![NodeId(3), NodeId(2)]);
         // Weights: the fastest chosen node is above-average.
-        assert!(report.weight_of(NodeId(3)) > 1.0);
-        assert_eq!(report.weight_of(NodeId(0)), 0.0);
+        let weight_of = |n| report.table.iter().find(|c| c.node == n).unwrap().weight;
+        assert!(weight_of(NodeId(3)) > 1.0);
+        assert_eq!(weight_of(NodeId(0)), 0.0);
         assert!(report.duration.as_secs() > 0.0);
         assert_eq!(report.tasks_consumed, 8);
         assert_eq!(report.outcomes.len(), 8);

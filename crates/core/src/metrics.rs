@@ -89,15 +89,6 @@ impl ThroughputTimeline {
         self.buckets.iter().sum()
     }
 
-    /// Mean throughput over the non-empty prefix of the timeline.
-    pub fn mean_rate(&self) -> f64 {
-        if self.buckets.is_empty() {
-            0.0
-        } else {
-            self.total() as f64 / (self.buckets.len() as f64 * self.interval_s)
-        }
-    }
-
     /// Minimum bucket throughput (tasks/s) — the depth of the dip a load
     /// spike causes.
     pub fn min_rate(&self) -> f64 {
@@ -143,7 +134,6 @@ mod tests {
         let rates = tl.rates();
         assert!((rates[0] - 0.2).abs() < 1e-12);
         assert!((rates[2] - 0.3).abs() < 1e-12);
-        assert!((tl.mean_rate() - 0.2).abs() < 1e-12);
         assert!((tl.min_rate() - 0.1).abs() < 1e-12);
     }
 
@@ -152,7 +142,6 @@ mod tests {
         let tl = ThroughputTimeline::new(5.0);
         assert!(tl.is_empty());
         assert_eq!(tl.total(), 0);
-        assert_eq!(tl.mean_rate(), 0.0);
     }
 
     #[test]

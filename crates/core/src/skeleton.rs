@@ -480,18 +480,6 @@ impl ResilienceReport {
             && self.migrated_stages == 0
             && self.nodes_lost == 0
     }
-
-    /// Total recovery **and adaptation** events across all counters
-    /// (overlapping views are summed — useful only as a "did anything
-    /// happen" magnitude).
-    pub fn total_events(&self) -> usize {
-        self.requeued_tasks
-            + self.retried_tasks
-            + self.migrated_stages
-            + self.nodes_lost
-            + self.speculated_units
-            + self.speculation_wins
-    }
 }
 
 /// How a network worker ended its pool membership.
@@ -1223,7 +1211,6 @@ mod tests {
             outcome.resilience.requeued_tasks
         );
         assert!(!outcome.resilience.is_clean());
-        assert!(outcome.resilience.total_events() >= 3);
 
         // A quiet grid reports a clean run.
         let quiet = Grid::dedicated(TopologyBuilder::uniform_cluster(4, 30.0));

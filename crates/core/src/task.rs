@@ -125,15 +125,6 @@ impl TaskOutcome {
     pub fn duration(&self) -> SimTime {
         self.completed - self.dispatched
     }
-
-    /// Duration per work unit — the size-independent performance signal fed
-    /// to calibration ranking and the execution monitor.  Irregular tasks
-    /// would otherwise make a fast node that drew a heavy task look slow.
-    /// Zero-work (pure-communication) tasks report their raw duration; see
-    /// [`normalize_time`].
-    pub fn normalized_time(&self) -> f64 {
-        normalize_time(self.work, self.duration().as_secs())
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +170,6 @@ mod tests {
             during_calibration: false,
         };
         assert!((o.duration().as_secs() - 4.5).abs() < 1e-12);
-        assert!((o.normalized_time() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -193,7 +183,7 @@ mod tests {
             during_calibration: false,
         };
         // Pure-communication task: no epsilon-division blow-up.
-        assert!((o.normalized_time() - 0.25).abs() < 1e-12);
+        assert!((normalize_time(o.work, o.duration().as_secs()) - 0.25).abs() < 1e-12);
         let spec = TaskSpec::new(0, 0.0, 1024, 0);
         assert!((spec.normalize_time(0.25) - 0.25).abs() < 1e-12);
     }

@@ -6,23 +6,21 @@
 //! (Algorithm 1).  On the paper's testbed this role is played by an NWS-style
 //! monitoring service; here we implement the equivalent library:
 //!
-//! * [`sensor`] — sensors that sample CPU load and bandwidth availability
-//!   from a [`gridsim::Grid`], optionally with measurement noise, mimicking a
-//!   real monitor's imperfect observations;
 //! * [`series`] — bounded time series storing recent observations;
 //! * [`forecast`] — one-step-ahead predictors (last value, running mean,
 //!   sliding-window mean/median, exponential smoothing, AR(1)) plus an
 //!   adaptive selector that tracks each predictor's error and uses the
 //!   current best — the same trick the Network Weather Service uses;
-//! * [`registry`] — a per-node monitor registry tying sensors, series and
-//!   forecasters together for the calibration and execution phases.
+//! * [`registry`] — a per-node monitor registry that samples CPU load and
+//!   bandwidth availability from a [`gridsim::Grid`] (or records wall-clock
+//!   observations) and ties series and forecasters together for the
+//!   calibration and execution phases.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod forecast;
 pub mod registry;
-pub mod sensor;
 pub mod series;
 
 pub use forecast::{
@@ -30,5 +28,4 @@ pub use forecast::{
     LastValue, RunningMean, SlidingWindowMean, SlidingWindowMedian,
 };
 pub use registry::{MonitorRegistry, NodeObservation};
-pub use sensor::{BandwidthSensor, CpuLoadSensor, NoisySensor, Sensor};
 pub use series::TimeSeries;

@@ -1,13 +1,13 @@
 //! Per-node monitor registry.
 //!
-//! The registry is what the GRASP phases actually hold: one bounded series
-//! and one adaptive forecaster per monitored node (CPU) and, optionally, per
-//! node pair (bandwidth towards the root node, i.e. the master).  Each
-//! holder pays only for what it reads: calibration samples every candidate
-//! once and reads the *current* values it gets back to adjust the
-//! execution-time table, and so does the sim farm's recalibration; the
-//! thread backend feeds one observation per worker per monitor interval and
-//! reads the CPU-load forecasts at the end of a run.
+//! The registry is what the GRASP phases actually hold: one bounded CPU-load
+//! series and one adaptive forecaster per monitored node.  Each holder pays
+//! only for what it reads: calibration samples every candidate once and reads
+//! the *current* CPU and bandwidth (towards the root node, i.e. the master)
+//! values it gets back to adjust the execution-time table, and so does the
+//! sim farm's recalibration; the thread backend feeds one observation per
+//! worker per monitor interval and reads the CPU-load forecasts at the end of
+//! a run.
 
 use crate::forecast::{AdaptiveForecaster, Forecaster};
 use crate::series::TimeSeries;
@@ -62,19 +62,20 @@ impl NodeObservation {
 
 struct NodeMonitor {
     cpu_series: TimeSeries,
-    bw_series: TimeSeries,
     cpu_forecast: AdaptiveForecaster,
-    bw_forecast: AdaptiveForecaster,
 }
 
 impl NodeMonitor {
     fn new(history: usize) -> Self {
         NodeMonitor {
             cpu_series: TimeSeries::with_capacity(history),
-            bw_series: TimeSeries::with_capacity(history),
             cpu_forecast: AdaptiveForecaster::standard(),
-            bw_forecast: AdaptiveForecaster::standard(),
         }
+    }
+
+    fn push(&mut self, t: SimTime, cpu_load: f64) {
+        self.cpu_series.push(t, cpu_load);
+        self.cpu_forecast.observe(cpu_load);
     }
 }
 
@@ -102,22 +103,6 @@ impl MonitorRegistry {
         self.root
     }
 
-    /// Number of nodes currently monitored.
-    pub fn monitored_nodes(&self) -> usize {
-        self.monitors.len()
-    }
-
-    /// Sample every given node from the grid at time `t`, updating series and
-    /// forecasters, and return the fresh observations.
-    pub fn observe_all(
-        &mut self,
-        grid: &Grid,
-        nodes: &[NodeId],
-        t: SimTime,
-    ) -> Vec<NodeObservation> {
-        nodes.iter().map(|&n| self.observe(grid, n, t)).collect()
-    }
-
     /// Sample one node from the grid at time `t`.
     pub fn observe(&mut self, grid: &Grid, node: NodeId, t: SimTime) -> NodeObservation {
         let cpu = grid.cpu_load(node, t);
@@ -126,14 +111,7 @@ impl MonitorRegistry {
         } else {
             grid.bandwidth_availability(node, self.root, t)
         };
-        let entry = self
-            .monitors
-            .entry(node)
-            .or_insert_with(|| NodeMonitor::new(self.history));
-        entry.cpu_series.push(t, cpu);
-        entry.bw_series.push(t, bw);
-        entry.cpu_forecast.observe(cpu);
-        entry.bw_forecast.observe(bw);
+        self.record_cpu(node, t, cpu);
         NodeObservation {
             node,
             time: t,
@@ -145,45 +123,21 @@ impl MonitorRegistry {
     /// Record an externally measured observation (e.g. taken by a worker and
     /// shipped to the root) without touching the grid.
     pub fn record(&mut self, obs: NodeObservation) {
-        let entry = self
-            .monitors
-            .entry(obs.node)
-            .or_insert_with(|| NodeMonitor::new(self.history));
-        entry.cpu_series.push(obs.time, obs.cpu_load);
-        entry.bw_series.push(obs.time, obs.bandwidth_availability);
-        entry.cpu_forecast.observe(obs.cpu_load);
-        entry.bw_forecast.observe(obs.bandwidth_availability);
+        self.record_cpu(obs.node, obs.time, obs.cpu_load);
     }
 
-    /// Latest observed CPU load of a node, if any.
-    pub fn latest_cpu_load(&self, node: NodeId) -> Option<f64> {
-        self.monitors.get(&node).and_then(|m| m.cpu_series.last())
-    }
-
-    /// Latest observed bandwidth availability of a node, if any.
-    pub fn latest_bandwidth(&self, node: NodeId) -> Option<f64> {
-        self.monitors.get(&node).and_then(|m| m.bw_series.last())
+    fn record_cpu(&mut self, node: NodeId, t: SimTime, cpu_load: f64) {
+        let history = self.history;
+        self.monitors
+            .entry(node)
+            .or_insert_with(|| NodeMonitor::new(history))
+            .push(t, cpu_load);
     }
 
     /// Forecast CPU load of a node; falls back to the latest observation.
     pub fn forecast_cpu_load(&self, node: NodeId) -> Option<f64> {
         let m = self.monitors.get(&node)?;
         m.cpu_forecast.predict().or_else(|| m.cpu_series.last())
-    }
-
-    /// Forecast bandwidth availability of a node; falls back to the latest
-    /// observation.
-    pub fn forecast_bandwidth(&self, node: NodeId) -> Option<f64> {
-        let m = self.monitors.get(&node)?;
-        m.bw_forecast.predict().or_else(|| m.bw_series.last())
-    }
-
-    /// The recorded CPU-load history of a node (oldest first).
-    pub fn cpu_history(&self, node: NodeId) -> Vec<f64> {
-        self.monitors
-            .get(&node)
-            .map(|m| m.cpu_series.values())
-            .unwrap_or_default()
     }
 
     /// Drop all recorded state (used when a recalibration decides to start
@@ -211,19 +165,20 @@ mod tests {
     fn observe_populates_series_and_forecasts() {
         let g = grid();
         let mut reg = MonitorRegistry::new(NodeId(0), 64);
-        let nodes: Vec<NodeId> = g.node_ids();
+        let mut last = Vec::new();
         for i in 0..10 {
-            reg.observe_all(&g, &nodes, SimTime::new(i as f64 * 5.0));
+            let t = SimTime::new(i as f64 * 5.0);
+            last = g.node_ids().iter().map(|&n| reg.observe(&g, n, t)).collect();
         }
-        assert_eq!(reg.monitored_nodes(), 4);
-        assert!((reg.latest_cpu_load(NodeId(1)).unwrap() - 0.5).abs() < 1e-12);
-        assert_eq!(reg.latest_cpu_load(NodeId(0)).unwrap(), 0.0);
+        assert!((last[1].cpu_load - 0.5).abs() < 1e-12);
+        assert_eq!(last[0].cpu_load, 0.0);
         // Root's bandwidth to itself is perfect; remote node sees link load.
-        assert_eq!(reg.latest_bandwidth(NodeId(0)).unwrap(), 1.0);
-        assert!((reg.latest_bandwidth(NodeId(3)).unwrap() - 0.8).abs() < 1e-12);
-        assert!(reg.forecast_cpu_load(NodeId(1)).is_some());
-        assert!(reg.forecast_bandwidth(NodeId(3)).is_some());
-        assert_eq!(reg.cpu_history(NodeId(1)).len(), 10);
+        assert_eq!(last[0].bandwidth_availability, 1.0);
+        assert!((last[3].bandwidth_availability - 0.8).abs() < 1e-12);
+        for n in g.node_ids() {
+            assert!(reg.forecast_cpu_load(n).is_some());
+        }
+        assert!((reg.forecast_cpu_load(NodeId(1)).unwrap() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -240,9 +195,7 @@ mod tests {
     #[test]
     fn unknown_node_has_no_data() {
         let reg = MonitorRegistry::new(NodeId(0), 16);
-        assert!(reg.latest_cpu_load(NodeId(9)).is_none());
         assert!(reg.forecast_cpu_load(NodeId(9)).is_none());
-        assert!(reg.cpu_history(NodeId(9)).is_empty());
     }
 
     #[test]
@@ -288,8 +241,7 @@ mod tests {
             cpu_load: 0.33,
             bandwidth_availability: 0.9,
         });
-        assert!((reg.latest_cpu_load(NodeId(7)).unwrap() - 0.33).abs() < 1e-12);
-        assert!((reg.latest_bandwidth(NodeId(7)).unwrap() - 0.9).abs() < 1e-12);
+        assert!((reg.forecast_cpu_load(NodeId(7)).unwrap() - 0.33).abs() < 1e-12);
     }
 
     #[test]
@@ -297,8 +249,8 @@ mod tests {
         let g = grid();
         let mut reg = MonitorRegistry::new(NodeId(0), 16);
         reg.observe(&g, NodeId(1), SimTime::ZERO);
-        assert_eq!(reg.monitored_nodes(), 1);
+        assert!(reg.forecast_cpu_load(NodeId(1)).is_some());
         reg.clear();
-        assert_eq!(reg.monitored_nodes(), 0);
+        assert!(reg.forecast_cpu_load(NodeId(1)).is_none());
     }
 }

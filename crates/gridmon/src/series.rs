@@ -64,11 +64,6 @@ impl TimeSeries {
         self.values.back().copied()
     }
 
-    /// Most recent observation time.
-    pub fn last_time(&self) -> Option<SimTime> {
-        self.times.back().copied().map(SimTime::new)
-    }
-
     /// All stored values, oldest first.
     pub fn values(&self) -> Vec<f64> {
         self.values.iter().copied().collect()
@@ -83,12 +78,6 @@ impl TimeSeries {
     pub fn last_n(&self, n: usize) -> Vec<f64> {
         let start = self.values.len().saturating_sub(n);
         self.values.iter().skip(start).copied().collect()
-    }
-
-    /// Mean of the `n` most recent values; `None` when empty.
-    pub fn mean_of_last(&self, n: usize) -> Option<f64> {
-        let vals = self.last_n(n);
-        gridstats::mean(&vals)
     }
 
     /// Values observed at or after `since`, oldest first.
@@ -117,7 +106,6 @@ mod tests {
         s.push(t(2.0), 0.6);
         assert_eq!(s.len(), 2);
         assert_eq!(s.last(), Some(0.6));
-        assert_eq!(s.last_time(), Some(t(2.0)));
         assert_eq!(s.values(), vec![0.5, 0.6]);
         assert_eq!(s.times(), vec![1.0, 2.0]);
     }
@@ -156,8 +144,6 @@ mod tests {
         }
         assert_eq!(s.last_n(2), vec![4.0, 5.0]);
         assert_eq!(s.last_n(99).len(), 5);
-        assert!((s.mean_of_last(2).unwrap() - 4.5).abs() < 1e-12);
-        assert!(TimeSeries::with_capacity(3).mean_of_last(2).is_none());
     }
 
     #[test]

@@ -123,39 +123,6 @@ impl Ord for SimTime {
     }
 }
 
-/// A monotonically advancing virtual clock.
-///
-/// The skeleton simulations advance the clock explicitly; attempting to move
-/// it backwards is a no-op, which makes out-of-order completions harmless.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct VirtualClock {
-    now: SimTime,
-}
-
-impl VirtualClock {
-    /// A clock starting at time zero.
-    pub fn new() -> Self {
-        VirtualClock { now: SimTime::ZERO }
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advance the clock *to* an absolute time; ignored if `t` is in the past.
-    pub fn advance_to(&mut self, t: SimTime) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-
-    /// Advance the clock *by* a duration.
-    pub fn advance_by(&mut self, dt: SimTime) {
-        self.now += SimTime::new(dt.as_secs());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,17 +152,6 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.min(b), a);
         assert_eq!(a.max(b), b);
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let mut c = VirtualClock::new();
-        c.advance_to(SimTime::new(10.0));
-        assert_eq!(c.now().as_secs(), 10.0);
-        c.advance_to(SimTime::new(5.0));
-        assert_eq!(c.now().as_secs(), 10.0, "clock must not run backwards");
-        c.advance_by(SimTime::new(2.0));
-        assert_eq!(c.now().as_secs(), 12.0);
     }
 
     #[test]

@@ -94,21 +94,11 @@ impl<E> EventQueue<E> {
         self.heap.push(ScheduledEvent { time, seq, payload });
     }
 
-    /// Schedule `payload` after a delay relative to the current time.
-    pub fn schedule_in(&mut self, delay: SimTime, payload: E) {
-        self.schedule_at(self.now + delay, payload);
-    }
-
     /// Pop the next event, advancing the queue's clock to its time.
     pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         let ev = self.heap.pop()?;
         self.now = ev.time;
         Some(ev)
-    }
-
-    /// Peek at the time of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
     }
 
     /// Drain and discard every pending event (used when a simulation aborts).
@@ -159,15 +149,6 @@ mod tests {
         let ev = q.pop().unwrap();
         assert_eq!(ev.payload, "late");
         assert_eq!(ev.time, SimTime::new(10.0));
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        q.schedule_at(SimTime::new(3.0), 0);
-        q.pop();
-        q.schedule_in(SimTime::new(2.0), 1);
-        assert_eq!(q.peek_time(), Some(SimTime::new(5.0)));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //!   a task started just before a load spike genuinely takes longer.
 //! * *How long does a `b`-byte message take between nodes?* —
 //!   [`Grid::transfer`].
-//! * *What do the monitoring sensors read right now?* — [`Grid::cpu_load`],
-//!   [`Grid::bandwidth_availability`]; these feed the `gridmon` sensors and
-//!   through them the statistical calibration.
+//! * *What would a resource monitor read right now?* — [`Grid::cpu_load`],
+//!   [`Grid::bandwidth_availability`]; the `gridmon` registry samples these
+//!   and through it they feed the statistical calibration.
 //!
 //! The grid itself never schedules anything: scheduling is the skeletons' job.
 
@@ -227,14 +227,6 @@ impl GridBuilder {
     pub fn node_load(mut self, node: NodeId, model: impl LoadModel + 'static) -> Self {
         if node.index() < self.node_loads.len() {
             self.node_loads[node.index()] = Arc::new(model);
-        }
-        self
-    }
-
-    /// Attach a pre-boxed load model to one node (for models chosen at runtime).
-    pub fn node_load_arc(mut self, node: NodeId, model: Arc<dyn LoadModel>) -> Self {
-        if node.index() < self.node_loads.len() {
-            self.node_loads[node.index()] = model;
         }
         self
     }

@@ -12,7 +12,7 @@
 //!
 //! * A [`topology::GridTopology`] is a set of [`site::Site`]s (administrative
 //!   domains), each containing [`node::NodeSpec`]s with heterogeneous base
-//!   speeds and core counts, connected by [`link::LinkSpec`]s with bandwidth
+//!   speeds, connected by [`link::LinkSpec`]s with bandwidth
 //!   and latency.
 //! * Every node carries an **external load model** ([`load`]) describing the
 //!   CPU fraction consumed by other grid users over time, and every link a
@@ -44,7 +44,7 @@ pub mod site;
 pub mod topology;
 pub mod trace;
 
-pub use clock::{SimTime, VirtualClock};
+pub use clock::SimTime;
 pub use event::{EventQueue, ScheduledEvent};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use grid::{Grid, GridBuilder, TransferEstimate};

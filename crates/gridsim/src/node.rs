@@ -1,8 +1,7 @@
 //! Grid nodes.
 //!
 //! A node models one processing element of the grid: a base speed in abstract
-//! *work units per second*, a core count, memory, and the administrative site
-//! it belongs to.  Heterogeneity — the central difficulty GRASP addresses —
+//! *work units per second* and the administrative site it belongs to.  Heterogeneity — the central difficulty GRASP addresses —
 //! is expressed through differing base speeds and differing external load.
 
 use crate::site::SiteId;
@@ -36,43 +35,19 @@ pub struct NodeSpec {
     /// Base processing speed in work units per virtual second, with the whole
     /// machine to itself.  Heterogeneity is expressed as differing speeds.
     pub base_speed: f64,
-    /// Number of cores.  GRASP's task farm may place several workers on a
-    /// multi-core node.
-    pub cores: usize,
-    /// Main memory in MiB (used only for capacity-style filtering).
-    pub memory_mib: u64,
     /// Administrative site (cluster / virtual organisation) this node is in.
     pub site: SiteId,
 }
 
 impl NodeSpec {
-    /// Create a node spec with the given speed and a single core.
+    /// Create a node spec with the given speed.
     pub fn new(id: NodeId, name: impl Into<String>, base_speed: f64, site: SiteId) -> Self {
         NodeSpec {
             id,
             name: name.into(),
             base_speed: if base_speed > 0.0 { base_speed } else { 1.0 },
-            cores: 1,
-            memory_mib: 2048,
             site,
         }
-    }
-
-    /// Builder-style core-count override.
-    pub fn with_cores(mut self, cores: usize) -> Self {
-        self.cores = cores.max(1);
-        self
-    }
-
-    /// Builder-style memory override.
-    pub fn with_memory_mib(mut self, memory_mib: u64) -> Self {
-        self.memory_mib = memory_mib;
-        self
-    }
-
-    /// Time to execute `work` units at full availability.
-    pub fn dedicated_time(&self, work: f64) -> f64 {
-        work / self.base_speed
     }
 }
 
@@ -102,25 +77,6 @@ mod tests {
         assert_eq!(n.base_speed, 1.0);
         let n = NodeSpec::new(NodeId(0), "x", -3.0, SiteId(0));
         assert_eq!(n.base_speed, 1.0);
-    }
-
-    #[test]
-    fn dedicated_time_scales_with_speed() {
-        let slow = NodeSpec::new(NodeId(0), "slow", 10.0, SiteId(0));
-        let fast = NodeSpec::new(NodeId(1), "fast", 40.0, SiteId(0));
-        assert_eq!(slow.dedicated_time(100.0), 10.0);
-        assert_eq!(fast.dedicated_time(100.0), 2.5);
-    }
-
-    #[test]
-    fn builder_overrides() {
-        let n = NodeSpec::new(NodeId(0), "x", 5.0, SiteId(1))
-            .with_cores(8)
-            .with_memory_mib(16384);
-        assert_eq!(n.cores, 8);
-        assert_eq!(n.memory_mib, 16384);
-        let n0 = NodeSpec::new(NodeId(0), "x", 5.0, SiteId(1)).with_cores(0);
-        assert_eq!(n0.cores, 1, "core count must stay positive");
     }
 
     #[test]

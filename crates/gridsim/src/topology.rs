@@ -22,8 +22,6 @@ pub struct GridTopology {
     /// Wide-area links between pairs of sites (symmetric); keyed by the
     /// ordered pair (min, max).
     wan_links: BTreeMap<(usize, usize), LinkSpec>,
-    /// Link used between sites with no explicit WAN link declared.
-    default_wan: LinkSpec,
 }
 
 impl GridTopology {
@@ -42,11 +40,6 @@ impl GridTopology {
         self.nodes.len()
     }
 
-    /// Number of sites.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
     /// Node ids in index order.
     pub fn node_ids(&self) -> Vec<NodeId> {
         self.nodes.iter().map(|n| n.id).collect()
@@ -63,8 +56,8 @@ impl GridTopology {
     }
 
     /// The link used between two nodes: the site-local link when they share a
-    /// site, the declared WAN link between their sites otherwise (or the
-    /// default WAN link when none was declared).  `None` if either node id is
+    /// site, the declared WAN link between their sites otherwise (or
+    /// [`LinkSpec::wan`] when none was declared).  `None` if either node id is
     /// unknown.
     pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkSpec> {
         let na = self.node(a)?;
@@ -73,7 +66,7 @@ impl GridTopology {
             return self.site(na.site).map(|s| s.local_link);
         }
         let key = ordered(na.site.index(), nb.site.index());
-        Some(*self.wan_links.get(&key).unwrap_or(&self.default_wan))
+        Some(self.wan_links.get(&key).copied().unwrap_or_else(LinkSpec::wan))
     }
 
     /// Fastest dedicated node speed in the topology (0 when empty).
@@ -116,7 +109,6 @@ pub struct TopologyBuilder {
     nodes: Vec<NodeSpec>,
     sites: Vec<Site>,
     wan_links: BTreeMap<(usize, usize), LinkSpec>,
-    default_wan: LinkSpec,
 }
 
 impl Default for TopologyBuilder {
@@ -132,14 +124,7 @@ impl TopologyBuilder {
             nodes: Vec::new(),
             sites: Vec::new(),
             wan_links: BTreeMap::new(),
-            default_wan: LinkSpec::wan(),
         }
-    }
-
-    /// Set the link used between sites that have no explicit WAN link.
-    pub fn default_wan(mut self, link: LinkSpec) -> Self {
-        self.default_wan = link;
-        self
     }
 
     /// Add a site with the given local-area link; returns its id.
@@ -160,19 +145,6 @@ impl TopologyBuilder {
         id
     }
 
-    /// Add a node with explicit core count.
-    pub fn add_node_with_cores(
-        &mut self,
-        site: SiteId,
-        name: impl Into<String>,
-        base_speed: f64,
-        cores: usize,
-    ) -> NodeId {
-        let id = self.add_node(site, name, base_speed);
-        self.nodes[id.index()].cores = cores.max(1);
-        id
-    }
-
     /// Declare a WAN link between two sites (symmetric).
     pub fn connect_sites(&mut self, a: SiteId, b: SiteId, link: LinkSpec) -> &mut Self {
         self.wan_links.insert(ordered(a.index(), b.index()), link);
@@ -185,7 +157,6 @@ impl TopologyBuilder {
             nodes: self.nodes,
             sites: self.sites,
             wan_links: self.wan_links,
-            default_wan: self.default_wan,
         }
     }
 
@@ -255,7 +226,7 @@ impl TopologyBuilder {
         let remote_b = b.add_site("remote-b", LinkSpec::new(60.0, 5e-4));
         for i in 0..8 {
             let speed = 80.0 * rng.gen_range(0.9..1.1);
-            b.add_node_with_cores(edi, format!("edi-{i:02}"), speed, 2);
+            b.add_node(edi, format!("edi-{i:02}"), speed);
         }
         for i in 0..12 {
             let speed = 40.0 * rng.gen_range(0.8..1.2);
@@ -263,7 +234,7 @@ impl TopologyBuilder {
         }
         for i in 0..4 {
             let speed = 160.0 * rng.gen_range(0.95..1.05);
-            b.add_node_with_cores(remote_b, format!("rb-{i:02}"), speed, 4);
+            b.add_node(remote_b, format!("rb-{i:02}"), speed);
         }
         b.connect_sites(edi, remote_a, LinkSpec::wan());
         b.connect_sites(edi, remote_b, LinkSpec::new(20.0, 0.012));
@@ -289,7 +260,7 @@ mod tests {
         assert_eq!(n1, NodeId(1));
         let topo = b.build();
         assert_eq!(topo.node_count(), 2);
-        assert_eq!(topo.site_count(), 2);
+        assert_eq!(topo.sites().len(), 2);
         assert!(topo.site(s0).unwrap().contains(n0));
         assert!(!topo.site(s0).unwrap().contains(n1));
     }
@@ -311,7 +282,7 @@ mod tests {
         let n1 = b.add_node(s1, "n1", 10.0);
         let n2 = b.add_node(s2, "n2", 10.0);
         b.connect_sites(s0, s1, LinkSpec::internet());
-        let topo = b.default_wan(LinkSpec::wan()).build();
+        let topo = b.build();
         assert_eq!(topo.link_between(n0, n1).unwrap(), LinkSpec::internet());
         // Direction must not matter.
         assert_eq!(topo.link_between(n1, n0).unwrap(), LinkSpec::internet());
@@ -329,7 +300,7 @@ mod tests {
     fn uniform_cluster_is_homogeneous() {
         let topo = TopologyBuilder::uniform_cluster(8, 25.0);
         assert_eq!(topo.node_count(), 8);
-        assert_eq!(topo.site_count(), 1);
+        assert_eq!(topo.sites().len(), 1);
         assert!((topo.heterogeneity() - 1.0).abs() < 1e-12);
         assert!((topo.aggregate_speed() - 200.0).abs() < 1e-9);
         assert_eq!(topo.max_speed(), 25.0);
@@ -352,7 +323,7 @@ mod tests {
     #[test]
     fn multi_site_connects_every_pair() {
         let topo = TopologyBuilder::multi_site(&[(4, 10.0), (4, 20.0), (2, 40.0)]);
-        assert_eq!(topo.site_count(), 3);
+        assert_eq!(topo.sites().len(), 3);
         assert_eq!(topo.node_count(), 10);
         // Nodes in different sites should see a WAN link.
         let a = topo.sites()[0].nodes[0];
@@ -363,7 +334,7 @@ mod tests {
     #[test]
     fn paper_testbed_shape() {
         let topo = TopologyBuilder::paper_testbed(1);
-        assert_eq!(topo.site_count(), 3);
+        assert_eq!(topo.sites().len(), 3);
         assert_eq!(topo.node_count(), 24);
         assert!(topo.heterogeneity() > 2.0, "testbed must be heterogeneous");
     }

@@ -193,15 +193,6 @@ impl Summary {
     pub fn iqr(&self) -> f64 {
         self.p75 - self.p25
     }
-
-    /// Relative spread (coefficient of variation); 0 when the mean is 0.
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std_dev / self.mean
-        }
-    }
 }
 
 #[cfg(test)]
@@ -333,7 +324,6 @@ mod tests {
         assert!((s.min - 1.0).abs() < EPS);
         assert!((s.max - 5.0).abs() < EPS);
         assert!(s.iqr() > 0.0);
-        assert!(s.cv() > 0.0);
     }
 
     #[test]

@@ -19,9 +19,7 @@
 //! * [`ranking`] — ranking utilities (argsort, dense ranks, rank
 //!   correlation) used to order nodes by fitness;
 //! * [`outlier`] — robust outlier rejection (median absolute deviation,
-//!   interquartile fences) used to discard pathological calibration samples;
-//! * [`histogram`] — fixed-width histograms used by the benchmark harness to
-//!   summarise completion-time distributions.
+//!   interquartile fences) used to discard pathological calibration samples.
 //!
 //! All routines operate on `f64` slices, are deterministic, and are
 //! panic-free on well-formed input; degenerate inputs (empty slices, singular
@@ -32,7 +30,6 @@
 #![deny(unsafe_code)]
 
 pub mod descriptive;
-pub mod histogram;
 pub mod matrix;
 pub mod outlier;
 pub mod ranking;
@@ -42,7 +39,6 @@ pub use descriptive::{
     coefficient_of_variation, geometric_mean, harmonic_mean, max, mean, median, min, percentile,
     population_variance, sample_variance, std_dev, weighted_mean, zscores, Summary,
 };
-pub use histogram::Histogram;
 pub use matrix::Matrix;
 pub use outlier::{iqr_fences, mad, reject_outliers, OutlierPolicy};
 pub use ranking::{argsort_ascending, argsort_descending, dense_ranks, spearman_rho};

@@ -45,28 +45,6 @@ impl Matrix {
         Some(Matrix { rows, cols, data })
     }
 
-    /// Build a matrix from nested row slices. Returns `None` for ragged input
-    /// or an empty outer slice.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Option<Self> {
-        let r = rows.len();
-        if r == 0 {
-            return None;
-        }
-        let c = rows[0].len();
-        if c == 0 || rows.iter().any(|row| row.len() != c) {
-            return None;
-        }
-        let mut data = Vec::with_capacity(r * c);
-        for row in rows {
-            data.extend_from_slice(row);
-        }
-        Some(Matrix {
-            rows: r,
-            cols: c,
-            data,
-        })
-    }
-
     /// Build a column vector (n×1 matrix).
     pub fn column(values: &[f64]) -> Self {
         Matrix {
@@ -211,11 +189,6 @@ impl Matrix {
         self.solve(&Matrix::identity(self.rows))
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Element-wise maximum absolute difference against another matrix of the
     /// same shape; `None` on shape mismatch.
     pub fn max_abs_diff(&self, other: &Matrix) -> Option<f64> {
@@ -253,7 +226,7 @@ mod tests {
 
     #[test]
     fn identity_times_anything_is_identity_map() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let i = Matrix::identity(2);
         assert_eq!(i.matmul(&a).unwrap(), a);
         assert_eq!(a.matmul(&i).unwrap(), a);
@@ -261,8 +234,8 @@ mod tests {
 
     #[test]
     fn matmul_known_product() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
-        let b = Matrix::from_rows(&[vec![7.0, 8.0], vec![9.0, 10.0], vec![11.0, 12.0]]).unwrap();
+        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        let b = Matrix::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]).unwrap();
         let c = a.matmul(&b).unwrap();
         assert!(approx(c[(0, 0)], 58.0));
         assert!(approx(c[(0, 1)], 64.0));
@@ -282,14 +255,14 @@ mod tests {
 
     #[test]
     fn transpose_twice_is_identity() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
+        let a = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
         assert_eq!(a.transpose().transpose(), a);
     }
 
     #[test]
     fn solve_known_system() {
         // 2x + y = 5 ; x + 3y = 10  => x = 1, y = 3
-        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, 3.0]]).unwrap();
+        let a = Matrix::from_vec(2, 2, vec![2.0, 1.0, 1.0, 3.0]).unwrap();
         let b = Matrix::column(&[5.0, 10.0]);
         let x = a.solve(&b).unwrap();
         assert!(approx(x[(0, 0)], 1.0));
@@ -299,7 +272,7 @@ mod tests {
     #[test]
     fn solve_requires_pivoting() {
         // The (0,0) entry is zero: naive elimination would divide by zero.
-        let a = Matrix::from_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]).unwrap();
+        let a = Matrix::from_vec(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
         let b = Matrix::column(&[2.0, 3.0]);
         let x = a.solve(&b).unwrap();
         assert!(approx(x[(0, 0)], 3.0));
@@ -308,23 +281,17 @@ mod tests {
 
     #[test]
     fn singular_matrix_is_detected() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 2.0, 4.0]).unwrap();
         let b = Matrix::column(&[1.0, 2.0]);
         assert!(matches!(a.solve(&b), Err(StatsError::SingularMatrix)));
     }
 
     #[test]
     fn inverse_times_original_is_identity() {
-        let a = Matrix::from_rows(&[vec![4.0, 7.0], vec![2.0, 6.0]]).unwrap();
+        let a = Matrix::from_vec(2, 2, vec![4.0, 7.0, 2.0, 6.0]).unwrap();
         let inv = a.inverse().unwrap();
         let prod = a.matmul(&inv).unwrap();
         assert!(prod.max_abs_diff(&Matrix::identity(2)).unwrap() < 1e-9);
-    }
-
-    #[test]
-    fn from_rows_rejects_ragged() {
-        assert!(Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0]]).is_none());
-        assert!(Matrix::from_rows(&[]).is_none());
     }
 
     #[test]
@@ -333,14 +300,8 @@ mod tests {
     }
 
     #[test]
-    fn frobenius_norm_known() {
-        let a = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        assert!(approx(a.frobenius_norm(), 5.0));
-    }
-
-    #[test]
     fn row_extraction() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
+        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(a.row(1), vec![3.0, 4.0]);
     }
 }

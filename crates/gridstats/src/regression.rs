@@ -154,15 +154,6 @@ impl MultivariateFit {
         }
         Some(y)
     }
-
-    /// Root-mean-square error of the fit.
-    pub fn rmse(&self) -> f64 {
-        if self.residuals.is_empty() {
-            return 0.0;
-        }
-        let ss: f64 = self.residuals.iter().map(|r| r * r).sum();
-        (ss / self.residuals.len() as f64).sqrt()
-    }
 }
 
 /// Fit a multivariate OLS model with intercept.
@@ -318,7 +309,7 @@ mod tests {
         assert!((fit.coefficients[1] - 2.0).abs() < 1e-6);
         assert!((fit.coefficients[2] + 3.0).abs() < 1e-6);
         assert!(fit.r_squared > 0.999999);
-        assert!(fit.rmse() < 1e-6);
+        assert!(fit.residuals.iter().all(|r| r.abs() < 1e-6));
         assert!((fit.predict(&[5.0, 2.0]).unwrap() - 5.0).abs() < 1e-6);
     }
 

@@ -31,12 +31,19 @@ use grasp_proc::master::{FrameJob, FrameMaster, FrameSettings, JoinPolicy};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+/// Listener bind address in TCP mode (port 0 = OS-assigned).
+const BIND_ADDR: &str = "127.0.0.1:0";
+
+/// Master-clock seconds to wait for the first `wait_for` registrations
+/// before the run fails.
+const JOIN_TIMEOUT_S: f64 = 30.0;
+
 /// The socket execution backend with dynamic pool membership.
 ///
 /// Two construction modes share all the machinery:
 ///
-/// * [`NetBackend::new`] — production shape: bind a TCP listener
-///   (127.0.0.1 by default), spawn `workers` local `grasp-net-worker`
+/// * [`NetBackend::new`] — production shape: bind a TCP listener on
+///   127.0.0.1 (OS-assigned port), spawn `workers` local `grasp-net-worker`
 ///   processes pointed at it, and optionally spawn late joiners mid-run
 ///   (the [`FaultInjection`] `join_spawn` plan);
 /// * [`NetBackend::over`] — harness shape: run the same master over an
@@ -47,8 +54,6 @@ pub struct NetBackend {
     policy: JoinPolicy,
     /// Local worker processes to spawn at launch (TCP mode only).
     spawn_workers: usize,
-    /// Listener bind address (TCP mode; port 0 = OS-assigned).
-    bind_addr: String,
     /// Externally supplied acceptor (harness mode); taken by each execute
     /// and put back at orderly shutdown, so consecutive jobs share one
     /// membership endpoint.
@@ -64,7 +69,6 @@ impl std::fmt::Debug for NetBackend {
         f.debug_struct("NetBackend")
             .field("wait_for", &self.policy.wait_for)
             .field("spawn_workers", &self.spawn_workers)
-            .field("bind_addr", &self.bind_addr)
             .finish_non_exhaustive()
     }
 }
@@ -74,11 +78,10 @@ impl NetBackend {
         NetBackend {
             policy: JoinPolicy {
                 wait_for: wait_for.max(1),
-                join_timeout_s: 30.0,
+                join_timeout_s: JOIN_TIMEOUT_S,
                 ..JoinPolicy::default()
             },
             spawn_workers: 0,
-            bind_addr: "127.0.0.1:0".to_string(),
             acceptor: Mutex::new(None),
             join_calibration_units: None,
             frame: FrameSettings::default(),
@@ -102,13 +105,6 @@ impl NetBackend {
         let b = NetBackend::base(wait_for);
         *b.acceptor.lock().unwrap_or_else(|e| e.into_inner()) = Some(acceptor);
         b
-    }
-
-    /// Bind the listener to an explicit address (TCP mode; default
-    /// `127.0.0.1:0`).
-    pub fn with_bind_addr(mut self, addr: impl Into<String>) -> Self {
-        self.bind_addr = addr.into();
-        self
     }
 
     /// Apply a shared [`BackendConfig`]: the one builder every backend
@@ -141,13 +137,6 @@ impl NetBackend {
     /// it receives real units (default: the calibration sample count).
     pub fn with_join_calibration_units(mut self, units: usize) -> Self {
         self.join_calibration_units = Some(units);
-        self
-    }
-
-    /// Override how long the master waits for the first `wait_for`
-    /// registrations before failing the run.
-    pub fn with_join_timeout(mut self, timeout_s: f64) -> Self {
-        self.policy.join_timeout_s = timeout_s.max(1e-3);
         self
     }
 
@@ -234,7 +223,7 @@ impl Backend for NetBackend {
         let was_external = external.is_some();
         let acceptor: Box<dyn Acceptor> = match external {
             Some(a) => a,
-            None if self.spawns_workers() => Box::new(TcpAcceptor::bind(self.bind_addr.as_str())?),
+            None if self.spawns_workers() => Box::new(TcpAcceptor::bind(BIND_ADDR)?),
             None => {
                 return Err(GraspError::WorkerUnavailable {
                     detail: "no acceptor available: a previous execute ended without \

@@ -46,11 +46,6 @@ impl SyntheticImage {
         }
     }
 
-    /// Bytes of one frame (4 bytes per pixel).
-    pub fn byte_size(&self) -> u64 {
-        (self.pixels.len() * 4) as u64
-    }
-
     fn at(&self, x: isize, y: isize) -> f32 {
         let x = x.clamp(0, self.width as isize - 1) as usize;
         let y = y.clamp(0, self.height as isize - 1) as usize;
@@ -157,15 +152,6 @@ impl SyntheticImage {
                 .iter()
                 .map(|&p| if p >= level { 255.0 } else { 0.0 })
                 .collect(),
-        }
-    }
-
-    /// Mean intensity (useful for sanity checks).
-    pub fn mean_intensity(&self) -> f32 {
-        if self.pixels.is_empty() {
-            0.0
-        } else {
-            self.pixels.iter().sum::<f32>() / self.pixels.len() as f32
         }
     }
 }
@@ -406,11 +392,12 @@ mod tests {
         let img = SyntheticImage::generate(32, 32, 1);
         let blurred = img.blur();
         // Blur preserves the mean approximately but reduces local variance.
+        let mean = |im: &SyntheticImage| im.pixels.iter().sum::<f32>() / im.pixels.len() as f32;
         let var = |im: &SyntheticImage| {
-            let m = im.mean_intensity();
+            let m = mean(im);
             im.pixels.iter().map(|p| (p - m) * (p - m)).sum::<f32>() / im.pixels.len() as f32
         };
-        assert!((img.mean_intensity() - blurred.mean_intensity()).abs() < 5.0);
+        assert!((mean(&img) - mean(&blurred)).abs() < 5.0);
         assert!(var(&blurred) < var(&img));
     }
 
@@ -485,12 +472,6 @@ mod tests {
         assert!(stages[2].work_per_item > stages[0].work_per_item);
         assert!(stages[3].work_per_item < stages[0].work_per_item);
         assert_eq!(stages[0].forward_bytes, (64 * 48 * 4) as u64);
-    }
-
-    #[test]
-    fn byte_size_matches_pixel_count() {
-        let img = SyntheticImage::generate(10, 10, 0);
-        assert_eq!(img.byte_size(), 400);
     }
 
     #[test]
