@@ -176,7 +176,7 @@ impl AdaptationLog {
     }
 
     /// Number of node losses handled.
-    pub fn node_losses(&self) -> usize {
+    pub(crate) fn node_losses(&self) -> usize {
         self.count_kind("node-lost")
     }
 
@@ -186,7 +186,7 @@ impl AdaptationLog {
     }
 
     /// Total tasks returned to the pending queue by node losses.
-    pub fn requeued_tasks(&self) -> usize {
+    pub(crate) fn requeued_tasks(&self) -> usize {
         self.events
             .iter()
             .map(|e| match e.action {
@@ -212,12 +212,12 @@ impl AdaptationLog {
     }
 
     /// Number of speculative duplicates launched.
-    pub fn speculations(&self) -> usize {
+    pub(crate) fn speculations(&self) -> usize {
         self.count_kind("unit-speculated")
     }
 
     /// Number of speculative duplicates that delivered the winning result.
-    pub fn speculation_wins(&self) -> usize {
+    pub(crate) fn speculation_wins(&self) -> usize {
         self.count_kind("speculation-won")
     }
 

@@ -58,20 +58,20 @@ pub struct NodeCalibration {
     /// Observed times of the node's samples, in seconds per work unit
     /// (normalised by each sample task's `work` so irregular task sizes do
     /// not skew the ranking).
-    pub sample_times: Vec<f64>,
+    pub(crate) sample_times: Vec<f64>,
     /// Mean observed per-work-unit time after outlier rejection.
-    pub mean_time: f64,
+    pub(crate) mean_time: f64,
     /// Extrapolated ("adjusted") per-work-unit time used for ranking.
     pub adjusted_time: f64,
     /// External CPU load observed on the node during calibration.
-    pub cpu_load: f64,
+    pub(crate) cpu_load: f64,
     /// Bandwidth availability towards the master observed during calibration.
-    pub bandwidth_availability: f64,
+    pub(crate) bandwidth_availability: f64,
     /// Relative speed weight (pool mean adjusted time / this node's adjusted
     /// time); 1.0 means average, 2.0 means twice as fast as average.
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Whether the node was up and produced at least one sample.
-    pub usable: bool,
+    pub(crate) usable: bool,
 }
 
 /// The result of running Algorithm 1.
@@ -90,13 +90,13 @@ pub struct CalibrationReport {
     /// How many real tasks were consumed as calibration samples.
     pub tasks_consumed: usize,
     /// Outcomes of those tasks (they count towards the job's results).
-    pub outcomes: Vec<TaskOutcome>,
+    pub(crate) outcomes: Vec<TaskOutcome>,
 }
 
 impl CalibrationReport {
     /// Per-work-unit reference times of the chosen nodes, used to derive
     /// the performance threshold *Z*.
-    pub fn chosen_reference_times(&self) -> Vec<f64> {
+    pub(crate) fn chosen_reference_times(&self) -> Vec<f64> {
         self.table
             .iter()
             .filter(|c| self.chosen.contains(&c.node))
@@ -148,7 +148,7 @@ impl Calibrator {
     }
 
     /// The configuration in force.
-    pub fn config(&self) -> &CalibrationConfig {
+    pub(crate) fn config(&self) -> &CalibrationConfig {
         &self.config
     }
 

@@ -364,7 +364,7 @@ impl FaultInjection {
     }
 
     /// Whether the plan injects anything at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.panics == 0
             && self.kill.is_none()
             && self.slowdown.is_none()

@@ -136,7 +136,7 @@ pub struct EnginePoll {
     /// The monitor's verdict (table *T*, `min T`, threshold *Z* in force).
     pub verdict: MonitorVerdict,
     /// Directives derived from the verdict, demotions first.
-    pub directives: Vec<AdaptationDirective>,
+    pub(crate) directives: Vec<AdaptationDirective>,
 }
 
 /// What a whole-pool breach does to an [`ExecutorSet`] (see
@@ -267,7 +267,7 @@ impl AdaptationEngine {
 
     /// Override the stage-mode recent-service window size (defaults to the
     /// shared `monitor_window` of the execution config).
-    pub fn with_stage_window(mut self, window: usize) -> Self {
+    pub(crate) fn with_stage_window(mut self, window: usize) -> Self {
         self.stage_window_cap = window.max(1);
         self
     }
@@ -280,17 +280,17 @@ impl AdaptationEngine {
     }
 
     /// Whether Algorithm 2 is enabled at all.
-    pub fn adaptive(&self) -> bool {
+    pub(crate) fn adaptive(&self) -> bool {
         self.adaptive
     }
 
     /// The threshold *Z* currently in force (executor mode).
-    pub fn threshold(&self) -> f64 {
+    pub(crate) fn threshold(&self) -> f64 {
         self.monitor.threshold()
     }
 
     /// The per-stage threshold *Zₛ* currently in force (stage mode).
-    pub fn stage_threshold(&self, stage: usize) -> f64 {
+    pub(crate) fn stage_threshold(&self, stage: usize) -> f64 {
         self.stage_thresholds
             .get(stage)
             .copied()
@@ -298,7 +298,7 @@ impl AdaptationEngine {
     }
 
     /// Completed monitoring evaluations (executor mode).
-    pub fn evaluations(&self) -> usize {
+    pub(crate) fn evaluations(&self) -> usize {
         self.monitor.evaluations()
     }
 
@@ -318,7 +318,7 @@ impl AdaptationEngine {
     }
 
     /// Whether the recalibration budget allows another feedback round.
-    pub fn can_recalibrate(&self) -> bool {
+    pub(crate) fn can_recalibrate(&self) -> bool {
         self.recalibrations < self.max_recalibrations
     }
 
@@ -617,7 +617,7 @@ impl AdaptationEngine {
     }
 
     /// Record that the caller moved a stage to a different executor.
-    pub fn note_stage_remapped(
+    pub(crate) fn note_stage_remapped(
         &mut self,
         now: SimTime,
         stage: usize,
@@ -685,7 +685,7 @@ impl AdaptationEngine {
 
     /// Record the pipeline-style whole-mapping recalibration that drives
     /// stage remaps.
-    pub fn note_stages_recalibrated(
+    pub(crate) fn note_stages_recalibrated(
         &mut self,
         now: SimTime,
         new_chosen: Vec<NodeId>,
@@ -701,13 +701,13 @@ impl AdaptationEngine {
     }
 
     /// Replace every stage threshold (after a remap recomputed them).
-    pub fn set_stage_thresholds(&mut self, thresholds: Vec<f64>) {
+    pub(crate) fn set_stage_thresholds(&mut self, thresholds: Vec<f64>) {
         self.stage_thresholds = thresholds;
     }
 
     /// Forget all recent stage services (after a remap: times from the old
     /// mapping must not condemn the new one).
-    pub fn clear_stage_windows(&mut self) {
+    pub(crate) fn clear_stage_windows(&mut self) {
         for w in &mut self.stage_windows {
             w.clear();
         }

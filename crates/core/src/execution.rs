@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MonitorVerdict {
     /// When the verdict was produced.
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// Per-node mean execution time over the elapsed interval (the table
     /// *T*), in the unit the workers report — seconds per work unit for the
     /// farm.
@@ -84,23 +84,23 @@ impl ExecutionMonitor {
     /// Judge each node by at most its `cap` most recent observations per
     /// interval (0 = unbounded).  This is the shared `monitor_window` of
     /// [`crate::config::ExecutionConfig`].
-    pub fn with_window(mut self, cap: usize) -> Self {
+    pub(crate) fn with_window(mut self, cap: usize) -> Self {
         self.window_cap = cap;
         self
     }
 
     /// The threshold currently in force.
-    pub fn threshold(&self) -> f64 {
+    pub(crate) fn threshold(&self) -> f64 {
         self.threshold
     }
 
     /// Replace the threshold (after a recalibration).
-    pub fn set_threshold(&mut self, z: f64) {
+    pub(crate) fn set_threshold(&mut self, z: f64) {
         self.threshold = z.max(0.0);
     }
 
     /// Number of completed monitoring evaluations.
-    pub fn evaluations(&self) -> usize {
+    pub(crate) fn evaluations(&self) -> usize {
         self.evaluations
     }
 
@@ -117,7 +117,7 @@ impl ExecutionMonitor {
     }
 
     /// Whether the monitoring interval has elapsed at `now`.
-    pub fn due(&self, now: SimTime) -> bool {
+    pub(crate) fn due(&self, now: SimTime) -> bool {
         (now - self.last_evaluation).as_secs() >= self.interval_s
     }
 
@@ -165,7 +165,7 @@ impl ExecutionMonitor {
     /// Forget everything reported so far and restart the interval at `now`
     /// (used immediately after a recalibration so stale times from the old
     /// node set cannot re-trigger).
-    pub fn reset(&mut self, now: SimTime) {
+    pub(crate) fn reset(&mut self, now: SimTime) {
         self.window.clear();
         self.last_evaluation = now;
     }
@@ -175,7 +175,7 @@ impl ExecutionMonitor {
     /// [`ExecutionMonitor::evaluate`]).  This is the live rank view the
     /// work-stealing dispatcher uses mid-interval for victim selection;
     /// nodes with no observation yet are absent.
-    pub fn recent_means(&self) -> Vec<(NodeId, f64)> {
+    pub(crate) fn recent_means(&self) -> Vec<(NodeId, f64)> {
         self.window
             .iter()
             .filter_map(|(&n, times)| mean(times).map(|m| (n, m)))

@@ -61,7 +61,7 @@ pub struct FarmOutcome {
     /// How many monitoring evaluations the monitor node performed.
     pub monitor_evaluations: usize,
     /// Nodes active (eligible for dispatch) when the job finished.
-    pub final_active_nodes: Vec<NodeId>,
+    pub(crate) final_active_nodes: Vec<NodeId>,
 }
 
 impl FarmOutcome {
@@ -90,7 +90,7 @@ impl FarmOutcome {
     }
 
     /// Effective throughput over the whole run (tasks per virtual second).
-    pub fn throughput(&self) -> f64 {
+    pub(crate) fn throughput(&self) -> f64 {
         if self.makespan.as_secs() <= 0.0 {
             0.0
         } else {
@@ -118,18 +118,18 @@ impl TaskFarm {
     }
 
     /// Override the skeleton properties (used by compositions).
-    pub fn with_properties(mut self, properties: SkeletonProperties) -> Self {
+    pub(crate) fn with_properties(mut self, properties: SkeletonProperties) -> Self {
         self.properties = properties;
         self
     }
 
     /// The configuration in force.
-    pub fn config(&self) -> &GraspConfig {
+    pub(crate) fn config(&self) -> &GraspConfig {
         &self.config
     }
 
     /// The skeleton's intrinsic properties.
-    pub fn properties(&self) -> &SkeletonProperties {
+    pub(crate) fn properties(&self) -> &SkeletonProperties {
         &self.properties
     }
 
@@ -140,7 +140,7 @@ impl TaskFarm {
     }
 
     /// Run the farm over `tasks` on an explicit candidate node pool.
-    pub fn run_on(
+    pub(crate) fn run_on(
         &self,
         grid: &Grid,
         candidates: &[NodeId],

@@ -84,7 +84,7 @@ impl Grasp {
     }
 
     /// The configuration in force.
-    pub fn config(&self) -> &GraspConfig {
+    pub(crate) fn config(&self) -> &GraspConfig {
         &self.config
     }
 

@@ -56,6 +56,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 pub mod adaptation;
@@ -64,40 +65,39 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod execution;
-pub mod farm;
-pub mod grasp;
-pub mod metrics;
-pub mod pipeline;
-pub mod properties;
+mod farm;
+mod grasp;
+mod metrics;
+mod pipeline;
+mod properties;
 pub mod scheduler;
 pub mod shm;
 pub mod skeleton;
 pub mod task;
-pub mod threshold;
+mod threshold;
 pub mod transport;
 pub mod wire;
 
 /// Convenient glob import for downstream users.
 pub mod prelude {
     pub use crate::adaptation::{AdaptationAction, AdaptationLog};
-    pub use crate::calibration::{CalibrationMode, CalibrationReport, Calibrator};
+    pub use crate::calibration::CalibrationMode;
     pub use crate::config::{
         BackendConfig, CalibrationConfig, ExecutionConfig, FaultInjection, GraspConfig,
     };
-    pub use crate::engine::{AdaptationDirective, AdaptationEngine, EnginePoll, WallClock};
+    pub use crate::engine::{AdaptationEngine, WallClock};
     pub use crate::error::GraspError;
-    pub use crate::execution::ExecutionMonitor;
     pub use crate::farm::{FarmOutcome, TaskFarm};
-    pub use crate::grasp::{Grasp, GraspRunReport, PhaseTimings};
-    pub use crate::metrics::{efficiency, speedup, ThroughputTimeline};
-    pub use crate::pipeline::{Pipeline, PipelineOutcome, StageSpec};
+    pub use crate::grasp::{Grasp, GraspRunReport};
+    pub use crate::metrics::efficiency;
+    pub use crate::pipeline::{Pipeline, StageSpec};
     pub use crate::properties::{SkeletonKind, SkeletonProperties};
     pub use crate::scheduler::SchedulePolicy;
     pub use crate::skeleton::{
-        Backend, FarmedStage, NetDeparture, NetMemberReport, OutcomeDetail, ResilienceReport,
-        SimBackend, Skeleton, SkeletonOutcome,
+        Backend, FarmedStage, NetDeparture, OutcomeDetail, ResilienceReport, SimBackend, Skeleton,
+        SkeletonOutcome,
     };
-    pub use crate::task::{TaskOutcome, TaskSpec};
+    pub use crate::task::TaskSpec;
     pub use crate::threshold::ThresholdPolicy;
 }
 

@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// Classic speedup: reference (e.g. sequential or non-adaptive) time divided
 /// by the measured time.  Returns 0 when the measured time is non-positive.
-pub fn speedup(reference_time: f64, measured_time: f64) -> f64 {
+pub(crate) fn speedup(reference_time: f64, measured_time: f64) -> f64 {
     if measured_time <= 0.0 {
         0.0
     } else {
@@ -40,7 +40,7 @@ pub struct ThroughputTimeline {
 
 impl ThroughputTimeline {
     /// A timeline with the given bucket width (clamped to ≥ 1 ms).
-    pub fn new(interval_s: f64) -> Self {
+    pub(crate) fn new(interval_s: f64) -> Self {
         ThroughputTimeline {
             interval_s: interval_s.max(1e-3),
             buckets: Vec::new(),
@@ -53,7 +53,7 @@ impl ThroughputTimeline {
     }
 
     /// Record one completion at virtual time `t`.
-    pub fn record(&mut self, t: SimTime) {
+    pub(crate) fn record(&mut self, t: SimTime) {
         let idx = (t.as_secs() / self.interval_s).floor() as usize;
         if idx >= self.buckets.len() {
             self.buckets.resize(idx + 1, 0);
@@ -62,17 +62,17 @@ impl ThroughputTimeline {
     }
 
     /// Number of buckets (up to the latest completion seen).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.buckets.len()
     }
 
     /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.buckets.is_empty()
     }
 
     /// Raw completion counts per bucket.
-    pub fn counts(&self) -> &[u64] {
+    pub(crate) fn counts(&self) -> &[u64] {
         &self.buckets
     }
 
@@ -96,7 +96,7 @@ impl ThroughputTimeline {
     }
 
     /// Render as CSV (`t_start_s,completions,rate_per_s`).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::from("t_start_s,completions,rate_per_s\n");
         for (i, &c) in self.buckets.iter().enumerate() {
             out.push_str(&format!(

@@ -39,7 +39,7 @@ pub struct StageSpec {
     /// Bytes forwarded to the next stage per item.
     pub forward_bytes: u64,
     /// Bytes of stage-local state that must move if the stage is remapped.
-    pub state_bytes: u64,
+    pub(crate) state_bytes: u64,
 }
 
 impl StageSpec {
@@ -69,15 +69,15 @@ pub struct PipelineOutcome {
     /// Number of items processed.
     pub items: usize,
     /// Items per virtual second over the whole run.
-    pub throughput: f64,
+    pub(crate) throughput: f64,
     /// Final stage → node mapping.
     pub stage_assignment: Vec<(usize, NodeId)>,
     /// The initial calibration report.
-    pub calibration: CalibrationReport,
+    pub(crate) calibration: CalibrationReport,
     /// Adaptations taken (stage remaps and the recalibrations driving them).
     pub adaptation: AdaptationLog,
     /// Mean observed service time per stage (seconds per item).
-    pub per_stage_service: Vec<f64>,
+    pub(crate) per_stage_service: Vec<f64>,
     /// Item completions over time.
     pub timeline: ThroughputTimeline,
     /// Per-item completion times (ordered by item index).
@@ -123,18 +123,18 @@ impl Pipeline {
     }
 
     /// Override the skeleton properties.
-    pub fn with_properties(mut self, properties: SkeletonProperties) -> Self {
+    pub(crate) fn with_properties(mut self, properties: SkeletonProperties) -> Self {
         self.properties = properties;
         self
     }
 
     /// The configuration in force.
-    pub fn config(&self) -> &GraspConfig {
+    pub(crate) fn config(&self) -> &GraspConfig {
         &self.config
     }
 
     /// The skeleton's intrinsic properties.
-    pub fn properties(&self) -> &SkeletonProperties {
+    pub(crate) fn properties(&self) -> &SkeletonProperties {
         &self.properties
     }
 
@@ -150,7 +150,7 @@ impl Pipeline {
     }
 
     /// Process the stream on an explicit candidate node pool.
-    pub fn run_on(
+    pub(crate) fn run_on(
         &self,
         grid: &Grid,
         candidates: &[NodeId],

@@ -37,7 +37,7 @@ impl SkeletonKind {
 
 /// How work may be redistributed when the skeleton adapts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Rebalancing {
+pub(crate) enum Rebalancing {
     /// Any pending task may be given to any worker (farm-like freedom).
     AnyTaskAnyWorker,
     /// Only whole stages can be moved between nodes (pipeline-like).
@@ -49,7 +49,7 @@ pub enum Rebalancing {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SkeletonProperties {
     /// The pattern.
-    pub kind: SkeletonKind,
+    pub(crate) kind: SkeletonKind,
     /// Whether tasks/items are mutually independent (true for a farm; items
     /// of a pipeline are independent but stages are ordered).
     pub independent_tasks: bool,
@@ -57,9 +57,9 @@ pub struct SkeletonProperties {
     pub ordered_results: bool,
     /// Whether the skeleton carries per-stage state that must move with a
     /// stage when it is remapped.
-    pub stateful_stages: bool,
+    pub(crate) stateful_stages: bool,
     /// How the adaptation layer may redistribute work.
-    pub rebalancing: Rebalancing,
+    pub(crate) rebalancing: Rebalancing,
     /// Nominal computation-to-communication ratio of the instantiated
     /// skeleton (dedicated seconds of compute per second of communication on
     /// the reference link); fixed by the programming-phase parameterisation.
@@ -80,7 +80,7 @@ impl SkeletonProperties {
     }
 
     /// Properties of a pipeline with the given computation/communication ratio.
-    pub fn pipeline(comp_comm_ratio: f64, stateful_stages: bool) -> Self {
+    pub(crate) fn pipeline(comp_comm_ratio: f64, stateful_stages: bool) -> Self {
         SkeletonProperties {
             kind: SkeletonKind::Pipeline,
             independent_tasks: false,
@@ -108,7 +108,7 @@ impl SkeletonProperties {
     /// A composition of plain farms collapses back to
     /// [`SkeletonKind::TaskFarm`]; anything else is a
     /// [`SkeletonKind::FarmOfPipelines`].
-    pub fn compose_farm(children: &[(SkeletonProperties, f64)]) -> Self {
+    pub(crate) fn compose_farm(children: &[(SkeletonProperties, f64)]) -> Self {
         let kind = if children
             .iter()
             .all(|(p, _)| p.kind == SkeletonKind::TaskFarm)
@@ -137,7 +137,7 @@ impl SkeletonProperties {
     /// chain.  The ratio is the work-weighted mean over the stages.  A
     /// composition with no farmed stage collapses back to
     /// [`SkeletonKind::Pipeline`].
-    pub fn compose_pipeline(stages: &[(SkeletonProperties, f64)]) -> Self {
+    pub(crate) fn compose_pipeline(stages: &[(SkeletonProperties, f64)]) -> Self {
         let kind = if stages.iter().all(|(p, _)| p.kind == SkeletonKind::Pipeline) {
             SkeletonKind::Pipeline
         } else {

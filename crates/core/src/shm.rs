@@ -259,7 +259,7 @@ mod sys {
 
         /// Sleep while `*word == expected`, at most `timeout` (spurious
         /// returns are possible); `true` when the timeout ran out.
-        pub fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) -> bool {
+        pub(crate) fn futex_wait(word: &AtomicU32, expected: u32, timeout: Duration) -> bool {
             let ts = Timespec {
                 tv_sec: i64::try_from(timeout.as_secs()).unwrap_or(i64::MAX),
                 tv_nsec: i64::from(timeout.subsec_nanos()),
@@ -284,7 +284,7 @@ mod sys {
         }
 
         /// Wake every thread, of any process, waiting on `word`.
-        pub fn futex_wake(word: &AtomicU32) {
+        pub(crate) fn futex_wake(word: &AtomicU32) {
             // SAFETY: FUTEX_WAKE uses the address of `word`, live for the
             // call, only as a key; it reads and writes no memory.
             unsafe {
@@ -312,12 +312,12 @@ mod sys {
         /// How long a park sleeps where there is no futex to wait on.
         const POLL_SLEEP: Duration = Duration::from_micros(200);
 
-        pub fn futex_wait(_word: &AtomicU32, _expected: u32, _timeout: Duration) -> bool {
+        pub(crate) fn futex_wait(_word: &AtomicU32, _expected: u32, _timeout: Duration) -> bool {
             std::thread::sleep(POLL_SLEEP);
             true
         }
 
-        pub fn futex_wake(_word: &AtomicU32) {}
+        pub(crate) fn futex_wake(_word: &AtomicU32) {}
     }
 
     pub(super) use park::{futex_wait, futex_wake};
@@ -550,7 +550,7 @@ impl ShmRing {
     }
 
     /// The ring file's path.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 

@@ -106,13 +106,13 @@ pub enum Skeleton {
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnitSpan {
     /// The child's skeleton kind.
-    pub kind: SkeletonKind,
+    pub(crate) kind: SkeletonKind,
     /// First global unit id of the child.
-    pub start: usize,
+    pub(crate) start: usize,
     /// Number of units the child contributes.
-    pub count: usize,
+    pub(crate) count: usize,
     /// Spans of the child's own children (empty for leaves).
-    pub children: Vec<UnitSpan>,
+    pub(crate) children: Vec<UnitSpan>,
 }
 
 impl UnitSpan {
@@ -262,7 +262,7 @@ impl Skeleton {
     }
 
     /// Total bytes moved by the whole expression.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         match self {
             Skeleton::Farm { tasks } => tasks.iter().map(TaskSpec::total_bytes).sum(),
             Skeleton::Pipeline { stages, items } => {
@@ -286,7 +286,7 @@ impl Skeleton {
     /// (work-weighted ratio, outer structure dictating rebalancing).
     ///
     /// [`compose_pipeline`]: SkeletonProperties::compose_pipeline
-    pub fn properties_with(&self, ratio_of: &dyn Fn(f64, u64) -> f64) -> SkeletonProperties {
+    pub(crate) fn properties_with(&self, ratio_of: &dyn Fn(f64, u64) -> f64) -> SkeletonProperties {
         match self {
             Skeleton::Farm { tasks } => {
                 let n = tasks.len().max(1) as f64;
@@ -429,7 +429,7 @@ fn lower_chain(out: &mut Vec<TaskSpec>, items: usize, work: f64, in_bytes: u64, 
 
 /// Computation/communication ratio of `work` units at `speed` work-units/s
 /// against shipping `bytes` over the reference (LAN) link.
-pub fn reference_ratio(speed: f64, work: f64, bytes: u64) -> f64 {
+pub(crate) fn reference_ratio(speed: f64, work: f64, bytes: u64) -> f64 {
     let compute_s = work / speed.max(1e-9);
     let comm_s = gridsim::LinkSpec::lan().transfer_time(bytes, 1.0).max(1e-9);
     (compute_s / comm_s).max(1e-3)
@@ -776,7 +776,7 @@ impl<'g> SimBackend<'g> {
     }
 
     /// A backend over an explicit candidate node pool.
-    pub fn on(grid: &'g Grid, candidates: &[NodeId]) -> Self {
+    pub(crate) fn on(grid: &'g Grid, candidates: &[NodeId]) -> Self {
         SimBackend {
             grid,
             candidates: candidates.to_vec(),
@@ -784,12 +784,12 @@ impl<'g> SimBackend<'g> {
     }
 
     /// The grid this backend executes on.
-    pub fn grid(&self) -> &Grid {
+    pub(crate) fn grid(&self) -> &Grid {
         self.grid
     }
 
     /// The candidate node pool.
-    pub fn candidates(&self) -> &[NodeId] {
+    pub(crate) fn candidates(&self) -> &[NodeId] {
         &self.candidates
     }
 
@@ -880,7 +880,7 @@ pub struct SimCompiled {
 
 impl SimCompiled {
     /// The composed intrinsic properties the execution will be steered by.
-    pub fn properties(&self) -> &SkeletonProperties {
+    pub(crate) fn properties(&self) -> &SkeletonProperties {
         &self.properties
     }
 }

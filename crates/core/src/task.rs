@@ -43,7 +43,7 @@ impl TaskSpec {
 
     /// `n` tasks whose work follows a linear ramp from `min_work` to
     /// `max_work` — a simple irregular workload.
-    pub fn ramp(
+    pub(crate) fn ramp(
         n: usize,
         min_work: f64,
         max_work: f64,
@@ -69,13 +69,13 @@ impl TaskSpec {
     }
 
     /// Total bytes moved for this task (input + output).
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.input_bytes + self.output_bytes
     }
 
     /// Convert an observed duration for this task into seconds per work
     /// unit; see [`normalize_time`].
-    pub fn normalize_time(&self, seconds: f64) -> f64 {
+    pub(crate) fn normalize_time(&self, seconds: f64) -> f64 {
         normalize_time(self.work, seconds)
     }
 }
@@ -86,7 +86,7 @@ impl TaskSpec {
 /// would inflate it by ~10⁹ and poison the monitor and calibration ranking).
 /// Callers comparing against a per-work-unit threshold should skip zero-work
 /// observations entirely (the farm's monitor does).
-pub fn normalize_time(work: f64, seconds: f64) -> f64 {
+pub(crate) fn normalize_time(work: f64, seconds: f64) -> f64 {
     if work > 0.0 {
         seconds / work
     } else {
@@ -105,15 +105,15 @@ pub struct TaskOutcome {
     /// Which task completed.
     pub task: usize,
     /// Node it ran on.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Computational weight of the task (copied from its [`TaskSpec`]), so
     /// observed times can be normalised per work unit when tasks are
     /// irregular.
-    pub work: f64,
+    pub(crate) work: f64,
     /// Dispatch time (input transfer begins).
-    pub dispatched: SimTime,
+    pub(crate) dispatched: SimTime,
     /// Completion time (output transfer finished at the master).
-    pub completed: SimTime,
+    pub(crate) completed: SimTime,
     /// Whether the task was executed as part of the calibration sample
     /// ("the processing performed during the calibration contributes to the
     /// overall job").
@@ -122,7 +122,7 @@ pub struct TaskOutcome {
 
 impl TaskOutcome {
     /// Wall-clock (virtual) duration from dispatch to completion.
-    pub fn duration(&self) -> SimTime {
+    pub(crate) fn duration(&self) -> SimTime {
         self.completed - self.dispatched
     }
 }

@@ -66,7 +66,7 @@ impl ThresholdPolicy {
     }
 
     /// A human-readable description for experiment reports.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match self {
             ThresholdPolicy::Factor { factor } => format!("factor({factor:.2}x best)"),
             ThresholdPolicy::Percentile { percentile, factor } => {

@@ -119,7 +119,7 @@ impl FramedConnection {
 
     /// Human-readable peer label (an address for sockets, a symbolic name
     /// for pipes and loopback links).
-    pub fn peer(&self) -> &str {
+    pub(crate) fn peer(&self) -> &str {
         &self.peer
     }
 
@@ -158,14 +158,14 @@ pub trait Acceptor: Send {
 
 /// [`FrameSink`] over any ordered byte writer (a pipe, a socket half, an
 /// in-memory buffer in tests).  One encode buffer is reused across sends.
-pub struct StreamSink<W: Write + Send> {
+pub(crate) struct StreamSink<W: Write + Send> {
     inner: W,
     frame: Vec<u8>,
 }
 
 impl<W: Write + Send> StreamSink<W> {
     /// Wrap a writer.
-    pub fn new(inner: W) -> Self {
+    pub(crate) fn new(inner: W) -> Self {
         StreamSink {
             inner,
             frame: Vec::new(),
@@ -209,14 +209,14 @@ impl<R: Read> Read for CountingRead<R> {
 /// [`FrameSource`] over any ordered byte reader, buffered, with optional
 /// byte accounting.  One frame buffer is reused across receives: after
 /// warmup there are zero heap allocations per frame.
-pub struct StreamSource<R: Read + Send> {
+pub(crate) struct StreamSource<R: Read + Send> {
     inner: BufReader<CountingRead<R>>,
     frame: Vec<u8>,
 }
 
 impl<R: Read + Send> StreamSource<R> {
     /// Wrap a reader.
-    pub fn new(inner: R) -> Self {
+    pub(crate) fn new(inner: R) -> Self {
         StreamSource {
             inner: BufReader::new(CountingRead { inner, count: None }),
             frame: Vec::new(),
@@ -259,7 +259,7 @@ where
 /// down the socket's write direction explicitly — with `try_clone`d handles
 /// a plain drop would leave the kernel socket open through the read-half
 /// clone, and the peer would never see the EOF that means "shutdown".
-pub struct TcpSink {
+pub(crate) struct TcpSink {
     stream: TcpStream,
     frame: Vec<u8>,
 }
@@ -290,7 +290,7 @@ impl Drop for TcpSink {
 
 /// Wrap an established TCP stream as a [`FramedConnection`] (both ends use
 /// this: the master on accepted streams, workers on connected ones).
-pub fn tcp_connection(stream: TcpStream) -> Result<FramedConnection, GraspError> {
+pub(crate) fn tcp_connection(stream: TcpStream) -> Result<FramedConnection, GraspError> {
     // Frames are small and latency-sensitive (a heartbeat late by a Nagle
     // delay looks like a dying worker).
     let _ = stream.set_nodelay(true);
@@ -380,9 +380,9 @@ pub struct WireCounters {
     /// Bytes of frames put on the wire.
     pub bytes: Arc<AtomicU64>,
     /// Wall nanoseconds writer threads spent encoding frames.
-    pub encode_nanos: Arc<AtomicU64>,
+    pub(crate) encode_nanos: Arc<AtomicU64>,
     /// Wall nanoseconds writer threads spent writing encoded frames.
-    pub write_nanos: Arc<AtomicU64>,
+    pub(crate) write_nanos: Arc<AtomicU64>,
     /// Payload bytes the send path had to copy beyond the single encode
     /// (zero on transports that write straight from the encode buffer; the
     /// in-memory loopback's channel hand-off counts here).

@@ -30,7 +30,7 @@ use crate::error::GraspError;
 use std::io::Read;
 
 /// Frame preamble: `b"GRSP"`.
-pub const WIRE_MAGIC: [u8; 4] = *b"GRSP";
+pub(crate) const WIRE_MAGIC: [u8; 4] = *b"GRSP";
 
 /// Current protocol version; bumped on any incompatible frame change.
 pub const WIRE_VERSION: u8 = 1;
@@ -68,10 +68,10 @@ const TAG_GOODBYE: u8 = 9;
 pub const CAP_SPIN: u32 = 1 << PAYLOAD_SPIN;
 
 /// Capability bit for [`PAYLOAD_MATMUL`] tasks.
-pub const CAP_MATMUL: u32 = 1 << PAYLOAD_MATMUL;
+pub(crate) const CAP_MATMUL: u32 = 1 << PAYLOAD_MATMUL;
 
 /// Capability bit for [`PAYLOAD_IMAGING`] tasks.
-pub const CAP_IMAGING: u32 = 1 << PAYLOAD_IMAGING;
+pub(crate) const CAP_IMAGING: u32 = 1 << PAYLOAD_IMAGING;
 
 /// Every capability the stock worker binaries implement.
 pub const CAP_ALL: u32 = CAP_SPIN | CAP_MATMUL | CAP_IMAGING;
@@ -159,12 +159,12 @@ impl ByteWriter {
     }
 
     /// Append one byte.
-    pub fn put_u8(&mut self, v: u8) {
+    pub(crate) fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
     /// Append a little-endian `u32`.
-    pub fn put_u32(&mut self, v: u32) {
+    pub(crate) fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
@@ -174,18 +174,18 @@ impl ByteWriter {
     }
 
     /// Append an `f64` as its IEEE-754 bit pattern.
-    pub fn put_f64(&mut self, v: f64) {
+    pub(crate) fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Append a `u32`-length-prefixed byte string.
-    pub fn put_bytes(&mut self, v: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
         self.buf.extend_from_slice(v);
     }
 
     /// Append a `u32`-length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
+    pub(crate) fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
     }
 
@@ -213,7 +213,7 @@ impl<'a> ByteReader<'a> {
     /// as long as the underlying buffer, not the reader, so a caller can
     /// keep slicing after the reader is dropped — this is the primitive the
     /// zero-copy [`FrameView`] decode path is built on.
-    pub fn take_slice(&mut self, n: usize) -> Result<&'a [u8], GraspError> {
+    pub(crate) fn take_slice(&mut self, n: usize) -> Result<&'a [u8], GraspError> {
         if self.buf.len() - self.pos < n {
             return Err(wire_err(format!(
                 "truncated payload: wanted {n} bytes at offset {}, have {}",
@@ -227,12 +227,12 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read one byte.
-    pub fn take_u8(&mut self) -> Result<u8, GraspError> {
+    pub(crate) fn take_u8(&mut self) -> Result<u8, GraspError> {
         Ok(self.take_slice(1)?[0])
     }
 
     /// Read a little-endian `u32`.
-    pub fn take_u32(&mut self) -> Result<u32, GraspError> {
+    pub(crate) fn take_u32(&mut self) -> Result<u32, GraspError> {
         Ok(u32::from_le_bytes(self.take_slice(4)?.try_into().unwrap()))
     }
 
@@ -242,12 +242,12 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read an `f64` from its IEEE-754 bit pattern.
-    pub fn take_f64(&mut self) -> Result<f64, GraspError> {
+    pub(crate) fn take_f64(&mut self) -> Result<f64, GraspError> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
     /// Borrow a `u32`-length-prefixed byte string without copying.
-    pub fn take_bytes_slice(&mut self) -> Result<&'a [u8], GraspError> {
+    pub(crate) fn take_bytes_slice(&mut self) -> Result<&'a [u8], GraspError> {
         let len = self.take_u32()? as usize;
         if len > MAX_FRAME_PAYLOAD {
             return Err(wire_err(format!("byte string length {len} exceeds cap")));
@@ -256,17 +256,17 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Read a `u32`-length-prefixed byte string into an owned `Vec`.
-    pub fn take_bytes(&mut self) -> Result<Vec<u8>, GraspError> {
+    pub(crate) fn take_bytes(&mut self) -> Result<Vec<u8>, GraspError> {
         Ok(self.take_bytes_slice()?.to_vec())
     }
 
     /// Borrow a `u32`-length-prefixed UTF-8 string without copying.
-    pub fn take_str_slice(&mut self) -> Result<&'a str, GraspError> {
+    pub(crate) fn take_str_slice(&mut self) -> Result<&'a str, GraspError> {
         std::str::from_utf8(self.take_bytes_slice()?).map_err(|_| wire_err("invalid UTF-8 string"))
     }
 
     /// Read a `u32`-length-prefixed UTF-8 string into an owned `String`.
-    pub fn take_str(&mut self) -> Result<String, GraspError> {
+    pub(crate) fn take_str(&mut self) -> Result<String, GraspError> {
         Ok(self.take_str_slice()?.to_string())
     }
 
@@ -376,7 +376,7 @@ impl WireMsg {
     /// Borrow this message as a [`FrameView`] (the inverse of
     /// [`FrameView::to_owned`]): heap-carrying fields become slices into
     /// `self`, everything else is copied by value.
-    pub fn as_view(&self) -> FrameView<'_> {
+    pub(crate) fn as_view(&self) -> FrameView<'_> {
         match self {
             WireMsg::Hello { pid } => FrameView::Hello { pid: *pid },
             WireMsg::Init {
@@ -668,7 +668,7 @@ impl<'a> FrameView<'a> {
     }
 
     /// Decode a message body without copying any variable-length field.
-    pub fn from_body(tag: u8, body: &'a [u8]) -> Result<FrameView<'a>, GraspError> {
+    pub(crate) fn from_body(tag: u8, body: &'a [u8]) -> Result<FrameView<'a>, GraspError> {
         let mut r = ByteReader::new(body);
         let msg = match tag {
             TAG_HELLO => FrameView::Hello { pid: r.take_u64()? },
@@ -827,7 +827,10 @@ impl<'a> FrameView<'a> {
 /// is a truncation error.  The frame's magic, version and length cap are
 /// validated here (they bound the read); the checksum and body are
 /// validated by the [`FrameView::decode_slice`] call that follows.
-pub fn read_frame_into<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> Result<Option<usize>, GraspError> {
+pub(crate) fn read_frame_into<R: Read>(
+    r: &mut R,
+    buf: &mut Vec<u8>,
+) -> Result<Option<usize>, GraspError> {
     // Distinguish a clean close (0 bytes available) from truncation.
     let mut first = [0u8; 1];
     loop {

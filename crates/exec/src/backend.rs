@@ -144,7 +144,7 @@ impl ThreadBackend {
     }
 
     /// Override the farm scheduling policy (otherwise `config.scheduler`).
-    pub fn with_policy(mut self, policy: SchedulePolicy) -> Self {
+    pub(crate) fn with_policy(mut self, policy: SchedulePolicy) -> Self {
         self.policy = Some(policy);
         self
     }
@@ -179,7 +179,7 @@ impl ThreadBackend {
     /// revocation) and `slowdown` as a spin multiplier; `kill` and
     /// `join_spawn` have no thread analogue — there is no separate process
     /// to kill and no wire for late joiners — and are ignored.
-    pub fn with_fault_injection(mut self, faults: FaultInjection) -> Self {
+    pub(crate) fn with_fault_injection(mut self, faults: FaultInjection) -> Self {
         self.inject_panics = faults.panics;
         self.slowdown = faults.slowdown.map(|s| SlowdownInjection {
             after_units: s.after_units,
@@ -190,7 +190,7 @@ impl ThreadBackend {
     }
 
     /// Number of farm worker threads.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 

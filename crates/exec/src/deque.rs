@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Ranges are packed as two 32-bit halves of one atomic word; the E15 scale
 /// smoke peaks at one million units, five hundred times below this bound.
-pub const MAX_RANGE: usize = u32::MAX as usize;
+pub(crate) const MAX_RANGE: usize = u32::MAX as usize;
 
 /// A single worker's deque of task indices: the contiguous range
 /// `[bottom, top)` packed into one atomic word.
@@ -64,7 +64,7 @@ impl StealDeque {
     }
 
     /// An empty deque.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         StealDeque::new(0, 0)
     }
 
@@ -75,7 +75,7 @@ impl StealDeque {
     }
 
     /// Whether the deque is empty (racy snapshot, like [`StealDeque::len`]).
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -136,7 +136,7 @@ impl StealDeque {
     /// Drain the whole remaining range (demotion / retirement): the deque
     /// becomes empty and the drained `(start, count)` re-enters circulation
     /// through the caller.  Returns `None` when already empty.
-    pub fn drain_all(&self) -> Option<(usize, usize)> {
+    pub(crate) fn drain_all(&self) -> Option<(usize, usize)> {
         let mut word = self.range.load(Ordering::Acquire);
         loop {
             let (bottom, top) = unpack(word);

@@ -70,13 +70,13 @@ use std::time::{Duration, Instant};
 /// thieves pick the *slowest*-ranked victim.  Entries are `f64` bits in
 /// atomics (`NaN` = no observation yet), so both sides stay lock-free.
 #[derive(Debug)]
-pub struct RankTable {
+pub(crate) struct RankTable {
     means: Vec<AtomicU64>,
 }
 
 impl RankTable {
     /// A table for `workers` workers, all initially unranked.
-    pub fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         RankTable {
             means: (0..workers)
                 .map(|_| AtomicU64::new(f64::NAN.to_bits()))
@@ -86,7 +86,7 @@ impl RankTable {
 
     /// Publish `worker`'s latest mean time (seconds).  Out-of-range ids and
     /// non-positive / non-finite values are ignored.
-    pub fn set(&self, worker: usize, mean_s: f64) {
+    pub(crate) fn set(&self, worker: usize, mean_s: f64) {
         if mean_s.is_finite() && mean_s > 0.0 {
             if let Some(m) = self.means.get(worker) {
                 m.store(mean_s.to_bits(), Ordering::Relaxed);
@@ -95,7 +95,7 @@ impl RankTable {
     }
 
     /// `worker`'s latest published mean, `None` before its first rank.
-    pub fn get(&self, worker: usize) -> Option<f64> {
+    pub(crate) fn get(&self, worker: usize) -> Option<f64> {
         self.means
             .get(worker)
             .map(|m| f64::from_bits(m.load(Ordering::Relaxed)))
@@ -103,7 +103,7 @@ impl RankTable {
     }
 
     /// Number of workers the table covers.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.means.len()
     }
 }
@@ -121,7 +121,7 @@ impl RankTable {
 /// worker demoted before a run starts sits the run out, unless every
 /// worker is demoted.
 #[derive(Debug, Default)]
-pub struct WorkerGate {
+pub(crate) struct WorkerGate {
     demoted: Vec<AtomicBool>,
     /// Workers the farm retired after exhausting their panic budget, so the
     /// adaptation layer's pool floor counts every worker that is no longer
@@ -131,7 +131,7 @@ pub struct WorkerGate {
 
 impl WorkerGate {
     /// A gate for `workers` workers, all initially active.
-    pub fn new(workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         WorkerGate {
             demoted: (0..workers).map(|_| AtomicBool::new(false)).collect(),
             retired: (0..workers).map(|_| AtomicBool::new(false)).collect(),
@@ -140,7 +140,7 @@ impl WorkerGate {
 
     /// Flag `worker` as demoted.  Returns `true` when the flag was newly
     /// set (false for out-of-range ids and repeat demotions).
-    pub fn demote(&self, worker: usize) -> bool {
+    pub(crate) fn demote(&self, worker: usize) -> bool {
         self.demoted
             .get(worker)
             .map(|f| !f.swap(true, Ordering::Relaxed))
@@ -148,7 +148,7 @@ impl WorkerGate {
     }
 
     /// Clear `worker`'s demotion flag.  Returns `true` when it was set.
-    pub fn reinstate(&self, worker: usize) -> bool {
+    pub(crate) fn reinstate(&self, worker: usize) -> bool {
         self.demoted
             .get(worker)
             .map(|f| f.swap(false, Ordering::Relaxed))
@@ -156,7 +156,7 @@ impl WorkerGate {
     }
 
     /// Whether `worker` has been demoted.
-    pub fn is_demoted(&self, worker: usize) -> bool {
+    pub(crate) fn is_demoted(&self, worker: usize) -> bool {
         self.demoted
             .get(worker)
             .map(|f| f.load(Ordering::Relaxed))
@@ -164,7 +164,7 @@ impl WorkerGate {
     }
 
     /// Farm-side report: `worker` retired after exhausting its panic budget.
-    pub fn mark_retired(&self, worker: usize) {
+    pub(crate) fn mark_retired(&self, worker: usize) {
         if let Some(f) = self.retired.get(worker) {
             f.store(true, Ordering::Relaxed);
         }
@@ -172,7 +172,7 @@ impl WorkerGate {
 
     /// Whether `worker` is no longer pulling for any reason — demoted by
     /// the adaptation layer or retired by the farm after panics.
-    pub fn is_inactive(&self, worker: usize) -> bool {
+    pub(crate) fn is_inactive(&self, worker: usize) -> bool {
         self.is_demoted(worker)
             || self
                 .retired
@@ -182,7 +182,7 @@ impl WorkerGate {
     }
 
     /// Number of demoted workers.
-    pub fn demoted_count(&self) -> usize {
+    pub(crate) fn demoted_count(&self) -> usize {
         self.demoted
             .iter()
             .filter(|f| f.load(Ordering::Relaxed))
@@ -211,28 +211,28 @@ impl ExecutorSet for &WorkerGate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FarmStats {
     /// Number of worker threads used.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Tasks completed per worker.
     pub tasks_per_worker: Vec<usize>,
     /// Mean per-task execution time per worker (seconds), as measured during
     /// the run (calibration probes included).
-    pub mean_task_time_per_worker: Vec<f64>,
+    pub(crate) mean_task_time_per_worker: Vec<f64>,
     /// Wall-clock duration of the calibration pass.
-    pub calibration: Duration,
+    pub(crate) calibration: Duration,
     /// Wall-clock duration of the whole run.
     pub total: Duration,
     /// Chunk size chosen after calibration (for fixed/guided policies this is
     /// the first chunk actually dispensed).
-    pub initial_chunk: usize,
+    pub(crate) initial_chunk: usize,
     /// Worker panics caught and isolated during the run.
-    pub panics: usize,
+    pub(crate) panics: usize,
     /// Tasks that were re-executed after a panicked attempt and completed.
-    pub retried: usize,
+    pub(crate) retried: usize,
     /// Workers retired after exhausting their panic budget.
-    pub workers_lost: usize,
+    pub(crate) workers_lost: usize,
     /// Workers that stopped pulling after an external demotion through the
     /// [`WorkerGate`] (Algorithm 2's "drop the slow node", not a fault).
-    pub workers_demoted: usize,
+    pub(crate) workers_demoted: usize,
     /// Steal attempts made by idle workers (work-stealing policy only; a
     /// chosen victim whose deque drained first counts as attempted).
     pub steals_attempted: usize,
@@ -242,9 +242,9 @@ pub struct FarmStats {
     pub units_stolen: usize,
     /// In-flight units speculatively duplicated on idle workers near the
     /// tail (each unit at most once; demand-driven policies only).
-    pub speculated_units: usize,
+    pub(crate) speculated_units: usize,
     /// Speculative duplicates that delivered the winning (first) result.
-    pub speculation_wins: usize,
+    pub(crate) speculation_wins: usize,
 }
 
 impl FarmStats {
@@ -316,7 +316,7 @@ struct Queue {
 /// the question through
 /// [`grasp_core::engine::AdaptationEngine::maybe_speculate`], so speculation
 /// is audited like every other adaptation.
-pub trait SpeculationPolicy: Send + Sync {
+pub(crate) trait SpeculationPolicy: Send + Sync {
     /// May one more speculative duplicate launch, with `in_flight` of
     /// `total` units still running and nothing left pending?
     fn allow(&self, in_flight: usize, total: usize) -> bool;
@@ -329,16 +329,16 @@ pub trait SpeculationPolicy: Send + Sync {
 /// The two clock stamps the farm takes around one successful execution of
 /// the task closure — the only clock reads on the per-unit path.
 #[derive(Debug, Clone, Copy)]
-pub struct UnitTiming {
+pub(crate) struct UnitTiming {
     /// Just before the closure was called.
-    pub started: Instant,
+    pub(crate) started: Instant,
     /// Just after it returned.
-    pub finished: Instant,
+    pub(crate) finished: Instant,
 }
 
 impl UnitTiming {
     /// Wall time the closure took.
-    pub fn elapsed(&self) -> Duration {
+    pub(crate) fn elapsed(&self) -> Duration {
         self.finished.saturating_duration_since(self.started)
     }
 }
@@ -350,7 +350,7 @@ impl UnitTiming {
 /// starting from its `Default`, so [`UnitObserver::unit_done`] can
 /// accumulate without any lock or shared write; the farm hands every
 /// worker's state back when the run ends.
-pub trait UnitObserver: Sync {
+pub(crate) trait UnitObserver: Sync {
     /// One worker's state, owned by that worker's thread during the run.
     type Local: Default + Send;
 
@@ -378,7 +378,7 @@ impl UnitObserver for () {
 
 /// What [`ThreadFarm::try_run_observed`] returns: the results in input
 /// order, the run statistics, and each worker's observer state.
-pub type ObservedRun<R, L> = (Vec<R>, FarmStats, Vec<L>);
+pub(crate) type ObservedRun<R, L> = (Vec<R>, FarmStats, Vec<L>);
 
 /// What one worker owns during a run and hands back when it stops.
 pub(crate) struct WorkerLocal<R, L> {
@@ -485,7 +485,7 @@ impl ThreadFarm {
     /// Attach a [`SpeculationPolicy`]: near the tail, idle workers duplicate
     /// in-flight units instead of exiting (demand-driven policies only; the
     /// work-stealing mode already rebalances its tail by stealing).
-    pub fn with_speculation(mut self, policy: Arc<dyn SpeculationPolicy>) -> Self {
+    pub(crate) fn with_speculation(mut self, policy: Arc<dyn SpeculationPolicy>) -> Self {
         self.speculation = Some(policy);
         self
     }
@@ -493,7 +493,7 @@ impl ThreadFarm {
     /// Attach a [`WorkerGate`] whose demotion flags the pull loop honours
     /// (see the gate's docs for the progress guards).  The caller keeps its
     /// own handle and flips flags while the run is in flight.
-    pub fn with_gate(mut self, gate: Arc<WorkerGate>) -> Self {
+    pub(crate) fn with_gate(mut self, gate: Arc<WorkerGate>) -> Self {
         self.gate = Some(gate);
         self
     }
@@ -508,21 +508,21 @@ impl ThreadFarm {
     /// work-stealing mode prefers these engine calibration ranks over the
     /// farm-local running means for both owner chunk weighting and victim
     /// selection; other policies ignore the table.
-    pub fn with_rank_table(mut self, ranks: Arc<RankTable>) -> Self {
+    pub(crate) fn with_rank_table(mut self, ranks: Arc<RankTable>) -> Self {
         self.ranks = Some(ranks);
         self
     }
 
     /// Override how many probe tasks each worker executes during calibration
     /// (0 disables the calibration pass).
-    pub fn with_calibration_samples(mut self, samples: usize) -> Self {
+    pub(crate) fn with_calibration_samples(mut self, samples: usize) -> Self {
         self.calibration_samples = samples;
         self
     }
 
     /// Override how many times one task may be attempted before the run is
     /// declared failed (clamped to ≥ 1; the default is 3).
-    pub fn with_max_task_attempts(mut self, attempts: usize) -> Self {
+    pub(crate) fn with_max_task_attempts(mut self, attempts: usize) -> Self {
         self.max_task_attempts = attempts.max(1);
         self
     }
@@ -530,13 +530,13 @@ impl ThreadFarm {
     /// Override how many panics a single worker may absorb before it retires
     /// from the pool (the last active worker never retires, so progress is
     /// preserved as long as some attempt can succeed).
-    pub fn with_worker_panic_budget(mut self, budget: usize) -> Self {
+    pub(crate) fn with_worker_panic_budget(mut self, budget: usize) -> Self {
         self.worker_panic_budget = budget;
         self
     }
 
     /// Number of worker threads.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 
@@ -574,7 +574,7 @@ impl ThreadFarm {
     /// [`ThreadFarm::try_run`] with the executing worker's index (0-based,
     /// `< self.workers()`) passed to the closure — for callers that keep
     /// per-worker accounting without a shared lock on the task hot path.
-    pub fn try_run_indexed<T, R, F>(
+    pub(crate) fn try_run_indexed<T, R, F>(
         &self,
         items: &[T],
         worker: F,
@@ -592,7 +592,7 @@ impl ThreadFarm {
     /// successful execution, `observer` gets the farm's own [`UnitTiming`]
     /// of it and the executing worker's [`UnitObserver::Local`].  Returns
     /// every worker's observer state (indexed by worker) with the results.
-    pub fn try_run_observed<T, R, F, O>(
+    pub(crate) fn try_run_observed<T, R, F, O>(
         &self,
         items: &[T],
         observer: &O,

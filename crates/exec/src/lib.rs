@@ -34,17 +34,18 @@
 //! threads exactly as on the simulated grid.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
-pub mod backend;
-pub mod deque;
-pub mod farm;
+mod backend;
+mod deque;
+mod farm;
 mod padded;
-pub mod pipeline;
-pub mod pool;
+mod pipeline;
+mod pool;
 
 pub use backend::{spin, ThreadBackend};
 pub use deque::StealDeque;
-pub use farm::{FarmStats, RankTable, ThreadFarm, UnitObserver, UnitTiming, WorkerGate};
-pub use pipeline::{PipelineStats, ThreadPipeline};
-pub use pool::{PoolLease, RoundOutcome, WorkerPool};
+pub use farm::ThreadFarm;
+pub use pipeline::ThreadPipeline;
+pub use pool::WorkerPool;

@@ -51,46 +51,47 @@ const CHANNEL_CAPACITY: usize = 16;
 const PROBE_ITEMS: usize = 4;
 
 /// A boxed stage function.
-pub type StageFn<T> = Box<dyn Fn(T) -> T + Send + Sync>;
+pub(crate) type StageFn<T> = Box<dyn Fn(T) -> T + Send + Sync>;
 
 /// Serializes one queued item into a checkpoint buffer (wire payload
 /// format) during a live stage migration.
-pub type EncodeItemFn<T> = dyn Fn(&T, &mut ByteWriter) + Send + Sync;
+pub(crate) type EncodeItemFn<T> = dyn Fn(&T, &mut ByteWriter) + Send + Sync;
 
 /// Rebuilds one queued item from a checkpoint buffer on the stage's new
 /// home.
-pub type DecodeItemFn<T> = dyn Fn(&mut ByteReader<'_>) -> Result<T, GraspError> + Send + Sync;
+pub(crate) type DecodeItemFn<T> =
+    dyn Fn(&mut ByteReader<'_>) -> Result<T, GraspError> + Send + Sync;
 
 /// The encode/decode pair installed by [`ThreadPipeline::with_migration`].
-pub type MigrationCodec<T> = (Arc<EncodeItemFn<T>>, Arc<DecodeItemFn<T>>);
+pub(crate) type MigrationCodec<T> = (Arc<EncodeItemFn<T>>, Arc<DecodeItemFn<T>>);
 
 /// Per-run statistics reported by [`ThreadPipeline::run`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineStats {
     /// Mean service time per stage (seconds per item).
-    pub mean_stage_service: Vec<f64>,
+    pub(crate) mean_stage_service: Vec<f64>,
     /// Items processed per stage (equals the stream length for every stage).
     pub items_per_stage: Vec<usize>,
     /// Index of the slowest stage.
-    pub bottleneck_stage: usize,
+    pub(crate) bottleneck_stage: usize,
     /// Worker threads used per stage (1 unless the stage was replicated).
-    pub replicas_per_stage: Vec<usize>,
+    pub(crate) replicas_per_stage: Vec<usize>,
     /// Wall-clock duration of the whole run.
-    pub total: Duration,
+    pub(crate) total: Duration,
     /// Stage panics caught and isolated during the run.
-    pub panics: usize,
+    pub(crate) panics: usize,
     /// Items re-executed after a panicked attempt that ultimately completed.
-    pub retried: usize,
+    pub(crate) retried: usize,
     /// Audit trail of the engine-driven adaptation loop (empty unless
     /// [`ThreadPipeline::with_adaptation`] enabled it): stage replications
     /// and the threshold context they fired under, in wall-clock seconds
     /// since run start.
-    pub adaptation: AdaptationLog,
+    pub(crate) adaptation: AdaptationLog,
 }
 
 impl PipelineStats {
     /// Throughput in items per second over the whole run.
-    pub fn throughput(&self, items: usize) -> f64 {
+    pub(crate) fn throughput(&self, items: usize) -> f64 {
         let secs = self.total.as_secs_f64();
         if secs <= 0.0 {
             0.0
@@ -178,7 +179,7 @@ impl<T: Send + 'static> ThreadPipeline<T> {
     /// Append a stage farmed across `replicas` worker threads (clamped to
     /// ≥ 1) — the shared-memory realisation of a nested farm stage inside a
     /// pipeline.  Result order is still preserved by the reordering sink.
-    pub fn stage_replicated(
+    pub(crate) fn stage_replicated(
         mut self,
         f: impl Fn(T) -> T + Send + Sync + 'static,
         replicas: usize,
@@ -190,7 +191,7 @@ impl<T: Send + 'static> ThreadPipeline<T> {
 
     /// Override how many times one item may be attempted at one stage before
     /// the run fails (clamped to ≥ 1; the default is 3).
-    pub fn with_max_task_attempts(mut self, attempts: usize) -> Self {
+    pub(crate) fn with_max_task_attempts(mut self, attempts: usize) -> Self {
         self.max_task_attempts = attempts.max(1);
         self
     }

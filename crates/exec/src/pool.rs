@@ -136,7 +136,7 @@ impl<T: Send + Sync + 'static, R: Send + 'static> WorkerPool<T, R> {
     }
 
     /// Workers currently in rotation.
-    pub fn active_workers(&self) -> usize {
+    pub(crate) fn active_workers(&self) -> usize {
         self.workers - self.shared.gate.demoted_count()
     }
 
@@ -158,7 +158,7 @@ impl<T: Send + Sync + 'static, R: Send + 'static> WorkerPool<T, R> {
     }
 
     /// Dispatch rounds completed so far.
-    pub fn rounds(&self) -> u64 {
+    pub(crate) fn rounds(&self) -> u64 {
         self.shared.rounds.load(Ordering::Relaxed)
     }
 

@@ -333,7 +333,7 @@ impl AdaptiveForecaster {
     }
 
     /// The default NWS-style candidate set.
-    pub fn default_candidates() -> Vec<Box<dyn Forecaster>> {
+    pub(crate) fn default_candidates() -> Vec<Box<dyn Forecaster>> {
         vec![
             Box::new(LastValue::new()),
             Box::new(RunningMean::new()),

@@ -17,11 +17,12 @@
 //!   calibration and execution phases.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
-pub mod forecast;
-pub mod registry;
-pub mod series;
+mod forecast;
+mod registry;
+mod series;
 
 pub use forecast::{
     mean_absolute_error, AdaptiveForecaster, Ar1Forecaster, ExponentialSmoothing, Forecaster,

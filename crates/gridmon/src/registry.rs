@@ -19,9 +19,9 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeObservation {
     /// Node the observation refers to.
-    pub node: NodeId,
+    pub(crate) node: NodeId,
     /// Observation time.
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// External CPU load fraction in `[0, 1]`.
     pub cpu_load: f64,
     /// Available bandwidth fraction towards the root/master node in `[0, 1]`.
@@ -99,7 +99,7 @@ impl MonitorRegistry {
     }
 
     /// The root node bandwidth is measured against.
-    pub fn root(&self) -> NodeId {
+    pub(crate) fn root(&self) -> NodeId {
         self.root
     }
 
@@ -142,7 +142,7 @@ impl MonitorRegistry {
 
     /// Drop all recorded state (used when a recalibration decides to start
     /// from scratch).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.monitors.clear();
     }
 }
@@ -168,7 +168,11 @@ mod tests {
         let mut last = Vec::new();
         for i in 0..10 {
             let t = SimTime::new(i as f64 * 5.0);
-            last = g.node_ids().iter().map(|&n| reg.observe(&g, n, t)).collect();
+            last = g
+                .node_ids()
+                .iter()
+                .map(|&n| reg.observe(&g, n, t))
+                .collect();
         }
         assert!((last[1].cpu_load - 0.5).abs() < 1e-12);
         assert_eq!(last[0].cpu_load, 0.0);

@@ -31,7 +31,7 @@ impl TimeSeries {
     }
 
     /// Maximum number of retained observations.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -41,7 +41,7 @@ impl TimeSeries {
     }
 
     /// `true` when no observations are stored.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
 
@@ -70,18 +70,18 @@ impl TimeSeries {
     }
 
     /// All stored observation times, oldest first.
-    pub fn times(&self) -> Vec<f64> {
+    pub(crate) fn times(&self) -> Vec<f64> {
         self.times.iter().copied().collect()
     }
 
     /// The `n` most recent values, oldest first.
-    pub fn last_n(&self, n: usize) -> Vec<f64> {
+    pub(crate) fn last_n(&self, n: usize) -> Vec<f64> {
         let start = self.values.len().saturating_sub(n);
         self.values.iter().skip(start).copied().collect()
     }
 
     /// Values observed at or after `since`, oldest first.
-    pub fn since(&self, since: SimTime) -> Vec<f64> {
+    pub(crate) fn since(&self, since: SimTime) -> Vec<f64> {
         self.times
             .iter()
             .zip(self.values.iter())

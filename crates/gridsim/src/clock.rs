@@ -31,7 +31,7 @@ impl SimTime {
 
     /// Construct from seconds without the non-negativity clamp.  Only used
     /// internally for differences; still maps NaN to zero.
-    pub fn raw(seconds: f64) -> Self {
+    pub(crate) fn raw(seconds: f64) -> Self {
         if seconds.is_nan() {
             SimTime(0.0)
         } else {
@@ -45,7 +45,7 @@ impl SimTime {
     }
 
     /// Milliseconds as `f64`.
-    pub fn as_millis(&self) -> f64 {
+    pub(crate) fn as_millis(&self) -> f64 {
         self.0 * 1e3
     }
 

@@ -17,7 +17,7 @@ pub struct ScheduledEvent<E> {
     /// When the event fires.
     pub time: SimTime,
     /// Monotonic sequence number used to break ties deterministically.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The payload.
     pub payload: E,
 }
@@ -71,12 +71,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Current simulation time (the time of the last popped event, or zero).
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
@@ -102,7 +102,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Drain and discard every pending event (used when a simulation aborts).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
     }
 }

@@ -153,7 +153,7 @@ impl FaultPlan {
     }
 
     /// Number of scheduled events.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.len()
     }
 
@@ -183,7 +183,7 @@ impl FaultPlan {
     /// Is `node` up at time `t`?  Nodes start up; the most recent transition
     /// at or before `t` decides the state.  `O(log events)` through the
     /// index, `O(events)` on the deserialized fallback.
-    pub fn is_up(&self, node: NodeId, t: SimTime) -> bool {
+    pub(crate) fn is_up(&self, node: NodeId, t: SimTime) -> bool {
         if let Some(index) = self.index() {
             let start = Self::node_start(index, node);
             let end = Self::upper_bound(index, node, t);

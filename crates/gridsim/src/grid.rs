@@ -29,7 +29,7 @@ pub struct TransferEstimate {
     /// Total transfer duration (latency + serialisation at available bandwidth).
     pub duration: SimTime,
     /// Effective bandwidth in MiB/s after background traffic.
-    pub effective_bandwidth_mib_s: f64,
+    pub(crate) effective_bandwidth_mib_s: f64,
 }
 
 /// A simulated computational grid: static topology plus dynamic behaviour.
@@ -76,7 +76,7 @@ impl Grid {
     }
 
     /// CPU availability of `node` at `t` in `[0, 1]` (0 when down).
-    pub fn availability(&self, node: NodeId, t: SimTime) -> f64 {
+    pub(crate) fn availability(&self, node: NodeId, t: SimTime) -> f64 {
         if !self.is_up(node, t) {
             0.0
         } else {

@@ -31,29 +31,27 @@
 //! it depends on wall-clock time, threads, or I/O.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
-pub mod clock;
-pub mod event;
-pub mod fault;
-pub mod grid;
-pub mod link;
-pub mod load;
-pub mod node;
-pub mod site;
-pub mod topology;
-pub mod trace;
+mod clock;
+mod event;
+mod fault;
+mod grid;
+mod link;
+mod load;
+mod node;
+mod site;
+mod topology;
+mod trace;
 
 pub use clock::SimTime;
-pub use event::{EventQueue, ScheduledEvent};
+pub use event::EventQueue;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use grid::{Grid, GridBuilder, TransferEstimate};
-pub use link::{LinkId, LinkSpec};
+pub use grid::{Grid, GridBuilder};
+pub use link::LinkSpec;
 pub use load::{
-    BurstyLoad, CompositeLoad, ConstantLoad, DiurnalLoad, LoadModel, PeriodicLoad, RandomWalkLoad,
-    SpikeLoad, TraceLoad,
+    BurstyLoad, CompositeLoad, ConstantLoad, LoadModel, PeriodicLoad, RandomWalkLoad, SpikeLoad,
 };
-pub use node::{NodeId, NodeSpec};
-pub use site::{Site, SiteId};
-pub use topology::{GridTopology, TopologyBuilder};
-pub use trace::LoadTrace;
+pub use node::NodeId;
+pub use topology::TopologyBuilder;

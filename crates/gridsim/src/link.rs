@@ -11,7 +11,7 @@ use std::fmt;
 
 /// Identifier of a wide-area link within a topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct LinkId(pub usize);
+pub(crate) struct LinkId(pub(crate) usize);
 
 impl fmt::Display for LinkId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -23,15 +23,15 @@ impl fmt::Display for LinkId {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LinkSpec {
     /// Nominal bandwidth in MiB per second.
-    pub bandwidth_mib_s: f64,
+    pub(crate) bandwidth_mib_s: f64,
     /// One-way latency in seconds.
-    pub latency_s: f64,
+    pub(crate) latency_s: f64,
 }
 
 impl LinkSpec {
     /// Create a link spec; non-positive bandwidth is clamped to a tiny
     /// positive value so transfer times stay finite, negative latency to 0.
-    pub fn new(bandwidth_mib_s: f64, latency_s: f64) -> Self {
+    pub(crate) fn new(bandwidth_mib_s: f64, latency_s: f64) -> Self {
         LinkSpec {
             bandwidth_mib_s: if bandwidth_mib_s > 0.0 {
                 bandwidth_mib_s
@@ -48,12 +48,12 @@ impl LinkSpec {
     }
 
     /// A typical academic WAN path: ~10 MiB/s, 20 ms latency.
-    pub fn wan() -> Self {
+    pub(crate) fn wan() -> Self {
         LinkSpec::new(10.0, 0.020)
     }
 
     /// A congested commodity internet path: ~1 MiB/s, 80 ms latency.
-    pub fn internet() -> Self {
+    pub(crate) fn internet() -> Self {
         LinkSpec::new(1.0, 0.080)
     }
 

@@ -22,7 +22,7 @@ use rand::{Rng, SeedableRng};
 /// Upper bound used when clamping external load so that a node never becomes
 /// completely unavailable (the paper's grid nodes always make *some*
 /// progress; total unavailability is modelled by fault injection instead).
-pub const MAX_LOAD: f64 = 0.98;
+pub(crate) const MAX_LOAD: f64 = 0.98;
 
 /// A deterministic mapping from virtual time to external load in `[0, MAX_LOAD]`.
 pub trait LoadModel: Send + Sync {
@@ -63,7 +63,7 @@ impl ConstantLoad {
     }
 
     /// An idle resource.
-    pub fn idle() -> Self {
+    pub(crate) fn idle() -> Self {
         ConstantLoad::new(0.0)
     }
 }
@@ -118,7 +118,7 @@ impl LoadModel for PeriodicLoad {
 /// Diurnal (day/night) pattern: low load during the "night" fraction of the
 /// cycle and high load during the "day", with smooth cosine ramps.
 #[derive(Debug, Clone, Copy)]
-pub struct DiurnalLoad {
+pub(crate) struct DiurnalLoad {
     night_load: f64,
     day_load: f64,
     period_s: f64,
@@ -127,7 +127,7 @@ pub struct DiurnalLoad {
 impl DiurnalLoad {
     /// Create a diurnal load with the given night/day plateaus and period
     /// (default grids use 86 400 s; experiments shrink it).
-    pub fn new(night_load: f64, day_load: f64, period_s: f64) -> Self {
+    pub(crate) fn new(night_load: f64, day_load: f64, period_s: f64) -> Self {
         DiurnalLoad {
             night_load: clamp_load(night_load),
             day_load: clamp_load(day_load),
@@ -335,13 +335,13 @@ impl LoadModel for RandomWalkLoad {
 
 /// Load replayed from a recorded [`LoadTrace`] (step-wise, repeating).
 #[derive(Debug, Clone)]
-pub struct TraceLoad {
+pub(crate) struct TraceLoad {
     trace: LoadTrace,
 }
 
 impl TraceLoad {
     /// Wrap a trace for replay.
-    pub fn new(trace: LoadTrace) -> Self {
+    pub(crate) fn new(trace: LoadTrace) -> Self {
         TraceLoad { trace }
     }
 }

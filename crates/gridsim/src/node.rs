@@ -29,19 +29,19 @@ impl NodeId {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NodeSpec {
     /// Node identifier (assigned by the topology builder).
-    pub id: NodeId,
+    pub(crate) id: NodeId,
     /// Human-readable name, e.g. `"edinburgh-03"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Base processing speed in work units per virtual second, with the whole
     /// machine to itself.  Heterogeneity is expressed as differing speeds.
     pub base_speed: f64,
     /// Administrative site (cluster / virtual organisation) this node is in.
-    pub site: SiteId,
+    pub(crate) site: SiteId,
 }
 
 impl NodeSpec {
     /// Create a node spec with the given speed.
-    pub fn new(id: NodeId, name: impl Into<String>, base_speed: f64, site: SiteId) -> Self {
+    pub(crate) fn new(id: NodeId, name: impl Into<String>, base_speed: f64, site: SiteId) -> Self {
         NodeSpec {
             id,
             name: name.into(),
@@ -53,7 +53,7 @@ impl NodeSpec {
 
 /// Dynamic state of a node maintained by the [`crate::grid::Grid`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum NodeState {
+pub(crate) enum NodeState {
     /// Available for work (subject to external load).
     #[default]
     Up,

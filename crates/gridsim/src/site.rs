@@ -13,7 +13,7 @@ use std::fmt;
 
 /// Identifier of a site within a topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct SiteId(pub usize);
+pub struct SiteId(pub(crate) usize);
 
 impl fmt::Display for SiteId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -23,7 +23,7 @@ impl fmt::Display for SiteId {
 
 impl SiteId {
     /// The raw index.
-    pub fn index(&self) -> usize {
+    pub(crate) fn index(&self) -> usize {
         self.0
     }
 }
@@ -34,17 +34,17 @@ pub struct Site {
     /// Site identifier (assigned by the topology builder).
     pub id: SiteId,
     /// Human-readable name, e.g. `"edinburgh"`.
-    pub name: String,
+    pub(crate) name: String,
     /// Local-area interconnect used for node-to-node transfers inside the
     /// site (typically high bandwidth / low latency).
-    pub local_link: LinkSpec,
+    pub(crate) local_link: LinkSpec,
     /// Nodes belonging to this site.
-    pub nodes: Vec<NodeId>,
+    pub(crate) nodes: Vec<NodeId>,
 }
 
 impl Site {
     /// Create an empty site with the given local interconnect.
-    pub fn new(id: SiteId, name: impl Into<String>, local_link: LinkSpec) -> Self {
+    pub(crate) fn new(id: SiteId, name: impl Into<String>, local_link: LinkSpec) -> Self {
         Site {
             id,
             name: name.into(),
@@ -54,17 +54,17 @@ impl Site {
     }
 
     /// Number of nodes registered in this site.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
     }
 
     /// `true` when the site has no nodes.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
 
     /// `true` when the node belongs to this site.
-    pub fn contains(&self, node: NodeId) -> bool {
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
         self.nodes.contains(&node)
     }
 }

@@ -26,7 +26,7 @@ pub struct GridTopology {
 
 impl GridTopology {
     /// All nodes, indexed by `NodeId::index()`.
-    pub fn nodes(&self) -> &[NodeSpec] {
+    pub(crate) fn nodes(&self) -> &[NodeSpec] {
         &self.nodes
     }
 
@@ -36,7 +36,7 @@ impl GridTopology {
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
@@ -46,12 +46,12 @@ impl GridTopology {
     }
 
     /// Look up a node; `None` when the id is out of range.
-    pub fn node(&self, id: NodeId) -> Option<&NodeSpec> {
+    pub(crate) fn node(&self, id: NodeId) -> Option<&NodeSpec> {
         self.nodes.get(id.index())
     }
 
     /// Look up a site; `None` when the id is out of range.
-    pub fn site(&self, id: SiteId) -> Option<&Site> {
+    pub(crate) fn site(&self, id: SiteId) -> Option<&Site> {
         self.sites.get(id.index())
     }
 
@@ -59,14 +59,19 @@ impl GridTopology {
     /// site, the declared WAN link between their sites otherwise (or
     /// [`LinkSpec::wan`] when none was declared).  `None` if either node id is
     /// unknown.
-    pub fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkSpec> {
+    pub(crate) fn link_between(&self, a: NodeId, b: NodeId) -> Option<LinkSpec> {
         let na = self.node(a)?;
         let nb = self.node(b)?;
         if na.site == nb.site {
             return self.site(na.site).map(|s| s.local_link);
         }
         let key = ordered(na.site.index(), nb.site.index());
-        Some(self.wan_links.get(&key).copied().unwrap_or_else(LinkSpec::wan))
+        Some(
+            self.wan_links
+                .get(&key)
+                .copied()
+                .unwrap_or_else(LinkSpec::wan),
+        )
     }
 
     /// Fastest dedicated node speed in the topology (0 when empty).
@@ -80,7 +85,7 @@ impl GridTopology {
     }
 
     /// Heterogeneity ratio: fastest over slowest node speed (1.0 when empty).
-    pub fn heterogeneity(&self) -> f64 {
+    pub(crate) fn heterogeneity(&self) -> f64 {
         let min = self
             .nodes
             .iter()
@@ -146,7 +151,7 @@ impl TopologyBuilder {
     }
 
     /// Declare a WAN link between two sites (symmetric).
-    pub fn connect_sites(&mut self, a: SiteId, b: SiteId, link: LinkSpec) -> &mut Self {
+    pub(crate) fn connect_sites(&mut self, a: SiteId, b: SiteId, link: LinkSpec) -> &mut Self {
         self.wan_links.insert(ordered(a.index(), b.index()), link);
         self
     }

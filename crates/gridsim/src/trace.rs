@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// A load signal sampled at a fixed interval starting at time zero.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LoadTrace {
+pub(crate) struct LoadTrace {
     interval_s: f64,
     samples: Vec<f64>,
 }
@@ -20,7 +20,7 @@ pub struct LoadTrace {
 impl LoadTrace {
     /// Create a trace from raw samples taken every `interval_s` seconds.
     /// A non-positive interval is clamped to 1 s.
-    pub fn new(interval_s: f64, samples: Vec<f64>) -> Self {
+    pub(crate) fn new(interval_s: f64, samples: Vec<f64>) -> Self {
         LoadTrace {
             interval_s: if interval_s > 0.0 { interval_s } else { 1.0 },
             samples,
@@ -29,7 +29,7 @@ impl LoadTrace {
 
     /// Record a trace by sampling `model` every `interval_s` seconds for
     /// `duration_s` seconds.
-    pub fn record(model: &dyn LoadModel, interval_s: f64, duration_s: f64) -> Self {
+    pub(crate) fn record(model: &dyn LoadModel, interval_s: f64, duration_s: f64) -> Self {
         let interval_s = if interval_s > 0.0 { interval_s } else { 1.0 };
         let n = (duration_s / interval_s).ceil().max(1.0) as usize;
         let samples = (0..n)
@@ -42,33 +42,33 @@ impl LoadTrace {
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.samples.len()
     }
 
     /// `true` when the trace holds no samples.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.samples.is_empty()
     }
 
     /// Sampling interval in seconds.
-    pub fn interval(&self) -> f64 {
+    pub(crate) fn interval(&self) -> f64 {
         self.interval_s
     }
 
     /// Total covered duration in seconds.
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         self.samples.len() as f64 * self.interval_s
     }
 
     /// Raw samples.
-    pub fn samples(&self) -> &[f64] {
+    pub(crate) fn samples(&self) -> &[f64] {
         &self.samples
     }
 
     /// Step-wise sample at `t`; `0.0` for an empty trace, last sample beyond
     /// the end.
-    pub fn sample(&self, t: SimTime) -> f64 {
+    pub(crate) fn sample(&self, t: SimTime) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
@@ -77,7 +77,7 @@ impl LoadTrace {
     }
 
     /// Step-wise sample at `t`, repeating the trace cyclically.
-    pub fn sample_cyclic(&self, t: SimTime) -> f64 {
+    pub(crate) fn sample_cyclic(&self, t: SimTime) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
@@ -86,7 +86,7 @@ impl LoadTrace {
     }
 
     /// Mean load over the whole trace (0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.samples.is_empty() {
             0.0
         } else {
@@ -95,7 +95,7 @@ impl LoadTrace {
     }
 
     /// Render as CSV lines `time_s,load` (used by the experiment binaries).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::from("time_s,load\n");
         for (i, s) in self.samples.iter().enumerate() {
             out.push_str(&format!("{:.3},{:.6}\n", i as f64 * self.interval_s, s));

@@ -16,7 +16,7 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
 
 /// Weighted arithmetic mean.  Returns `None` when the slices differ in length,
 /// are empty, or the weights sum to zero.
-pub fn weighted_mean(xs: &[f64], weights: &[f64]) -> Option<f64> {
+pub(crate) fn weighted_mean(xs: &[f64], weights: &[f64]) -> Option<f64> {
     if xs.is_empty() || xs.len() != weights.len() {
         return None;
     }
@@ -30,7 +30,7 @@ pub fn weighted_mean(xs: &[f64], weights: &[f64]) -> Option<f64> {
 
 /// Geometric mean of strictly positive samples; `None` if empty or any value
 /// is non-positive.  Used for aggregating speedups across workloads.
-pub fn geometric_mean(xs: &[f64]) -> Option<f64> {
+pub(crate) fn geometric_mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
         return None;
     }
@@ -40,7 +40,7 @@ pub fn geometric_mean(xs: &[f64]) -> Option<f64> {
 
 /// Harmonic mean of strictly positive samples; `None` if empty or any value is
 /// non-positive.  Used for aggregating throughput rates.
-pub fn harmonic_mean(xs: &[f64]) -> Option<f64> {
+pub(crate) fn harmonic_mean(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
         return None;
     }
@@ -59,7 +59,7 @@ pub fn sample_variance(xs: &[f64]) -> Option<f64> {
 }
 
 /// Population (n) variance. Returns `None` for an empty slice.
-pub fn population_variance(xs: &[f64]) -> Option<f64> {
+pub(crate) fn population_variance(xs: &[f64]) -> Option<f64> {
     if xs.is_empty() {
         return None;
     }
@@ -69,14 +69,14 @@ pub fn population_variance(xs: &[f64]) -> Option<f64> {
 }
 
 /// Sample standard deviation (square root of the unbiased variance).
-pub fn std_dev(xs: &[f64]) -> Option<f64> {
+pub(crate) fn std_dev(xs: &[f64]) -> Option<f64> {
     sample_variance(xs).map(f64::sqrt)
 }
 
 /// Coefficient of variation (σ/μ).  Returns `None` when the mean is zero or
 /// there are fewer than two samples.  GRASP uses it to flag nodes whose
 /// calibration samples are too noisy to trust.
-pub fn coefficient_of_variation(xs: &[f64]) -> Option<f64> {
+pub(crate) fn coefficient_of_variation(xs: &[f64]) -> Option<f64> {
     let m = mean(xs)?;
     if m == 0.0 {
         return None;
@@ -141,7 +141,7 @@ pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
 }
 
 /// Z-scores of a sample (empty output when variance is undefined or zero).
-pub fn zscores(xs: &[f64]) -> Vec<f64> {
+pub(crate) fn zscores(xs: &[f64]) -> Vec<f64> {
     match (mean(xs), std_dev(xs)) {
         (Some(m), Some(s)) if s > 0.0 => xs.iter().map(|x| (x - m) / s).collect(),
         _ => Vec::new(),
@@ -151,28 +151,28 @@ pub fn zscores(xs: &[f64]) -> Vec<f64> {
 /// A compact five-number-plus summary of a sample, convenient for reporting
 /// experiment results.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Summary {
+pub(crate) struct Summary {
     /// Number of (non-NaN) observations.
-    pub count: usize,
+    pub(crate) count: usize,
     /// Arithmetic mean.
-    pub mean: f64,
+    pub(crate) mean: f64,
     /// Sample standard deviation (0 when count < 2).
-    pub std_dev: f64,
+    pub(crate) std_dev: f64,
     /// Minimum.
-    pub min: f64,
+    pub(crate) min: f64,
     /// 25th percentile.
-    pub p25: f64,
+    pub(crate) p25: f64,
     /// Median.
-    pub median: f64,
+    pub(crate) median: f64,
     /// 75th percentile.
-    pub p75: f64,
+    pub(crate) p75: f64,
     /// Maximum.
-    pub max: f64,
+    pub(crate) max: f64,
 }
 
 impl Summary {
     /// Summarise a sample; `None` when the slice is empty (or all NaN).
-    pub fn of(xs: &[f64]) -> Option<Self> {
+    pub(crate) fn of(xs: &[f64]) -> Option<Self> {
         let clean: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
         if clean.is_empty() {
             return None;
@@ -190,7 +190,7 @@ impl Summary {
     }
 
     /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
+    pub(crate) fn iqr(&self) -> f64 {
         self.p75 - self.p25
     }
 }

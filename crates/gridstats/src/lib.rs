@@ -27,24 +27,21 @@
 //! that the calibration layer can fall back to time-only ranking.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
-pub mod descriptive;
-pub mod matrix;
-pub mod outlier;
-pub mod ranking;
-pub mod regression;
+mod descriptive;
+mod matrix;
+mod outlier;
+mod ranking;
+mod regression;
 
-pub use descriptive::{
-    coefficient_of_variation, geometric_mean, harmonic_mean, max, mean, median, min, percentile,
-    population_variance, sample_variance, std_dev, weighted_mean, zscores, Summary,
-};
+pub use descriptive::{max, mean, median, min, percentile, sample_variance};
 pub use matrix::Matrix;
-pub use outlier::{iqr_fences, mad, reject_outliers, OutlierPolicy};
+pub use outlier::{reject_outliers, OutlierPolicy};
 pub use ranking::{argsort_ascending, argsort_descending, dense_ranks, spearman_rho};
-pub use regression::{
-    linear_regression, multivariate_regression, LinearFit, MultivariateFit, StatsError,
-};
+use regression::StatsError;
+pub use regression::{linear_regression, multivariate_regression};
 
 /// Result alias used across the crate.
-pub type Result<T> = std::result::Result<T, StatsError>;
+pub(crate) type Result<T> = std::result::Result<T, StatsError>;

@@ -19,7 +19,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// Create a matrix of zeros with the given shape.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
             rows,
             cols,
@@ -28,7 +28,7 @@ impl Matrix {
     }
 
     /// Create an identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Matrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -55,29 +55,29 @@ impl Matrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
     /// Borrow the underlying row-major data.
-    pub fn as_slice(&self) -> &[f64] {
+    pub(crate) fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
     /// Extract row `i` as a vector.  Panics when out of range (programming
     /// error, not data error).
-    pub fn row(&self, i: usize) -> Vec<f64> {
+    pub(crate) fn row(&self, i: usize) -> Vec<f64> {
         assert!(i < self.rows, "row index {i} out of range {}", self.rows);
         self.data[i * self.cols..(i + 1) * self.cols].to_vec()
     }
 
     /// Matrix transpose.
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -185,7 +185,7 @@ impl Matrix {
     }
 
     /// Matrix inverse via [`Matrix::solve`] against the identity.
-    pub fn inverse(&self) -> Result<Matrix, StatsError> {
+    pub(crate) fn inverse(&self) -> Result<Matrix, StatsError> {
         self.solve(&Matrix::identity(self.rows))
     }
 

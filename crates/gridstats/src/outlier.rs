@@ -37,7 +37,7 @@ impl Default for OutlierPolicy {
 
 /// Median absolute deviation, scaled by 1.4826 so that it estimates the
 /// standard deviation for normally distributed data.  `None` when empty.
-pub fn mad(xs: &[f64]) -> Option<f64> {
+pub(crate) fn mad(xs: &[f64]) -> Option<f64> {
     let m = median(xs)?;
     let devs: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
     median(&devs).map(|d| d * 1.4826)
@@ -45,7 +45,7 @@ pub fn mad(xs: &[f64]) -> Option<f64> {
 
 /// Tukey fences `(lower, upper)` at `k` IQRs beyond the quartiles.
 /// `None` when the sample is empty.
-pub fn iqr_fences(xs: &[f64], k: f64) -> Option<(f64, f64)> {
+pub(crate) fn iqr_fences(xs: &[f64], k: f64) -> Option<(f64, f64)> {
     let q1 = percentile(xs, 25.0)?;
     let q3 = percentile(xs, 75.0)?;
     let iqr = q3 - q1;

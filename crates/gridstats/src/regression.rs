@@ -66,9 +66,9 @@ pub struct LinearFit {
     /// Slope β₁.
     pub slope: f64,
     /// Coefficient of determination R² in `[0, 1]` (1 when the fit is exact).
-    pub r_squared: f64,
+    pub(crate) r_squared: f64,
     /// Number of observations used.
-    pub n: usize,
+    pub(crate) n: usize,
 }
 
 impl LinearFit {
@@ -129,16 +129,16 @@ pub struct MultivariateFit {
     /// Coefficients `[β₀, β₁, …, βₖ]`; index 0 is the intercept.
     pub coefficients: Vec<f64>,
     /// Coefficient of determination R².
-    pub r_squared: f64,
+    pub(crate) r_squared: f64,
     /// Adjusted R² (penalises extra predictors); equals R² when n ≤ k+1 makes
     /// the adjustment undefined.
-    pub adjusted_r_squared: f64,
+    pub(crate) adjusted_r_squared: f64,
     /// Residuals yᵢ − ŷᵢ in observation order.
-    pub residuals: Vec<f64>,
+    pub(crate) residuals: Vec<f64>,
     /// Number of observations.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Number of predictors (excluding the intercept).
-    pub k: usize,
+    pub(crate) k: usize,
 }
 
 impl MultivariateFit {

@@ -157,7 +157,7 @@ impl NetBackend {
     }
 
     /// Registrations required before dispatch begins.
-    pub fn wait_for(&self) -> usize {
+    pub(crate) fn wait_for(&self) -> usize {
         self.policy.wait_for
     }
 

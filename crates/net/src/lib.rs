@@ -44,10 +44,11 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
-pub mod backend;
-pub mod loopback;
+mod backend;
+mod loopback;
 pub mod worker;
 
 pub use backend::NetBackend;
@@ -57,7 +58,7 @@ use std::path::PathBuf;
 
 /// Environment variable overriding where the `grasp-net-worker` binary
 /// lives (useful when embedding the backend in a foreign build system).
-pub const WORKER_BIN_ENV: &str = "GRASP_NET_WORKER_BIN";
+pub(crate) const WORKER_BIN_ENV: &str = "GRASP_NET_WORKER_BIN";
 
 /// The file name of the worker binary.
 pub const WORKER_BIN_NAME: &str = "grasp-net-worker";

@@ -104,7 +104,7 @@ impl ProcBackend {
     }
 
     /// Number of worker processes.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.workers
     }
 

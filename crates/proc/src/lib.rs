@@ -49,9 +49,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
-pub mod backend;
+mod backend;
 pub mod master;
 pub mod worker;
 
@@ -61,7 +62,7 @@ use std::path::PathBuf;
 
 /// Environment variable overriding where the `grasp-proc-worker` binary
 /// lives (useful when embedding the backend in a foreign build system).
-pub const WORKER_BIN_ENV: &str = "GRASP_PROC_WORKER_BIN";
+pub(crate) const WORKER_BIN_ENV: &str = "GRASP_PROC_WORKER_BIN";
 
 /// The file name of the worker binary.
 pub const WORKER_BIN_NAME: &str = "grasp-proc-worker";

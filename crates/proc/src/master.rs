@@ -14,7 +14,8 @@
 
 mod core;
 
-pub use self::core::{FrameReport, JoinPolicy};
+pub(crate) use self::core::FrameReport;
+pub use self::core::JoinPolicy;
 
 use self::core::{Input, MasterCore, Output};
 
@@ -411,7 +412,7 @@ impl<'a> FrameMaster<'a> {
     /// the backend spawned it, the process and its shared-memory ring.  A
     /// spawned worker is greeted with `Init` and takes units once its
     /// `Hello` arrives; one without a process registered with `Join`.
-    pub fn arrive(
+    pub(crate) fn arrive(
         &mut self,
         pid: u64,
         sink: Box<dyn FrameSink>,

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 ///
 /// Unknown kinds and malformed payloads are typed errors — the caller
 /// reports them as [`WireMsg::Failed`] and keeps serving.
-pub fn execute_payload(
+pub(crate) fn execute_payload(
     kind: u32,
     payload: &[u8],
     work: f64,
@@ -87,7 +87,7 @@ pub fn run_shm(path: &str) -> i32 {
 
 /// The process worker's protocol over any transport: the `Hello` / `Init`
 /// prologue, then [`serve`].
-pub fn run_transport(mut sink: Box<dyn FrameSink>, mut source: Box<dyn FrameSource>) -> i32 {
+pub(crate) fn run_transport(mut sink: Box<dyn FrameSink>, mut source: Box<dyn FrameSource>) -> i32 {
     let hello = WireMsg::Hello {
         pid: u64::from(std::process::id()),
     };

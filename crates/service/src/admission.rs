@@ -45,17 +45,17 @@ impl<T> AdmissionQueue<T> {
     }
 
     /// Jobs currently waiting.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lanes.iter().map(VecDeque::len).sum()
     }
 
     /// Whether nothing is waiting.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.lanes.iter().all(VecDeque::is_empty)
     }
 
     /// The backlog bound.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -116,7 +116,7 @@ impl<T> AdmissionQueue<T> {
 
     /// Drain up to `max` jobs in service order — one shared dispatch round's
     /// worth of admissions.
-    pub fn pop_batch(&mut self, max: usize) -> Vec<T> {
+    pub(crate) fn pop_batch(&mut self, max: usize) -> Vec<T> {
         let mut batch = Vec::new();
         while batch.len() < max {
             match self.pop() {

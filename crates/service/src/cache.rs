@@ -24,9 +24,9 @@ pub struct ProfileCacheStats {
     /// Lookups that required a fresh measurement.
     pub misses: u64,
     /// Drift-triggered cache clears.
-    pub invalidations: u64,
+    pub(crate) invalidations: u64,
     /// Profiles currently cached.
-    pub entries: usize,
+    pub(crate) entries: usize,
 }
 
 /// The `(worker, payload-kind) → seconds-per-work-unit` calibration cache.
@@ -61,7 +61,7 @@ impl ProfileCache {
 
     /// Read a profile without touching the hit/miss accounting (internal
     /// bookkeeping reads, e.g. "would an insert overwrite a measurement").
-    pub fn peek(&self, worker: usize, kind: &str) -> Option<f64> {
+    pub(crate) fn peek(&self, worker: usize, kind: &str) -> Option<f64> {
         self.profiles.get(&(worker, kind.to_string())).copied()
     }
 
@@ -73,7 +73,7 @@ impl ProfileCache {
 
     /// Drift: the engine recalibrated, so every cached profile describes a
     /// machine state that no longer holds.  Clear them all.
-    pub fn invalidate_all(&mut self) {
+    pub(crate) fn invalidate_all(&mut self) {
         if !self.profiles.is_empty() {
             self.profiles.clear();
         }
@@ -81,7 +81,7 @@ impl ProfileCache {
     }
 
     /// Current accounting.
-    pub fn stats(&self) -> ProfileCacheStats {
+    pub(crate) fn stats(&self) -> ProfileCacheStats {
         ProfileCacheStats {
             hits: self.hits,
             misses: self.misses,

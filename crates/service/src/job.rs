@@ -7,7 +7,7 @@ use std::sync::mpsc;
 
 /// Service-assigned job identifier, unique for the service's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct JobId(pub u64);
+pub(crate) struct JobId(pub(crate) u64);
 
 impl fmt::Display for JobId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -40,7 +40,7 @@ impl JobPriority {
     }
 
     /// A short name for reports.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             JobPriority::Batch => "batch",
             JobPriority::Normal => "normal",
@@ -54,14 +54,14 @@ impl JobPriority {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Admission priority.
-    pub priority: JobPriority,
+    pub(crate) priority: JobPriority,
     /// Fair-share key: jobs of equal priority are interleaved round-robin
     /// across tenants so one chatty client cannot starve the rest.
-    pub tenant: String,
+    pub(crate) tenant: String,
     /// Calibration-cache key component: submissions whose units stress the
     /// machine the same way share a payload kind, and therefore share
     /// `(worker, payload-kind)` calibration profiles across jobs.
-    pub payload_kind: String,
+    pub(crate) payload_kind: String,
 }
 
 impl Default for JobSpec {
@@ -104,7 +104,7 @@ pub struct JobHandle {
 
 impl JobHandle {
     /// The service-assigned job id.
-    pub fn id(&self) -> JobId {
+    pub(crate) fn id(&self) -> JobId {
         self.id
     }
 
@@ -120,7 +120,7 @@ impl JobHandle {
     }
 
     /// Non-blocking probe: `Some(outcome)` once the job has completed.
-    pub fn try_wait(&self) -> Option<Result<SkeletonOutcome, GraspError>> {
+    pub(crate) fn try_wait(&self) -> Option<Result<SkeletonOutcome, GraspError>> {
         self.rx.try_recv().ok()
     }
 }

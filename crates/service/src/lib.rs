@@ -31,14 +31,15 @@
 //!   rode the pool.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
-pub mod admission;
-pub mod cache;
-pub mod job;
-pub mod service;
+mod admission;
+mod cache;
+mod job;
+mod service;
 
 pub use admission::AdmissionQueue;
-pub use cache::{ProfileCache, ProfileCacheStats};
-pub use job::{JobHandle, JobId, JobPriority, JobSpec};
+pub use cache::ProfileCache;
+pub use job::{JobHandle, JobPriority, JobSpec};
 pub use service::{GraspService, ServiceConfig, ServiceStats};

@@ -22,22 +22,22 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Resident pool worker threads.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Admission backlog bound: submissions beyond this many waiting jobs
     /// are refused with [`GraspError::Rejected`].
     pub backlog_capacity: usize,
     /// Most jobs batched into one shared dispatch round.
-    pub batch_max_jobs: usize,
+    pub(crate) batch_max_jobs: usize,
     /// Spin-kernel iterations per declared work unit (the service's unit
     /// cost scale, like `BackendConfig::spin_per_work_unit` on the backends).
     pub spin_per_work_unit: u64,
     /// Bounded attempts per unit before the round fails
     /// ([`GraspError::WorkerFailed`]).
-    pub max_task_attempts: usize,
+    pub(crate) max_task_attempts: usize,
     /// The GRASP configuration: its `execution` section parameterises the
     /// shared [`AdaptationEngine`] (threshold policy, monitor interval,
     /// demotion factor, minimum active workers).
-    pub grasp: GraspConfig,
+    pub(crate) grasp: GraspConfig,
 }
 
 impl Default for ServiceConfig {
@@ -67,19 +67,19 @@ impl ServiceConfig {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ServiceStats {
     /// Jobs admitted (excludes rejected submissions).
-    pub jobs_submitted: u64,
+    pub(crate) jobs_submitted: u64,
     /// Jobs whose outcome has been delivered.
     pub jobs_completed: u64,
     /// Shared dispatch rounds executed.
     pub rounds: u64,
     /// Pool workers demoted by the engine so far.
-    pub demotions: u64,
+    pub(crate) demotions: u64,
     /// Engine-flagged drift recalibrations so far.
-    pub recalibrations: u64,
+    pub(crate) recalibrations: u64,
     /// Calibration-profile cache accounting.
     pub profile: ProfileCacheStats,
     /// Jobs currently waiting for admission to a round.
-    pub backlog: usize,
+    pub(crate) backlog: usize,
 }
 
 /// One unit of pool work: `(job slot in round, per-job unit id, work)`.
@@ -178,7 +178,7 @@ impl GraspService {
     }
 
     /// Start with [`ServiceConfig::with_workers`].
-    pub fn with_workers(workers: usize) -> Self {
+    pub(crate) fn with_workers(workers: usize) -> Self {
         GraspService::start(ServiceConfig::with_workers(workers))
     }
 
@@ -228,7 +228,7 @@ impl GraspService {
     }
 
     /// The service configuration in force.
-    pub fn config(&self) -> &ServiceConfig {
+    pub(crate) fn config(&self) -> &ServiceConfig {
         &self.config
     }
 

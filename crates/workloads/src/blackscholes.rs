@@ -13,23 +13,23 @@ use serde::{Deserialize, Serialize};
 
 /// Parameters of one European option.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OptionParams {
+pub(crate) struct OptionParams {
     /// Spot price.
-    pub spot: f64,
+    pub(crate) spot: f64,
     /// Strike price.
-    pub strike: f64,
+    pub(crate) strike: f64,
     /// Time to maturity in years.
-    pub maturity: f64,
+    pub(crate) maturity: f64,
     /// Risk-free rate.
-    pub rate: f64,
+    pub(crate) rate: f64,
     /// Volatility.
-    pub volatility: f64,
+    pub(crate) volatility: f64,
     /// `true` for a call, `false` for a put.
-    pub is_call: bool,
+    pub(crate) is_call: bool,
 }
 
 /// Standard normal CDF via the Abramowitz–Stegun rational approximation.
-pub fn norm_cdf(x: f64) -> f64 {
+pub(crate) fn norm_cdf(x: f64) -> f64 {
     // Φ(x) = 1 − φ(x)·(a₁k + a₂k² + a₃k³ + a₄k⁴ + a₅k⁵), k = 1/(1+0.2316419·|x|)
     let a = [
         0.319381530,
@@ -56,7 +56,7 @@ pub fn norm_cdf(x: f64) -> f64 {
 }
 
 /// Black–Scholes price of one option.
-pub fn black_scholes_price(p: &OptionParams) -> f64 {
+pub(crate) fn black_scholes_price(p: &OptionParams) -> f64 {
     let sqrt_t = p.maturity.max(1e-9).sqrt();
     let d1 = ((p.spot / p.strike).ln() + (p.rate + 0.5 * p.volatility * p.volatility) * p.maturity)
         / (p.volatility.max(1e-9) * sqrt_t);
@@ -101,7 +101,7 @@ impl BlackScholesSweep {
     }
 
     /// Generate the option parameters of one batch deterministically.
-    pub fn batch(&self, batch_index: usize) -> Vec<OptionParams> {
+    pub(crate) fn batch(&self, batch_index: usize) -> Vec<OptionParams> {
         let mut rng = StdRng::seed_from_u64(self.seed.wrapping_add(batch_index as u64));
         let start = batch_index * self.batch_size;
         let count = self.batch_size.min(self.options.saturating_sub(start));
@@ -126,7 +126,7 @@ impl BlackScholesSweep {
     }
 
     /// Number of farm tasks (batches).
-    pub fn task_count(&self) -> usize {
+    pub(crate) fn task_count(&self) -> usize {
         self.options.div_ceil(self.batch_size.max(1))
     }
 

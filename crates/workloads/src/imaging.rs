@@ -16,9 +16,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SyntheticImage {
     /// Width in pixels.
-    pub width: usize,
+    pub(crate) width: usize,
     /// Height in pixels.
-    pub height: usize,
+    pub(crate) height: usize,
     /// Row-major pixel intensities in `[0, 255]`.
     pub pixels: Vec<f32>,
 }
@@ -26,7 +26,7 @@ pub struct SyntheticImage {
 impl SyntheticImage {
     /// A deterministic pseudo-random frame with a bright diagonal band (so
     /// edge detection has structure to find).
-    pub fn generate(width: usize, height: usize, seed: u64) -> Self {
+    pub(crate) fn generate(width: usize, height: usize, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut pixels = Vec::with_capacity(width * height);
         for y in 0..height {
@@ -204,7 +204,7 @@ impl ImagePipeline {
     /// Relative per-pixel costs of the four stages (in 3×3-convolution
     /// equivalents): blur 1, sharpen 1, Sobel 2 (+magnitude ≈ 2.2), threshold
     /// 0.1.
-    pub fn stage_cost_weights() -> [f64; 4] {
+    pub(crate) fn stage_cost_weights() -> [f64; 4] {
         [1.0, 1.0, 2.2, 0.1]
     }
 
@@ -223,7 +223,7 @@ impl ImagePipeline {
     }
 
     /// Index of the heaviest stage (the Sobel edge detector).
-    pub const HEAVY_STAGE: usize = 2;
+    pub(crate) const HEAVY_STAGE: usize = 2;
 
     /// The pipeline as a composable skeleton whose heavy Sobel stage is a
     /// **nested farm** of `sobel_replicas` workers (a pipeline-of-farms):
@@ -284,7 +284,7 @@ impl ImagePipeline {
     /// The capability mask a worker must advertise in its registration
     /// handshake to serve this pipeline's payloads (the imaging kernel plus
     /// the spin kernel every job needs for calibration probes).
-    pub fn wire_capabilities(&self) -> u32 {
+    pub(crate) fn wire_capabilities(&self) -> u32 {
         use grasp_core::wire::{payload_capability, CAP_SPIN};
         CAP_SPIN | payload_capability(PAYLOAD_IMAGING)
     }
@@ -359,7 +359,7 @@ impl ImagingFrameTask {
     }
 
     /// Execute the chain on the derived frame.
-    pub fn execute(&self) -> SyntheticImage {
+    pub(crate) fn execute(&self) -> SyntheticImage {
         self.pipeline
             .process_frame(&self.pipeline.frame(self.frame))
     }

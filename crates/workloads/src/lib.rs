@@ -27,6 +27,7 @@
 //! grid executes, with work units calibrated to the kernels' relative costs.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 #![deny(unsafe_code)]
 
 pub mod blackscholes;
@@ -35,14 +36,8 @@ pub mod mandelbrot;
 pub mod matmul;
 pub mod quadrature;
 pub mod seqmatch;
-pub mod servicemix;
-pub mod transim;
+mod servicemix;
+mod transim;
 
-pub use blackscholes::BlackScholesSweep;
-pub use imaging::{ImagePipeline, SyntheticImage};
-pub use mandelbrot::MandelbrotJob;
-pub use matmul::MatMulJob;
-pub use quadrature::QuadratureJob;
-pub use seqmatch::SequenceMatchJob;
-pub use servicemix::{ServiceArrival, ServiceMixJob};
-pub use transim::{PartitionOutcome, TranSimJob};
+pub use servicemix::ServiceMixJob;
+pub use transim::TranSimJob;

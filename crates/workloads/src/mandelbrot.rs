@@ -45,15 +45,15 @@ impl Default for MandelbrotJob {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Tile {
     /// Tile identifier (row-major).
-    pub id: usize,
+    pub(crate) id: usize,
     /// First pixel column.
-    pub x0: usize,
+    pub(crate) x0: usize,
     /// First pixel row.
-    pub y0: usize,
+    pub(crate) y0: usize,
     /// Tile width in pixels.
-    pub w: usize,
+    pub(crate) w: usize,
     /// Tile height in pixels.
-    pub h: usize,
+    pub(crate) h: usize,
 }
 
 impl MandelbrotJob {
@@ -96,7 +96,7 @@ impl MandelbrotJob {
     }
 
     /// Escape iteration count for one point of the complex plane.
-    pub fn escape_count(&self, re: f64, im: f64) -> u32 {
+    pub(crate) fn escape_count(&self, re: f64, im: f64) -> u32 {
         let mut zr = 0.0f64;
         let mut zi = 0.0f64;
         let mut i = 0u32;
@@ -110,7 +110,7 @@ impl MandelbrotJob {
     }
 
     /// Map a pixel to its point in the complex plane.
-    pub fn pixel_to_point(&self, x: usize, y: usize) -> (f64, f64) {
+    pub(crate) fn pixel_to_point(&self, x: usize, y: usize) -> (f64, f64) {
         let re = self.re_range.0
             + (self.re_range.1 - self.re_range.0) * (x as f64 / self.width.max(1) as f64);
         let im = self.im_range.0
@@ -132,7 +132,7 @@ impl MandelbrotJob {
     }
 
     /// Total iterations spent rendering one tile — the ground-truth work.
-    pub fn tile_work(&self, tile: &Tile) -> f64 {
+    pub(crate) fn tile_work(&self, tile: &Tile) -> f64 {
         self.render_tile(tile).iter().map(|&c| c as f64).sum()
     }
 

@@ -91,7 +91,7 @@ impl MatMulJob {
     }
 
     /// Floating-point operations per row-band task (2·rows·n²).
-    pub fn flops_per_task(&self) -> f64 {
+    pub(crate) fn flops_per_task(&self) -> f64 {
         2.0 * self.block_rows as f64 * (self.n * self.n) as f64
     }
 
@@ -129,7 +129,7 @@ impl MatMulJob {
     /// The capability mask a worker must advertise in its registration
     /// handshake to serve this job's payloads (the mat-mul kernel plus the
     /// spin kernel every job needs for calibration probes).
-    pub fn wire_capabilities(&self) -> u32 {
+    pub(crate) fn wire_capabilities(&self) -> u32 {
         use grasp_core::wire::{payload_capability, CAP_SPIN};
         CAP_SPIN | payload_capability(PAYLOAD_MATMUL)
     }
@@ -142,11 +142,11 @@ impl MatMulJob {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MatMulBandTask {
     /// The enclosing job (dimension, blocking, input seed).
-    pub job: MatMulJob,
+    pub(crate) job: MatMulJob,
     /// First row of `C` this task computes.
-    pub row0: usize,
+    pub(crate) row0: usize,
     /// Number of rows computed (the final band may cover fewer).
-    pub rows: usize,
+    pub(crate) rows: usize,
 }
 
 impl MatMulBandTask {

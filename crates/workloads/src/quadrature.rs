@@ -48,19 +48,19 @@ impl QuadratureJob {
     }
 
     /// The integrand: `sin(f·x)·exp(-x/5) + x²/50`.
-    pub fn integrand(&self, x: f64) -> f64 {
+    pub(crate) fn integrand(&self, x: f64) -> f64 {
         (self.frequency * x).sin() * (-x / 5.0).exp() + x * x / 50.0
     }
 
     /// The analytically known reference value of the full integral, obtained
     /// by a very fine composite Simpson evaluation (used to validate panels).
-    pub fn reference_value(&self) -> f64 {
+    pub(crate) fn reference_value(&self) -> f64 {
         self.integrate_range(self.a, self.b, 400_000)
     }
 
     /// Composite Simpson's rule over `[lo, hi]` with `n` sub-intervals
     /// (bumped to the next even number).  This is the real kernel.
-    pub fn integrate_range(&self, lo: f64, hi: f64, n: usize) -> f64 {
+    pub(crate) fn integrate_range(&self, lo: f64, hi: f64, n: usize) -> f64 {
         let n = if n % 2 == 0 { n.max(2) } else { n + 1 };
         let h = (hi - lo) / n as f64;
         let mut acc = self.integrand(lo) + self.integrand(hi);
@@ -72,7 +72,7 @@ impl QuadratureJob {
     }
 
     /// Bounds of panel `i`.
-    pub fn panel_bounds(&self, i: usize) -> (f64, f64) {
+    pub(crate) fn panel_bounds(&self, i: usize) -> (f64, f64) {
         let width = (self.b - self.a) / self.panels.max(1) as f64;
         (self.a + i as f64 * width, self.a + (i + 1) as f64 * width)
     }

@@ -44,7 +44,7 @@ impl Default for SequenceMatchJob {
 const ALPHABET: [u8; 4] = [b'A', b'C', b'G', b'T'];
 
 /// Smith–Waterman local-alignment score with match +2, mismatch −1, gap −2.
-pub fn smith_waterman_score(a: &[u8], b: &[u8]) -> i64 {
+pub(crate) fn smith_waterman_score(a: &[u8], b: &[u8]) -> i64 {
     const MATCH: i64 = 2;
     const MISMATCH: i64 = -1;
     const GAP: i64 = -2;

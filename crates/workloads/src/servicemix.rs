@@ -52,7 +52,7 @@ impl Default for ServiceMixJob {
 
 impl ServiceMixJob {
     /// A small stream suitable for unit tests and smoke runs.
-    pub fn small() -> Self {
+    pub(crate) fn small() -> Self {
         ServiceMixJob {
             jobs: 12,
             units_per_job: 8,

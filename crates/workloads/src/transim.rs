@@ -60,24 +60,24 @@ impl Default for TranSimJob {
 
 /// What one partition's optimistic replay produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionOutcome {
+pub(crate) struct PartitionOutcome {
     /// Committed (distinct) transactions — always `events_per_partition`.
-    pub committed_events: usize,
+    pub(crate) committed_events: usize,
     /// Event executions paid, including every rollback re-execution; the
     /// ground-truth work of the partition.
-    pub processed_events: usize,
+    pub(crate) processed_events: usize,
     /// Straggler arrivals that forced a rollback.
-    pub rollbacks: usize,
+    pub(crate) rollbacks: usize,
     /// Deepest single rollback (events undone at once).
-    pub max_rollback_depth: usize,
+    pub(crate) max_rollback_depth: usize,
     /// FNV-1a digest of the final balances (the committed state).
-    pub state_digest: u64,
+    pub(crate) state_digest: u64,
 }
 
 impl PartitionOutcome {
     /// Committed / processed — the classic Time-Warp efficiency metric
     /// (1.0 means no speculation was wasted).
-    pub fn efficiency(&self) -> f64 {
+    pub(crate) fn efficiency(&self) -> f64 {
         self.committed_events as f64 / self.processed_events.max(1) as f64
     }
 }
@@ -101,7 +101,7 @@ fn fnv_mix(mut hash: u64, value: u64) -> u64 {
 
 impl TranSimJob {
     /// A small job suitable for unit tests.
-    pub fn small() -> Self {
+    pub(crate) fn small() -> Self {
         TranSimJob {
             partitions: 6,
             accounts_per_partition: 8,
@@ -113,7 +113,7 @@ impl TranSimJob {
     }
 
     /// Committed transactions over the whole job.
-    pub fn total_committed(&self) -> usize {
+    pub(crate) fn total_committed(&self) -> usize {
         self.partitions * self.events_per_partition
     }
 
@@ -217,13 +217,13 @@ impl TranSimJob {
     }
 
     /// Optimistically replay one partition (the real per-task kernel).
-    pub fn simulate_partition(&self, partition: usize) -> PartitionOutcome {
+    pub(crate) fn simulate_partition(&self, partition: usize) -> PartitionOutcome {
         self.replay(partition, self.kernel_iters)
     }
 
     /// The committed-state digest of a strictly timestamp-ordered sequential
     /// execution — the ground truth the optimistic replay must match.
-    pub fn sequential_digest(&self, partition: usize) -> u64 {
+    pub(crate) fn sequential_digest(&self, partition: usize) -> u64 {
         let (txns, _) = self.generate(partition);
         let mut balances = vec![1_000i64; self.accounts_per_partition.max(2)];
         for txn in &txns {
@@ -234,7 +234,7 @@ impl TranSimJob {
 
     /// Exact processed-event count per partition (rollback re-executions
     /// included), from a kernel-free control-flow pre-pass.
-    pub fn processed_event_counts(&self) -> Vec<usize> {
+    pub(crate) fn processed_event_counts(&self) -> Vec<usize> {
         (0..self.partitions)
             .map(|p| self.replay(p, 0).processed_events)
             .collect()
