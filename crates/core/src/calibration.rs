@@ -147,11 +147,6 @@ impl Calibrator {
         Calibrator { config }
     }
 
-    /// The configuration in force.
-    pub(crate) fn config(&self) -> &CalibrationConfig {
-        &self.config
-    }
-
     /// Execute the calibration phase.
     ///
     /// * `grid` — the (simulated) grid.

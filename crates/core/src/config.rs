@@ -363,14 +363,6 @@ impl FaultInjection {
         FaultInjection::default()
     }
 
-    /// Whether the plan injects anything at all.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.panics == 0
-            && self.kill.is_none()
-            && self.slowdown.is_none()
-            && self.join_spawn.is_none()
-    }
-
     /// Panic inside the first `panics` worker tasks (thread backend).
     pub fn panics(mut self, panics: usize) -> Self {
         self.panics = panics;
@@ -512,7 +504,7 @@ mod tests {
         assert_eq!(cfg.heartbeat, Some((0.1, 2.0)));
         assert_eq!(cfg.max_task_attempts, None);
         assert_eq!(cfg.worker_bin, None);
-        assert!(cfg.faults.is_empty());
+        assert_eq!(cfg.faults, FaultInjection::none());
     }
 
     #[test]
@@ -522,7 +514,7 @@ mod tests {
             .kill(1, 4)
             .worker_slowdown(0, 8, 6.0)
             .join_spawn(10, 0); // extra clamped to ≥ 1
-        assert!(!plan.is_empty());
+        assert_ne!(plan, FaultInjection::none());
         assert_eq!(plan.panics, 2);
         assert_eq!(
             plan.kill,

@@ -284,11 +284,6 @@ impl AdaptationEngine {
         self.adaptive
     }
 
-    /// The threshold *Z* currently in force (executor mode).
-    pub(crate) fn threshold(&self) -> f64 {
-        self.monitor.threshold()
-    }
-
     /// The per-stage threshold *Zₛ* currently in force (stage mode).
     pub(crate) fn stage_threshold(&self, stage: usize) -> f64 {
         self.stage_thresholds
@@ -746,7 +741,7 @@ mod tests {
     #[test]
     fn healthy_pool_yields_no_directives() {
         let mut e = AdaptationEngine::for_executors(&exec(1.0), &[1.0, 1.2], SimTime::ZERO);
-        assert!((e.threshold() - 2.0).abs() < 1e-12);
+        assert!((e.monitor.threshold() - 2.0).abs() < 1e-12);
         e.observe(NodeId(0), 1.1);
         e.observe(NodeId(1), 1.5);
         let poll = e.poll(t(1.0)).unwrap();
@@ -815,7 +810,7 @@ mod tests {
             t(1.0),
             &mut Pool::of(&[0, 1], Recalibration::Rebase(vec![5.0, 6.0])),
         );
-        assert!((e.threshold() - 10.0).abs() < 1e-12);
+        assert!((e.monitor.threshold() - 10.0).abs() < 1e-12);
         assert_eq!(e.recalibrations(), 1);
         assert_eq!(e.log().recalibrations(), 1);
         // The new Z covers the degraded times: the next interval is quiet.
@@ -884,7 +879,7 @@ mod tests {
         e.observe(NodeId(0), 8.0);
         assert!(e.poll(t(2.0)).is_none());
         assert!(
-            (e.threshold() - 16.0).abs() < 1e-12,
+            (e.monitor.threshold() - 16.0).abs() < 1e-12,
             "Z = 2 x resampled best"
         );
         // Steady degraded times are now within Z: no further recalibration.
@@ -1058,11 +1053,17 @@ mod tests {
         e.observe_unit(NodeId(1), 0.0, 9.0, t(0.2)); // skipped: not a sample
         e.observe_unit(NodeId(1), 1.0, 3.0, t(0.3));
         assert_eq!(e.armed_at(), None);
-        assert!(e.threshold().is_infinite(), "nothing can fire before Z");
+        assert!(
+            e.monitor.threshold().is_infinite(),
+            "nothing can fire before Z"
+        );
         e.observe_unit(NodeId(0), 1.0, 1.5, t(0.4));
         assert_eq!(e.armed_at(), Some(t(0.4)));
         assert!((e.sample_best() - 1.0).abs() < 1e-12);
-        assert!((e.threshold() - 2.0).abs() < 1e-12, "Z = 2 x best sample");
+        assert!(
+            (e.monitor.threshold() - 2.0).abs() < 1e-12,
+            "Z = 2 x best sample"
+        );
         // The sample never reached the monitor; the next unit does.
         assert!(e.rank_snapshot().is_empty());
         e.observe_unit(NodeId(1), 1.0, 1.25, t(0.5));

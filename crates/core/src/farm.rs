@@ -60,8 +60,6 @@ pub struct FarmOutcome {
     pub per_node_tasks: BTreeMap<NodeId, usize>,
     /// How many monitoring evaluations the monitor node performed.
     pub monitor_evaluations: usize,
-    /// Nodes active (eligible for dispatch) when the job finished.
-    pub(crate) final_active_nodes: Vec<NodeId>,
 }
 
 impl FarmOutcome {
@@ -88,15 +86,6 @@ impl FarmOutcome {
             .collect();
         gridstats::mean(&durs).unwrap_or(0.0)
     }
-
-    /// Effective throughput over the whole run (tasks per virtual second).
-    pub(crate) fn throughput(&self) -> f64 {
-        if self.makespan.as_secs() <= 0.0 {
-            0.0
-        } else {
-            self.completed_tasks() as f64 / self.makespan.as_secs()
-        }
-    }
 }
 
 /// Internal event: a dispatched chunk finished (or was found lost).
@@ -121,16 +110,6 @@ impl TaskFarm {
     pub(crate) fn with_properties(mut self, properties: SkeletonProperties) -> Self {
         self.properties = properties;
         self
-    }
-
-    /// The configuration in force.
-    pub(crate) fn config(&self) -> &GraspConfig {
-        &self.config
-    }
-
-    /// The skeleton's intrinsic properties.
-    pub(crate) fn properties(&self) -> &SkeletonProperties {
-        &self.properties
     }
 
     /// Run the farm over `tasks` on `grid`, using every node of the grid as
@@ -404,7 +383,6 @@ impl TaskFarm {
             timeline,
             per_node_tasks: per_node,
             monitor_evaluations,
-            final_active_nodes: active,
         })
     }
 
@@ -676,7 +654,6 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), 120, "every task exactly once");
         assert!(out.makespan.as_secs() > 0.0);
-        assert!(out.throughput() > 0.0);
         assert!(out.mean_task_latency() > 0.0);
         let share_sum: f64 = out.node_shares().values().sum();
         assert!((share_sum - 1.0).abs() < 1e-9);
@@ -907,7 +884,10 @@ mod tests {
         let out = TaskFarm::new(cfg).run(&grid, &tasks).unwrap();
         assert_eq!(out.completed_tasks(), 120, "lost chunk must be re-executed");
         assert!(out.adaptation.node_losses() >= 1);
-        assert!(!out.final_active_nodes.contains(&NodeId(2)));
+        assert!(out
+            .task_outcomes
+            .iter()
+            .all(|o| o.node != NodeId(2) || o.completed <= SimTime::new(5.0)));
         let mut ids: Vec<usize> = out.task_outcomes.iter().map(|o| o.task).collect();
         ids.sort_unstable();
         ids.dedup();

@@ -83,11 +83,6 @@ impl Grasp {
         Grasp { config }
     }
 
-    /// The configuration in force.
-    pub(crate) fn config(&self) -> &GraspConfig {
-        &self.config
-    }
-
     /// Drive a skeleton expression through all four phases on `backend`.
     ///
     /// This is the single entry point of the unified API: the same call runs
@@ -176,9 +171,10 @@ mod tests {
         assert!(g
             .run(&SimBackend::new(&grid), &Skeleton::pipeline(vec![], 10))
             .is_err());
+        let empty = Grid::dedicated(TopologyBuilder::new().build());
         assert!(g
             .run(
-                &SimBackend::on(&grid, &[]),
+                &SimBackend::new(&empty),
                 &Skeleton::farm(TaskSpec::uniform(5, 1.0, 0, 0))
             )
             .is_err());
@@ -221,6 +217,6 @@ mod tests {
     #[test]
     fn config_is_accessible() {
         let g = Grasp::new(GraspConfig::static_baseline());
-        assert!(!g.config().execution.adaptive);
+        assert!(!g.config.execution.adaptive);
     }
 }

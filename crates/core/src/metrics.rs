@@ -61,21 +61,6 @@ impl ThroughputTimeline {
         self.buckets[idx] += 1;
     }
 
-    /// Number of buckets (up to the latest completion seen).
-    pub(crate) fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// `true` when nothing has been recorded.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
-    }
-
-    /// Raw completion counts per bucket.
-    pub(crate) fn counts(&self) -> &[u64] {
-        &self.buckets
-    }
-
     /// Throughput (tasks per second) per bucket.
     pub fn rates(&self) -> Vec<f64> {
         self.buckets
@@ -93,20 +78,6 @@ impl ThroughputTimeline {
     /// spike causes.
     pub fn min_rate(&self) -> f64 {
         self.rates().into_iter().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Render as CSV (`t_start_s,completions,rate_per_s`).
-    pub(crate) fn to_csv(&self) -> String {
-        let mut out = String::from("t_start_s,completions,rate_per_s\n");
-        for (i, &c) in self.buckets.iter().enumerate() {
-            out.push_str(&format!(
-                "{:.3},{},{:.4}\n",
-                i as f64 * self.interval_s,
-                c,
-                c as f64 / self.interval_s
-            ));
-        }
-        out
     }
 }
 
@@ -128,9 +99,8 @@ mod tests {
         for s in [1.0, 2.0, 11.0, 25.0, 26.0, 27.0] {
             tl.record(SimTime::new(s));
         }
-        assert_eq!(tl.counts(), &[2, 1, 3]);
+        assert_eq!(tl.buckets, vec![2, 1, 3]);
         assert_eq!(tl.total(), 6);
-        assert_eq!(tl.len(), 3);
         let rates = tl.rates();
         assert!((rates[0] - 0.2).abs() < 1e-12);
         assert!((rates[2] - 0.3).abs() < 1e-12);
@@ -140,18 +110,8 @@ mod tests {
     #[test]
     fn empty_timeline_is_sane() {
         let tl = ThroughputTimeline::new(5.0);
-        assert!(tl.is_empty());
+        assert!(tl.buckets.is_empty());
         assert_eq!(tl.total(), 0);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut tl = ThroughputTimeline::new(1.0);
-        tl.record(SimTime::new(0.5));
-        tl.record(SimTime::new(1.5));
-        let csv = tl.to_csv();
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("t_start_s,"));
     }
 
     #[test]

@@ -76,8 +76,6 @@ pub struct PipelineOutcome {
     pub(crate) calibration: CalibrationReport,
     /// Adaptations taken (stage remaps and the recalibrations driving them).
     pub adaptation: AdaptationLog,
-    /// Mean observed service time per stage (seconds per item).
-    pub(crate) per_stage_service: Vec<f64>,
     /// Item completions over time.
     pub timeline: ThroughputTimeline,
     /// Per-item completion times (ordered by item index).
@@ -126,16 +124,6 @@ impl Pipeline {
     pub(crate) fn with_properties(mut self, properties: SkeletonProperties) -> Self {
         self.properties = properties;
         self
-    }
-
-    /// The configuration in force.
-    pub(crate) fn config(&self) -> &GraspConfig {
-        &self.config
-    }
-
-    /// The skeleton's intrinsic properties.
-    pub(crate) fn properties(&self) -> &SkeletonProperties {
-        &self.properties
     }
 
     /// Process `items` stream elements through `stages` on `grid`, using all
@@ -215,8 +203,6 @@ impl Pipeline {
         let mut item_completions = Vec::with_capacity(items);
         // stage_free[s] = when stage s finished (or will finish) its latest item.
         let mut stage_free: Vec<SimTime> = vec![start; stages.len()];
-        let mut service_sums: Vec<f64> = vec![0.0; stages.len()];
-        let mut service_counts: Vec<usize> = vec![0; stages.len()];
 
         for item in 0..items {
             // The item enters stage 0 as soon as stage 0 is free.
@@ -264,8 +250,6 @@ impl Pipeline {
                     }
                 };
                 let service = (finish - enter).as_secs();
-                service_sums[s] += service;
-                service_counts[s] += 1;
                 stage_free[s] = finish;
 
                 // ---------------- per-stage Algorithm 2 ----------------
@@ -311,11 +295,6 @@ impl Pipeline {
         }
 
         let makespan = *item_completions.last().unwrap_or(&start);
-        let per_stage_service: Vec<f64> = service_sums
-            .iter()
-            .zip(&service_counts)
-            .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
-            .collect();
         let throughput = if makespan.as_secs() > 0.0 {
             items as f64 / makespan.as_secs()
         } else {
@@ -329,7 +308,6 @@ impl Pipeline {
             stage_assignment: assignment,
             calibration,
             adaptation: engine.into_log(),
-            per_stage_service,
             timeline,
             item_completions,
         })
@@ -475,7 +453,6 @@ mod tests {
         assert!(out.item_completions.windows(2).all(|w| w[0] <= w[1]));
         assert!(out.throughput > 0.0);
         assert!(out.steady_state_throughput() > 0.0);
-        assert_eq!(out.per_stage_service.len(), 4);
         assert_eq!(out.timeline.total(), 50);
     }
 

@@ -485,7 +485,6 @@ impl ShmShared {
 #[derive(Debug)]
 pub struct ShmRing {
     shared: Arc<ShmShared>,
-    path: PathBuf,
 }
 
 impl ShmRing {
@@ -512,7 +511,6 @@ impl ShmRing {
             .map_err(|e| io_err("init", e))?;
         Ok(ShmRing {
             shared: ShmShared::open(file, Side::Master, capacity)?,
-            path,
         })
     }
 
@@ -545,13 +543,7 @@ impl ShmRing {
         }
         Ok(ShmRing {
             shared: ShmShared::open(file, Side::Worker, capacity)?,
-            path,
         })
-    }
-
-    /// The ring file's path.
-    pub(crate) fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Split into the framed halves.  `peer_pid_hint` is the peer process

@@ -327,7 +327,7 @@ impl Skeleton {
         }
     }
 
-    /// [`Skeleton::properties_with`] against the reference environment: a
+    /// `Skeleton::properties_with` against the reference environment: a
     /// unit-speed node on the reference (LAN) link.
     pub fn properties(&self) -> SkeletonProperties {
         self.properties_with(&|work, bytes| reference_ratio(1.0, work, bytes))
@@ -775,24 +775,6 @@ impl<'g> SimBackend<'g> {
         SimBackend { grid, candidates }
     }
 
-    /// A backend over an explicit candidate node pool.
-    pub(crate) fn on(grid: &'g Grid, candidates: &[NodeId]) -> Self {
-        SimBackend {
-            grid,
-            candidates: candidates.to_vec(),
-        }
-    }
-
-    /// The grid this backend executes on.
-    pub(crate) fn grid(&self) -> &Grid {
-        self.grid
-    }
-
-    /// The candidate node pool.
-    pub(crate) fn candidates(&self) -> &[NodeId] {
-        &self.candidates
-    }
-
     fn ratio_of(&self, work: f64, bytes: u64) -> f64 {
         reference_ratio(self.grid.topology().max_speed(), work, bytes)
     }
@@ -876,13 +858,6 @@ impl<'g> SimBackend<'g> {
 pub struct SimCompiled {
     plan: SimPlan,
     properties: SkeletonProperties,
-}
-
-impl SimCompiled {
-    /// The composed intrinsic properties the execution will be steered by.
-    pub(crate) fn properties(&self) -> &SkeletonProperties {
-        &self.properties
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -1085,7 +1060,7 @@ mod tests {
         let cfg = GraspConfig::default();
         let compiled = backend.compile(&cfg, &skeleton).unwrap();
         assert_eq!(
-            compiled.properties().kind,
+            compiled.properties.kind,
             SkeletonKind::FarmOfPipelines,
             "composed properties steer the run"
         );
@@ -1149,8 +1124,9 @@ mod tests {
         let grid = Grid::dedicated(TopologyBuilder::uniform_cluster(2, 40.0));
         let cfg = GraspConfig::default();
         let skeleton = Skeleton::farm(TaskSpec::uniform(4, 1.0, 0, 0));
+        let empty = Grid::dedicated(TopologyBuilder::new().build());
         assert!(matches!(
-            SimBackend::on(&grid, &[]).compile(&cfg, &skeleton),
+            SimBackend::new(&empty).compile(&cfg, &skeleton),
             Err(GraspError::NoUsableNodes)
         ));
         assert!(SimBackend::new(&grid)

@@ -41,42 +41,9 @@ impl TaskSpec {
             .collect()
     }
 
-    /// `n` tasks whose work follows a linear ramp from `min_work` to
-    /// `max_work` — a simple irregular workload.
-    pub(crate) fn ramp(
-        n: usize,
-        min_work: f64,
-        max_work: f64,
-        input_bytes: u64,
-        output_bytes: u64,
-    ) -> Vec<TaskSpec> {
-        let n = n.max(1);
-        (0..n)
-            .map(|id| {
-                let frac = if n == 1 {
-                    0.0
-                } else {
-                    id as f64 / (n - 1) as f64
-                };
-                TaskSpec::new(
-                    id,
-                    min_work + (max_work - min_work) * frac,
-                    input_bytes,
-                    output_bytes,
-                )
-            })
-            .collect()
-    }
-
     /// Total bytes moved for this task (input + output).
     pub(crate) fn total_bytes(&self) -> u64 {
         self.input_bytes + self.output_bytes
-    }
-
-    /// Convert an observed duration for this task into seconds per work
-    /// unit; see [`normalize_time`].
-    pub(crate) fn normalize_time(&self, seconds: f64) -> f64 {
-        normalize_time(self.work, seconds)
     }
 }
 
@@ -143,18 +110,6 @@ mod tests {
     }
 
     #[test]
-    fn ramp_tasks_span_the_range() {
-        let tasks = TaskSpec::ramp(11, 10.0, 20.0, 0, 0);
-        assert_eq!(tasks[0].work, 10.0);
-        assert_eq!(tasks[10].work, 20.0);
-        assert!((tasks[5].work - 15.0).abs() < 1e-9);
-        // Degenerate single task uses the minimum.
-        assert_eq!(TaskSpec::ramp(1, 5.0, 9.0, 0, 0)[0].work, 5.0);
-        // Zero count is clamped to one.
-        assert_eq!(TaskSpec::ramp(0, 5.0, 9.0, 0, 0).len(), 1);
-    }
-
-    #[test]
     fn negative_work_is_clamped() {
         assert_eq!(TaskSpec::new(0, -5.0, 0, 0).work, 0.0);
     }
@@ -184,7 +139,5 @@ mod tests {
         };
         // Pure-communication task: no epsilon-division blow-up.
         assert!((normalize_time(o.work, o.duration().as_secs()) - 0.25).abs() < 1e-12);
-        let spec = TaskSpec::new(0, 0.0, 1024, 0);
-        assert!((spec.normalize_time(0.25) - 0.25).abs() < 1e-12);
     }
 }

@@ -64,17 +64,6 @@ impl ThresholdPolicy {
             }
         }
     }
-
-    /// A human-readable description for experiment reports.
-    pub(crate) fn describe(&self) -> String {
-        match self {
-            ThresholdPolicy::Factor { factor } => format!("factor({factor:.2}x best)"),
-            ThresholdPolicy::Percentile { percentile, factor } => {
-                format!("percentile(p{percentile:.0} x {factor:.2})")
-            }
-            ThresholdPolicy::Absolute { seconds } => format!("absolute({seconds:.3}s)"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -125,19 +114,5 @@ mod tests {
             .compute(&[]),
             f64::INFINITY
         );
-    }
-
-    #[test]
-    fn describe_names_the_policy() {
-        assert!(ThresholdPolicy::default().describe().contains("factor"));
-        assert!(ThresholdPolicy::Absolute { seconds: 1.0 }
-            .describe()
-            .contains("absolute"));
-        assert!(ThresholdPolicy::Percentile {
-            percentile: 75.0,
-            factor: 2.0
-        }
-        .describe()
-        .contains("p75"));
     }
 }

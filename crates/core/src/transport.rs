@@ -15,7 +15,7 @@
 //!   appear as ready [`FramedConnection`]s.
 //!
 //! Three transports implement the surface: the process backend's pipes and
-//! any other byte stream through [`StreamSink`]/[`StreamSource`], TCP
+//! any other byte stream through `StreamSink`/`StreamSource`, TCP
 //! sockets through [`TcpAcceptor`]/[`tcp_connect`] (std::net only), and the
 //! deterministic in-memory loopback of `grasp-net`'s test harness.  Master
 //! loops are written once against the traits and cannot tell the
@@ -115,12 +115,6 @@ impl FramedConnection {
             sink,
             source,
         }
-    }
-
-    /// Human-readable peer label (an address for sockets, a symbolic name
-    /// for pipes and loopback links).
-    pub(crate) fn peer(&self) -> &str {
-        &self.peer
     }
 
     /// Send one frame (handshake convenience; steady-state traffic usually

@@ -158,35 +158,9 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
-    /// Append one byte.
-    pub(crate) fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a little-endian `u32`.
-    pub(crate) fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Append an `f64` as its IEEE-754 bit pattern.
-    pub(crate) fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    /// Append a `u32`-length-prefixed byte string.
-    pub(crate) fn put_bytes(&mut self, v: &[u8]) {
-        self.put_u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Append a `u32`-length-prefixed UTF-8 string.
-    pub(crate) fn put_str(&mut self, v: &str) {
-        self.put_bytes(v.as_bytes());
     }
 
     /// The encoded bytes.
@@ -226,11 +200,6 @@ impl<'a> ByteReader<'a> {
         Ok(s)
     }
 
-    /// Read one byte.
-    pub(crate) fn take_u8(&mut self) -> Result<u8, GraspError> {
-        Ok(self.take_slice(1)?[0])
-    }
-
     /// Read a little-endian `u32`.
     pub(crate) fn take_u32(&mut self) -> Result<u32, GraspError> {
         Ok(u32::from_le_bytes(self.take_slice(4)?.try_into().unwrap()))
@@ -255,19 +224,9 @@ impl<'a> ByteReader<'a> {
         self.take_slice(len)
     }
 
-    /// Read a `u32`-length-prefixed byte string into an owned `Vec`.
-    pub(crate) fn take_bytes(&mut self) -> Result<Vec<u8>, GraspError> {
-        Ok(self.take_bytes_slice()?.to_vec())
-    }
-
     /// Borrow a `u32`-length-prefixed UTF-8 string without copying.
     pub(crate) fn take_str_slice(&mut self) -> Result<&'a str, GraspError> {
         std::str::from_utf8(self.take_bytes_slice()?).map_err(|_| wire_err("invalid UTF-8 string"))
-    }
-
-    /// Read a `u32`-length-prefixed UTF-8 string into an owned `String`.
-    pub(crate) fn take_str(&mut self) -> Result<String, GraspError> {
-        Ok(self.take_str_slice()?.to_string())
     }
 
     /// Succeed only if every byte has been consumed (catches frames whose
@@ -346,7 +305,7 @@ pub enum WireMsg {
         /// The wire protocol version the worker speaks ([`WIRE_VERSION`]).
         wire_version: u32,
         /// Bitmask of payload kinds the worker can execute ([`CAP_SPIN`],
-        /// [`CAP_MATMUL`], …).
+        /// `CAP_MATMUL`, …).
         capabilities: u32,
     },
     /// Master → worker: the registration was accepted; run parameters.
@@ -462,7 +421,7 @@ impl WireMsg {
     /// end-of-stream *boundary* (the peer closed the pipe between frames);
     /// an end-of-stream mid-frame is a truncation error.  Allocates a fresh
     /// frame buffer per call — steady-state receive loops should hold a
-    /// buffer and use [`read_frame_into`] + [`FrameView::decode_slice`]
+    /// buffer and use `read_frame_into` + [`FrameView::decode_slice`]
     /// instead.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Option<WireMsg>, GraspError> {
         let mut buf = Vec::new();
@@ -1007,15 +966,15 @@ mod tests {
     #[test]
     fn byte_reader_reports_trailing_and_missing_bytes() {
         let mut w = ByteWriter::new();
-        w.put_u32(5);
-        w.put_str("hello");
+        w.put_u64(5);
+        w.put_u64(u64::MAX);
         let bytes = w.into_vec();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.take_u32().unwrap(), 5);
-        assert_eq!(r.take_str().unwrap(), "hello");
+        assert_eq!(r.take_u64().unwrap(), 5);
+        assert_eq!(r.take_u64().unwrap(), u64::MAX);
         r.finish().unwrap();
         let mut r = ByteReader::new(&bytes);
-        assert_eq!(r.take_u32().unwrap(), 5);
+        assert_eq!(r.take_u64().unwrap(), 5);
         assert!(r.finish().is_err(), "unread bytes must be flagged");
         let mut r = ByteReader::new(&bytes[..2]);
         assert!(r.take_u32().is_err(), "underrun must be flagged");

@@ -42,7 +42,7 @@ use grasp_core::error::GraspError;
 use grasp_core::skeleton::{
     Backend, OutcomeDetail, ResilienceReport, Skeleton, SkeletonOutcome, UnitSpan,
 };
-use grasp_core::{GraspConfig, SchedulePolicy, StageSpec};
+use grasp_core::{GraspConfig, StageSpec};
 use gridmon::{MonitorRegistry, NodeObservation};
 use gridsim::NodeId;
 use parking_lot::Mutex;
@@ -69,9 +69,8 @@ pub fn spin(iters: u64) -> u64 {
 ///
 /// Job-level parameters come from the [`GraspConfig`] handed to
 /// `Grasp::run`: the farm scheduling policy (`config.scheduler`) and the
-/// calibration sample count (`config.calibration.samples_per_node`), unless
-/// explicitly overridden with [`ThreadBackend::with_policy`] /
-/// [`ThreadBackend::with_config`].  The grid-monitoring knobs
+/// calibration sample count (`config.calibration.samples_per_node`, unless
+/// overridden with [`ThreadBackend::with_config`]).  The grid-monitoring knobs
 /// — threshold *Z* policy, `monitor_interval_s`, `demote_factor`,
 /// `max_recalibrations`, `min_active_nodes`, the `adaptive` master switch —
 /// drive the **same** Algorithm-2 loop as on the simulated grid, via the
@@ -86,8 +85,6 @@ pub fn spin(iters: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct ThreadBackend {
     workers: usize,
-    /// Explicit override of the config's scheduling policy.
-    policy: Option<SchedulePolicy>,
     /// Explicit override of the config's calibration sample count.
     calibration_samples: Option<usize>,
     /// Spin iterations executed per declared work unit.
@@ -133,7 +130,6 @@ impl ThreadBackend {
     pub fn new(workers: usize) -> Self {
         ThreadBackend {
             workers: workers.max(1),
-            policy: None,
             calibration_samples: None,
             spin_per_work_unit: 500,
             max_task_attempts: 3,
@@ -143,19 +139,13 @@ impl ThreadBackend {
         }
     }
 
-    /// Override the farm scheduling policy (otherwise `config.scheduler`).
-    pub(crate) fn with_policy(mut self, policy: SchedulePolicy) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
     /// Apply a shared [`BackendConfig`]: the one builder every backend
     /// understands.  Unset fields keep this backend's defaults.  The
     /// `heartbeat` and `worker_bin` knobs have no thread analogue — workers
     /// share the master's address space and fate, so there is no wire to
     /// time out on and no separate binary to spawn — and are ignored.  The
     /// plan's [`FaultInjection`] is applied as by
-    /// [`ThreadBackend::with_fault_injection`].
+    /// `ThreadBackend::with_fault_injection`.
     pub fn with_config(mut self, cfg: BackendConfig) -> Self {
         if let Some(samples) = cfg.calibration_samples {
             self.calibration_samples = Some(samples);
@@ -187,11 +177,6 @@ impl ThreadBackend {
             worker: s.worker,
         });
         self
-    }
-
-    /// Number of farm worker threads.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
     }
 
     fn iters_for(&self, work: f64) -> u64 {
@@ -577,7 +562,7 @@ impl Backend for ThreadBackend {
         config: &GraspConfig,
         compiled: &Self::Compiled,
     ) -> Result<SkeletonOutcome, GraspError> {
-        let policy = self.policy.unwrap_or(config.scheduler);
+        let policy = config.scheduler;
         // Fault-injection budget for this run: the first `inject_panics`
         // unit executions panic before doing any work.
         let injector = Arc::new(AtomicUsize::new(self.inject_panics));
@@ -890,7 +875,7 @@ mod tests {
 
     #[test]
     fn default_backend_uses_available_parallelism() {
-        assert!(ThreadBackend::default().workers() >= 1);
+        assert!(ThreadBackend::default().workers >= 1);
     }
 
     #[test]

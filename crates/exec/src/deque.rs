@@ -31,7 +31,7 @@ pub(crate) const MAX_RANGE: usize = u32::MAX as usize;
 /// The **owner** pops chunks from the bottom with [`StealDeque::take_bottom`];
 /// **thieves** remove the top half with [`StealDeque::steal_top_half`].
 /// Demotion and retirement drain the whole remainder at once with
-/// [`StealDeque::drain_all`] so the tasks re-enter circulation.
+/// `StealDeque::drain_all` so the tasks re-enter circulation.
 #[derive(Debug)]
 pub struct StealDeque {
     /// `top << 32 | bottom`; empty when `bottom >= top`.
@@ -52,7 +52,7 @@ impl StealDeque {
     ///
     /// # Panics
     ///
-    /// Panics if `start > end` or `end > `[`MAX_RANGE`].
+    /// Panics if `start > end` or `end > MAX_RANGE`.
     pub fn new(start: usize, end: usize) -> Self {
         assert!(
             start <= end && end <= MAX_RANGE,
@@ -75,7 +75,7 @@ impl StealDeque {
     }
 
     /// Whether the deque is empty (racy snapshot, like [`StealDeque::len`]).
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 

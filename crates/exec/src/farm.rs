@@ -101,11 +101,6 @@ impl RankTable {
             .map(|m| f64::from_bits(m.load(Ordering::Relaxed)))
             .filter(|v| v.is_finite() && *v > 0.0)
     }
-
-    /// Number of workers the table covers.
-    pub(crate) fn workers(&self) -> usize {
-        self.means.len()
-    }
 }
 
 /// Shared per-worker demotion flags: the adaptation layer (the backend
@@ -533,11 +528,6 @@ impl ThreadFarm {
     pub(crate) fn with_worker_panic_budget(mut self, budget: usize) -> Self {
         self.worker_panic_budget = budget;
         self
-    }
-
-    /// Number of worker threads.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Execute `worker` over every item, returning the results in input
@@ -1777,7 +1767,7 @@ mod tests {
     #[test]
     fn rank_table_publishes_and_filters() {
         let t = RankTable::new(3);
-        assert_eq!(t.workers(), 3);
+        assert_eq!(t.means.len(), 3);
         assert_eq!(t.get(0), None, "unranked until first set");
         t.set(0, 2.5e-3);
         t.set(1, f64::NAN);
@@ -1917,7 +1907,7 @@ mod tests {
     #[test]
     fn default_uses_available_parallelism() {
         let farm = ThreadFarm::default();
-        assert!(farm.workers() >= 1);
+        assert!(farm.workers >= 1);
     }
 
     #[test]

@@ -89,18 +89,6 @@ pub struct PipelineStats {
     pub(crate) adaptation: AdaptationLog,
 }
 
-impl PipelineStats {
-    /// Throughput in items per second over the whole run.
-    pub(crate) fn throughput(&self, items: usize) -> f64 {
-        let secs = self.total.as_secs_f64();
-        if secs <= 0.0 {
-            0.0
-        } else {
-            items as f64 / secs
-        }
-    }
-}
-
 /// A shared-memory pipeline over stages of type `T -> T`.
 pub struct ThreadPipeline<T> {
     stages: Vec<Arc<StageFn<T>>>,
@@ -726,7 +714,6 @@ mod tests {
         assert_eq!(out, expected);
         assert_eq!(stats.items_per_stage, vec![100, 100, 100]);
         assert_eq!(stats.replicas_per_stage, vec![1, 1, 1]);
-        assert!(stats.throughput(100) > 0.0);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::farm::{FarmRun, FarmStats, ThreadFarm, WorkerGate, WorkerLocal};
 use grasp_core::error::GraspError;
 use grasp_core::SchedulePolicy;
 use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -65,7 +65,6 @@ struct Shared<T, R> {
     /// Rotation: a demoted worker stops pulling.
     gate: Arc<WorkerGate>,
     shutdown: AtomicBool,
-    rounds: AtomicU64,
 }
 
 /// A resident pool of `workers` threads executing dispatch rounds (see
@@ -111,7 +110,6 @@ impl<T: Send + Sync + 'static, R: Send + 'static> WorkerPool<T, R> {
             wake: Condvar::new(),
             gate: Arc::new(WorkerGate::new(workers)),
             shutdown: AtomicBool::new(false),
-            rounds: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|wid| {
@@ -155,11 +153,6 @@ impl<T: Send + Sync + 'static, R: Send + 'static> WorkerPool<T, R> {
         } else {
             self.active_workers() > 1 && gate.demote(worker)
         }
-    }
-
-    /// Dispatch rounds completed so far.
-    pub(crate) fn rounds(&self) -> u64 {
-        self.shared.rounds.load(Ordering::Relaxed)
     }
 
     /// Take the pool for a sequence of dispatch rounds; blocks while
@@ -249,7 +242,6 @@ impl<T: Send + Sync + 'static, R: Send + 'static> PoolLease<'_, T, R> {
         }
         let locals = std::mem::take(&mut *round.handed_in.lock());
         let ((results, stats, _), retried_tasks) = round.run.finish(locals)?;
-        shared.rounds.fetch_add(1, Ordering::Relaxed);
         Ok(RoundOutcome {
             results,
             stats,
@@ -306,7 +298,6 @@ mod tests {
             assert_eq!(out.stats.panics, 0);
             assert_eq!(out.stats.tasks_per_worker.iter().sum::<usize>(), 50);
         }
-        assert_eq!(pool.rounds(), 4);
         assert!(
             ids.lock().len() <= 3,
             "four rounds must run on the same three resident threads"

@@ -6,12 +6,12 @@
 //! (Algorithm 1).  On the paper's testbed this role is played by an NWS-style
 //! monitoring service; here we implement the equivalent library:
 //!
-//! * [`series`] — bounded time series storing recent observations;
-//! * [`forecast`] — one-step-ahead predictors (last value, running mean,
+//! * `series` — bounded time series storing recent observations;
+//! * `forecast` — one-step-ahead predictors (last value, running mean,
 //!   sliding-window mean/median, exponential smoothing, AR(1)) plus an
 //!   adaptive selector that tracks each predictor's error and uses the
 //!   current best — the same trick the Network Weather Service uses;
-//! * [`registry`] — a per-node monitor registry that samples CPU load and
+//! * `registry` — a per-node monitor registry that samples CPU load and
 //!   bandwidth availability from a [`gridsim::Grid`] (or records wall-clock
 //!   observations) and ties series and forecasters together for the
 //!   calibration and execution phases.

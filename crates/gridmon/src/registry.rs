@@ -98,11 +98,6 @@ impl MonitorRegistry {
         }
     }
 
-    /// The root node bandwidth is measured against.
-    pub(crate) fn root(&self) -> NodeId {
-        self.root
-    }
-
     /// Sample one node from the grid at time `t`.
     pub fn observe(&mut self, grid: &Grid, node: NodeId, t: SimTime) -> NodeObservation {
         let cpu = grid.cpu_load(node, t);
@@ -138,12 +133,6 @@ impl MonitorRegistry {
     pub fn forecast_cpu_load(&self, node: NodeId) -> Option<f64> {
         let m = self.monitors.get(&node)?;
         m.cpu_forecast.predict().or_else(|| m.cpu_series.last())
-    }
-
-    /// Drop all recorded state (used when a recalibration decides to start
-    /// from scratch).
-    pub(crate) fn clear(&mut self) {
-        self.monitors.clear();
     }
 }
 
@@ -246,15 +235,5 @@ mod tests {
             bandwidth_availability: 0.9,
         });
         assert!((reg.forecast_cpu_load(NodeId(7)).unwrap() - 0.33).abs() < 1e-12);
-    }
-
-    #[test]
-    fn clear_empties_the_registry() {
-        let g = grid();
-        let mut reg = MonitorRegistry::new(NodeId(0), 16);
-        reg.observe(&g, NodeId(1), SimTime::ZERO);
-        assert!(reg.forecast_cpu_load(NodeId(1)).is_some());
-        reg.clear();
-        assert!(reg.forecast_cpu_load(NodeId(1)).is_none());
     }
 }

@@ -30,18 +30,13 @@ impl TimeSeries {
         }
     }
 
-    /// Maximum number of retained observations.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of stored observations.
     pub fn len(&self) -> usize {
         self.values.len()
     }
 
     /// `true` when no observations are stored.
-    pub(crate) fn is_empty(&self) -> bool {
+    pub fn is_empty(&self) -> bool {
         self.values.is_empty()
     }
 
@@ -68,27 +63,6 @@ impl TimeSeries {
     pub fn values(&self) -> Vec<f64> {
         self.values.iter().copied().collect()
     }
-
-    /// All stored observation times, oldest first.
-    pub(crate) fn times(&self) -> Vec<f64> {
-        self.times.iter().copied().collect()
-    }
-
-    /// The `n` most recent values, oldest first.
-    pub(crate) fn last_n(&self, n: usize) -> Vec<f64> {
-        let start = self.values.len().saturating_sub(n);
-        self.values.iter().skip(start).copied().collect()
-    }
-
-    /// Values observed at or after `since`, oldest first.
-    pub(crate) fn since(&self, since: SimTime) -> Vec<f64> {
-        self.times
-            .iter()
-            .zip(self.values.iter())
-            .filter(|(t, _)| **t >= since.as_secs())
-            .map(|(_, v)| *v)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +81,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         assert_eq!(s.last(), Some(0.6));
         assert_eq!(s.values(), vec![0.5, 0.6]);
-        assert_eq!(s.times(), vec![1.0, 2.0]);
     }
 
     #[test]
@@ -125,7 +98,6 @@ mod tests {
         let mut s = TimeSeries::with_capacity(0);
         s.push(t(0.0), 1.0);
         s.push(t(1.0), 2.0);
-        assert_eq!(s.capacity(), 1);
         assert_eq!(s.values(), vec![2.0]);
     }
 
@@ -134,25 +106,5 @@ mod tests {
         let mut s = TimeSeries::with_capacity(4);
         s.push(t(0.0), f64::NAN);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn last_n_and_mean_of_last() {
-        let mut s = TimeSeries::with_capacity(10);
-        for i in 1..=5 {
-            s.push(t(i as f64), i as f64);
-        }
-        assert_eq!(s.last_n(2), vec![4.0, 5.0]);
-        assert_eq!(s.last_n(99).len(), 5);
-    }
-
-    #[test]
-    fn since_filters_by_time() {
-        let mut s = TimeSeries::with_capacity(10);
-        for i in 0..5 {
-            s.push(t(i as f64 * 10.0), i as f64);
-        }
-        assert_eq!(s.since(t(20.0)), vec![2.0, 3.0, 4.0]);
-        assert!(s.since(t(100.0)).is_empty());
     }
 }

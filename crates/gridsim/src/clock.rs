@@ -44,11 +44,6 @@ impl SimTime {
         self.0
     }
 
-    /// Milliseconds as `f64`.
-    pub(crate) fn as_millis(&self) -> f64 {
-        self.0 * 1e3
-    }
-
     /// `true` when this time is `0`.
     pub fn is_zero(&self) -> bool {
         self.0 == 0.0
@@ -142,7 +137,6 @@ mod tests {
         assert_eq!((a - b).as_secs(), 1.5);
         assert_eq!((a * 3.0).as_secs(), 6.0);
         assert_eq!((a / 4.0).as_secs(), 0.5);
-        assert_eq!(a.as_millis(), 2000.0);
     }
 
     #[test]

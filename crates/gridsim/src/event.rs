@@ -70,16 +70,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Current simulation time (the time of the last popped event, or zero).
-    pub(crate) fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of pending events.
-    pub(crate) fn len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
@@ -99,11 +89,6 @@ impl<E> EventQueue<E> {
         let ev = self.heap.pop()?;
         self.now = ev.time;
         Some(ev)
-    }
-
-    /// Drain and discard every pending event (used when a simulation aborts).
-    pub(crate) fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -135,9 +120,9 @@ mod tests {
     fn clock_advances_with_pops() {
         let mut q: EventQueue<()> = EventQueue::new();
         q.schedule_at(SimTime::new(4.0), ());
-        assert_eq!(q.now(), SimTime::ZERO);
+        assert_eq!(q.now, SimTime::ZERO);
         q.pop();
-        assert_eq!(q.now(), SimTime::new(4.0));
+        assert_eq!(q.now, SimTime::new(4.0));
     }
 
     #[test]
@@ -149,16 +134,5 @@ mod tests {
         let ev = q.pop().unwrap();
         assert_eq!(ev.payload, "late");
         assert_eq!(ev.time, SimTime::new(10.0));
-    }
-
-    #[test]
-    fn clear_empties_the_queue() {
-        let mut q: EventQueue<u8> = EventQueue::new();
-        q.schedule_at(SimTime::new(1.0), 1);
-        q.schedule_at(SimTime::new(2.0), 2);
-        assert_eq!(q.len(), 2);
-        q.clear();
-        assert!(q.is_empty());
-        assert!(q.pop().is_none());
     }
 }

@@ -152,11 +152,6 @@ impl FaultPlan {
         &self.events
     }
 
-    /// Number of scheduled events.
-    pub(crate) fn len(&self) -> usize {
-        self.events.len()
-    }
-
     /// `true` when the plan schedules nothing.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
@@ -261,7 +256,7 @@ mod tests {
     #[test]
     fn revoked_from_downs_the_node_forever() {
         let plan = FaultPlan::none().revoked_from(NodeId(4), SimTime::new(3.0));
-        assert_eq!(plan.len(), 1);
+        assert_eq!(plan.events().len(), 1);
         assert!(plan.is_up(NodeId(4), SimTime::new(2.9)));
         assert!(!plan.is_up(NodeId(4), SimTime::new(3.0)));
         assert!(!plan.is_up(NodeId(4), SimTime::new(1e12)));
@@ -373,6 +368,10 @@ mod tests {
         let nodes: Vec<NodeId> = (0..10).map(NodeId).collect();
         assert!(FaultPlan::random(&nodes, 0.0, 100.0, 10.0, 1).is_empty());
         let all = FaultPlan::random(&nodes, 1.0, 100.0, 10.0, 1);
-        assert_eq!(all.len(), 20, "every node gets a revoke + recover pair");
+        assert_eq!(
+            all.events().len(),
+            20,
+            "every node gets a revoke + recover pair"
+        );
     }
 }

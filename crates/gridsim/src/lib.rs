@@ -10,11 +10,11 @@
 //!
 //! ## Model
 //!
-//! * A [`topology::GridTopology`] is a set of [`site::Site`]s (administrative
-//!   domains), each containing [`node::NodeSpec`]s with heterogeneous base
+//! * A `GridTopology` is a set of `Site`s (administrative
+//!   domains), each containing `NodeSpec`s with heterogeneous base
 //!   speeds, connected by [`link::LinkSpec`]s with bandwidth
 //!   and latency.
-//! * Every node carries an **external load model** ([`load`]) describing the
+//! * Every node carries an **external load model** (`load`) describing the
 //!   CPU fraction consumed by other grid users over time, and every link a
 //!   background-traffic model.  Load models are deterministic functions of
 //!   virtual time (seeded pseudo-random where stochastic), so experiments are
@@ -43,7 +43,6 @@ mod load;
 mod node;
 mod site;
 mod topology;
-mod trace;
 
 pub use clock::SimTime;
 pub use event::EventQueue;

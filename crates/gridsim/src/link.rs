@@ -7,17 +7,6 @@
 //! scaled by external CPU load.
 
 use serde::{Deserialize, Serialize};
-use std::fmt;
-
-/// Identifier of a wide-area link within a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub(crate) struct LinkId(pub(crate) usize);
-
-impl fmt::Display for LinkId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "l{}", self.0)
-    }
-}
 
 /// Static description of a network link.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

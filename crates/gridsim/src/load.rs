@@ -15,7 +15,6 @@
 //! simulation's virtual clock free to be queried in any order.
 
 use crate::clock::SimTime;
-use crate::trace::LoadTrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,42 +110,6 @@ impl LoadModel for PeriodicLoad {
         format!(
             "periodic(mean={:.2}, amp={:.2}, period={:.0}s)",
             self.mean, self.amplitude, self.period_s
-        )
-    }
-}
-
-/// Diurnal (day/night) pattern: low load during the "night" fraction of the
-/// cycle and high load during the "day", with smooth cosine ramps.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DiurnalLoad {
-    night_load: f64,
-    day_load: f64,
-    period_s: f64,
-}
-
-impl DiurnalLoad {
-    /// Create a diurnal load with the given night/day plateaus and period
-    /// (default grids use 86 400 s; experiments shrink it).
-    pub(crate) fn new(night_load: f64, day_load: f64, period_s: f64) -> Self {
-        DiurnalLoad {
-            night_load: clamp_load(night_load),
-            day_load: clamp_load(day_load),
-            period_s: if period_s > 0.0 { period_s } else { 86_400.0 },
-        }
-    }
-}
-
-impl LoadModel for DiurnalLoad {
-    fn load_at(&self, t: SimTime) -> f64 {
-        // Raised cosine between the two plateaus.
-        let phase = (t.as_secs() / self.period_s) * 2.0 * std::f64::consts::PI;
-        let w = 0.5 * (1.0 - phase.cos()); // 0 at t=0 (night), 1 mid-period (day)
-        clamp_load(self.night_load + (self.day_load - self.night_load) * w)
-    }
-    fn describe(&self) -> String {
-        format!(
-            "diurnal(night={:.2}, day={:.2}, period={:.0}s)",
-            self.night_load, self.day_load, self.period_s
         )
     }
 }
@@ -333,28 +296,6 @@ impl LoadModel for RandomWalkLoad {
     }
 }
 
-/// Load replayed from a recorded [`LoadTrace`] (step-wise, repeating).
-#[derive(Debug, Clone)]
-pub(crate) struct TraceLoad {
-    trace: LoadTrace,
-}
-
-impl TraceLoad {
-    /// Wrap a trace for replay.
-    pub(crate) fn new(trace: LoadTrace) -> Self {
-        TraceLoad { trace }
-    }
-}
-
-impl LoadModel for TraceLoad {
-    fn load_at(&self, t: SimTime) -> f64 {
-        clamp_load(self.trace.sample_cyclic(t))
-    }
-    fn describe(&self) -> String {
-        format!("trace({} samples)", self.trace.len())
-    }
-}
-
 /// Sum of several load models, clamped to the valid range.  Used to layer a
 /// spike or bursts on top of a diurnal baseline.
 pub struct CompositeLoad {
@@ -422,14 +363,6 @@ mod tests {
         assert!(vals.iter().all(|&v| (0.0..=MAX_LOAD).contains(&v)));
         // Periodicity.
         assert!((m.load_at(t(12.0)) - m.load_at(t(112.0))).abs() < 1e-9);
-    }
-
-    #[test]
-    fn diurnal_load_peaks_mid_period() {
-        let m = DiurnalLoad::new(0.1, 0.8, 1000.0);
-        assert!((m.load_at(t(0.0)) - 0.1).abs() < 1e-9);
-        assert!((m.load_at(t(500.0)) - 0.8).abs() < 1e-9);
-        assert!(m.load_at(t(250.0)) > 0.1 && m.load_at(t(250.0)) < 0.8);
     }
 
     #[test]

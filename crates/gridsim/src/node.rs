@@ -8,7 +8,7 @@ use crate::site::SiteId;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Identifier of a node within a [`crate::topology::GridTopology`].
+/// Identifier of a node within a `GridTopology`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct NodeId(pub usize);
 
@@ -51,16 +51,6 @@ impl NodeSpec {
     }
 }
 
-/// Dynamic state of a node maintained by the [`crate::grid::Grid`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub(crate) enum NodeState {
-    /// Available for work (subject to external load).
-    #[default]
-    Up,
-    /// Revoked / crashed; work dispatched to it is lost.
-    Down,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,10 +67,5 @@ mod tests {
         assert_eq!(n.base_speed, 1.0);
         let n = NodeSpec::new(NodeId(0), "x", -3.0, SiteId(0));
         assert_eq!(n.base_speed, 1.0);
-    }
-
-    #[test]
-    fn default_state_is_up() {
-        assert_eq!(NodeState::default(), NodeState::Up);
     }
 }

@@ -52,21 +52,6 @@ impl Site {
             nodes: Vec::new(),
         }
     }
-
-    /// Number of nodes registered in this site.
-    pub(crate) fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` when the site has no nodes.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// `true` when the node belongs to this site.
-    pub(crate) fn contains(&self, node: NodeId) -> bool {
-        self.nodes.contains(&node)
-    }
 }
 
 #[cfg(test)]
@@ -77,15 +62,5 @@ mod tests {
     fn site_display_and_index() {
         assert_eq!(format!("{}", SiteId(2)), "site2");
         assert_eq!(SiteId(2).index(), 2);
-    }
-
-    #[test]
-    fn site_membership() {
-        let mut s = Site::new(SiteId(0), "edi", LinkSpec::lan());
-        assert!(s.is_empty());
-        s.nodes.push(NodeId(3));
-        assert_eq!(s.len(), 1);
-        assert!(s.contains(NodeId(3)));
-        assert!(!s.contains(NodeId(4)));
     }
 }

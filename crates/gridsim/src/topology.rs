@@ -25,11 +25,6 @@ pub struct GridTopology {
 }
 
 impl GridTopology {
-    /// All nodes, indexed by `NodeId::index()`.
-    pub(crate) fn nodes(&self) -> &[NodeSpec] {
-        &self.nodes
-    }
-
     /// All sites, indexed by `SiteId::index()`.
     pub fn sites(&self) -> &[Site] {
         &self.sites
@@ -83,21 +78,6 @@ impl GridTopology {
     pub fn aggregate_speed(&self) -> f64 {
         self.nodes.iter().map(|n| n.base_speed).sum()
     }
-
-    /// Heterogeneity ratio: fastest over slowest node speed (1.0 when empty).
-    pub(crate) fn heterogeneity(&self) -> f64 {
-        let min = self
-            .nodes
-            .iter()
-            .map(|n| n.base_speed)
-            .fold(f64::INFINITY, f64::min);
-        let max = self.max_speed();
-        if self.nodes.is_empty() || min <= 0.0 {
-            1.0
-        } else {
-            max / min
-        }
-    }
 }
 
 fn ordered(a: usize, b: usize) -> (usize, usize) {
@@ -108,7 +88,7 @@ fn ordered(a: usize, b: usize) -> (usize, usize) {
     }
 }
 
-/// Incremental builder for [`GridTopology`].
+/// Incremental builder for `GridTopology`.
 #[derive(Debug, Clone)]
 pub struct TopologyBuilder {
     nodes: Vec<NodeSpec>,
@@ -252,6 +232,12 @@ impl TopologyBuilder {
 mod tests {
     use super::*;
 
+    /// Fastest over slowest node speed.
+    fn heterogeneity(topo: &GridTopology) -> f64 {
+        let speeds = topo.nodes.iter().map(|n| n.base_speed);
+        speeds.clone().fold(0.0, f64::max) / speeds.fold(f64::INFINITY, f64::min)
+    }
+
     #[test]
     fn builder_assigns_sequential_ids() {
         let mut b = TopologyBuilder::new();
@@ -266,8 +252,8 @@ mod tests {
         let topo = b.build();
         assert_eq!(topo.node_count(), 2);
         assert_eq!(topo.sites().len(), 2);
-        assert!(topo.site(s0).unwrap().contains(n0));
-        assert!(!topo.site(s0).unwrap().contains(n1));
+        assert!(topo.site(s0).unwrap().nodes.contains(&n0));
+        assert!(!topo.site(s0).unwrap().nodes.contains(&n1));
     }
 
     #[test]
@@ -306,7 +292,7 @@ mod tests {
         let topo = TopologyBuilder::uniform_cluster(8, 25.0);
         assert_eq!(topo.node_count(), 8);
         assert_eq!(topo.sites().len(), 1);
-        assert!((topo.heterogeneity() - 1.0).abs() < 1e-12);
+        assert!((heterogeneity(&topo) - 1.0).abs() < 1e-12);
         assert!((topo.aggregate_speed() - 200.0).abs() < 1e-9);
         assert_eq!(topo.max_speed(), 25.0);
     }
@@ -315,9 +301,9 @@ mod tests {
     fn heterogeneous_cluster_spans_speed_range() {
         let topo = TopologyBuilder::heterogeneous_cluster(32, 10.0, 80.0, 5);
         assert_eq!(topo.node_count(), 32);
-        assert!(topo.heterogeneity() > 2.0);
+        assert!(heterogeneity(&topo) > 2.0);
         assert!(topo
-            .nodes()
+            .nodes
             .iter()
             .all(|n| n.base_speed >= 10.0 && n.base_speed <= 80.0));
         // Deterministic per seed.
@@ -341,7 +327,7 @@ mod tests {
         let topo = TopologyBuilder::paper_testbed(1);
         assert_eq!(topo.sites().len(), 3);
         assert_eq!(topo.node_count(), 24);
-        assert!(topo.heterogeneity() > 2.0, "testbed must be heterogeneous");
+        assert!(heterogeneity(&topo) > 2.0, "testbed must be heterogeneous");
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! Descriptive statistics over `f64` samples.
 //!
 //! These are the primitives used by the calibration ranking (mean execution
-//! time per node, coefficient of variation to detect unstable nodes) and by
-//! the benchmark harness when it aggregates repeated runs.
-
-use serde::{Deserialize, Serialize};
+//! time per node) and by the benchmark harness when it aggregates repeated
+//! runs.
 
 /// Arithmetic mean of a sample. Returns `None` for an empty slice.
 pub fn mean(xs: &[f64]) -> Option<f64> {
@@ -12,40 +10,6 @@ pub fn mean(xs: &[f64]) -> Option<f64> {
         return None;
     }
     Some(xs.iter().sum::<f64>() / xs.len() as f64)
-}
-
-/// Weighted arithmetic mean.  Returns `None` when the slices differ in length,
-/// are empty, or the weights sum to zero.
-pub(crate) fn weighted_mean(xs: &[f64], weights: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.len() != weights.len() {
-        return None;
-    }
-    let wsum: f64 = weights.iter().sum();
-    if wsum == 0.0 {
-        return None;
-    }
-    let acc: f64 = xs.iter().zip(weights).map(|(x, w)| x * w).sum();
-    Some(acc / wsum)
-}
-
-/// Geometric mean of strictly positive samples; `None` if empty or any value
-/// is non-positive.  Used for aggregating speedups across workloads.
-pub(crate) fn geometric_mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = xs.iter().map(|x| x.ln()).sum();
-    Some((log_sum / xs.len() as f64).exp())
-}
-
-/// Harmonic mean of strictly positive samples; `None` if empty or any value is
-/// non-positive.  Used for aggregating throughput rates.
-pub(crate) fn harmonic_mean(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    let recip_sum: f64 = xs.iter().map(|x| 1.0 / x).sum();
-    Some(xs.len() as f64 / recip_sum)
 }
 
 /// Unbiased (n−1) sample variance. Returns `None` for fewer than two samples.
@@ -56,32 +20,6 @@ pub fn sample_variance(xs: &[f64]) -> Option<f64> {
     let m = mean(xs)?;
     let ss: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();
     Some(ss / (xs.len() as f64 - 1.0))
-}
-
-/// Population (n) variance. Returns `None` for an empty slice.
-pub(crate) fn population_variance(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let m = mean(xs)?;
-    let ss: f64 = xs.iter().map(|x| (x - m) * (x - m)).sum();
-    Some(ss / xs.len() as f64)
-}
-
-/// Sample standard deviation (square root of the unbiased variance).
-pub(crate) fn std_dev(xs: &[f64]) -> Option<f64> {
-    sample_variance(xs).map(f64::sqrt)
-}
-
-/// Coefficient of variation (σ/μ).  Returns `None` when the mean is zero or
-/// there are fewer than two samples.  GRASP uses it to flag nodes whose
-/// calibration samples are too noisy to trust.
-pub(crate) fn coefficient_of_variation(xs: &[f64]) -> Option<f64> {
-    let m = mean(xs)?;
-    if m == 0.0 {
-        return None;
-    }
-    Some(std_dev(xs)? / m)
 }
 
 /// Median (linear-interpolation free: lower-biased for even lengths is not
@@ -140,61 +78,6 @@ pub fn percentile(xs: &[f64], p: f64) -> Option<f64> {
     Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
 }
 
-/// Z-scores of a sample (empty output when variance is undefined or zero).
-pub(crate) fn zscores(xs: &[f64]) -> Vec<f64> {
-    match (mean(xs), std_dev(xs)) {
-        (Some(m), Some(s)) if s > 0.0 => xs.iter().map(|x| (x - m) / s).collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// A compact five-number-plus summary of a sample, convenient for reporting
-/// experiment results.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub(crate) struct Summary {
-    /// Number of (non-NaN) observations.
-    pub(crate) count: usize,
-    /// Arithmetic mean.
-    pub(crate) mean: f64,
-    /// Sample standard deviation (0 when count < 2).
-    pub(crate) std_dev: f64,
-    /// Minimum.
-    pub(crate) min: f64,
-    /// 25th percentile.
-    pub(crate) p25: f64,
-    /// Median.
-    pub(crate) median: f64,
-    /// 75th percentile.
-    pub(crate) p75: f64,
-    /// Maximum.
-    pub(crate) max: f64,
-}
-
-impl Summary {
-    /// Summarise a sample; `None` when the slice is empty (or all NaN).
-    pub(crate) fn of(xs: &[f64]) -> Option<Self> {
-        let clean: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
-        if clean.is_empty() {
-            return None;
-        }
-        Some(Summary {
-            count: clean.len(),
-            mean: mean(&clean)?,
-            std_dev: std_dev(&clean).unwrap_or(0.0),
-            min: min(&clean)?,
-            p25: percentile(&clean, 25.0)?,
-            median: median(&clean)?,
-            p75: percentile(&clean, 75.0)?,
-            max: max(&clean)?,
-        })
-    }
-
-    /// Interquartile range.
-    pub(crate) fn iqr(&self) -> f64 {
-        self.p75 - self.p25
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,40 +95,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_mean_matches_unweighted_for_equal_weights() {
-        let xs = [2.0, 4.0, 6.0];
-        let w = [1.0, 1.0, 1.0];
-        assert!((weighted_mean(&xs, &w).unwrap() - mean(&xs).unwrap()).abs() < EPS);
-    }
-
-    #[test]
-    fn weighted_mean_rejects_mismatched_lengths() {
-        assert!(weighted_mean(&[1.0, 2.0], &[1.0]).is_none());
-    }
-
-    #[test]
-    fn weighted_mean_rejects_zero_weight_sum() {
-        assert!(weighted_mean(&[1.0, 2.0], &[0.0, 0.0]).is_none());
-    }
-
-    #[test]
-    fn geometric_mean_basic() {
-        assert!((geometric_mean(&[1.0, 4.0]).unwrap() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn geometric_mean_rejects_nonpositive() {
-        assert!(geometric_mean(&[1.0, 0.0]).is_none());
-        assert!(geometric_mean(&[1.0, -1.0]).is_none());
-    }
-
-    #[test]
-    fn harmonic_mean_basic() {
-        // harmonic mean of 1 and 3 is 1.5
-        assert!((harmonic_mean(&[1.0, 3.0]).unwrap() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn variance_of_constant_is_zero() {
         assert!(sample_variance(&[5.0, 5.0, 5.0]).unwrap().abs() < EPS);
     }
@@ -254,7 +103,6 @@ mod tests {
     fn sample_variance_known_value() {
         // variance of 2,4,4,4,5,5,7,9 (population) = 4; sample = 32/7
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert!((population_variance(&xs).unwrap() - 4.0).abs() < EPS);
         assert!((sample_variance(&xs).unwrap() - 32.0 / 7.0).abs() < EPS);
     }
 
@@ -291,44 +139,5 @@ mod tests {
         assert_eq!(min(&xs), Some(1.0));
         assert_eq!(max(&xs), Some(3.0));
         assert!(min(&[f64::NAN]).is_none());
-    }
-
-    #[test]
-    fn zscores_have_zero_mean_unit_variance() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let z = zscores(&xs);
-        assert_eq!(z.len(), xs.len());
-        assert!(mean(&z).unwrap().abs() < 1e-9);
-        assert!((sample_variance(&z).unwrap() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zscores_of_constant_is_empty() {
-        assert!(zscores(&[2.0, 2.0, 2.0]).is_empty());
-    }
-
-    #[test]
-    fn cv_detects_relative_noise() {
-        let quiet = coefficient_of_variation(&[100.0, 101.0, 99.0]).unwrap();
-        let noisy = coefficient_of_variation(&[100.0, 150.0, 50.0]).unwrap();
-        assert!(quiet < noisy);
-    }
-
-    #[test]
-    fn summary_is_consistent() {
-        let xs = [5.0, 1.0, 4.0, 2.0, 3.0];
-        let s = Summary::of(&xs).unwrap();
-        assert_eq!(s.count, 5);
-        assert!((s.mean - 3.0).abs() < EPS);
-        assert!((s.median - 3.0).abs() < EPS);
-        assert!((s.min - 1.0).abs() < EPS);
-        assert!((s.max - 5.0).abs() < EPS);
-        assert!(s.iqr() > 0.0);
-    }
-
-    #[test]
-    fn summary_of_empty_is_none() {
-        assert!(Summary::of(&[]).is_none());
-        assert!(Summary::of(&[f64::NAN]).is_none());
     }
 }

@@ -27,15 +27,6 @@ impl Matrix {
         }
     }
 
-    /// Create an identity matrix of order `n`.
-    pub(crate) fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Build a matrix from a row-major vector.  Returns `None` when the data
     /// length does not equal `rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Option<Self> {
@@ -52,28 +43,6 @@ impl Matrix {
             cols: 1,
             data: values.to_vec(),
         }
-    }
-
-    /// Number of rows.
-    pub(crate) fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub(crate) fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Borrow the underlying row-major data.
-    pub(crate) fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Extract row `i` as a vector.  Panics when out of range (programming
-    /// error, not data error).
-    pub(crate) fn row(&self, i: usize) -> Vec<f64> {
-        assert!(i < self.rows, "row index {i} out of range {}", self.rows);
-        self.data[i * self.cols..(i + 1) * self.cols].to_vec()
     }
 
     /// Matrix transpose.
@@ -112,7 +81,7 @@ impl Matrix {
 
     /// Solve the linear system `self * x = b` using Gaussian elimination with
     /// partial pivoting.  `self` must be square and `b` must have matching row
-    /// count.  Returns [`StatsError::SingularMatrix`] when a pivot collapses.
+    /// count.  Returns `StatsError::SingularMatrix` when a pivot collapses.
     pub fn solve(&self, b: &Matrix) -> Result<Matrix, StatsError> {
         if self.rows != self.cols {
             return Err(StatsError::ShapeMismatch {
@@ -184,11 +153,6 @@ impl Matrix {
         Ok(x)
     }
 
-    /// Matrix inverse via [`Matrix::solve`] against the identity.
-    pub(crate) fn inverse(&self) -> Result<Matrix, StatsError> {
-        self.solve(&Matrix::identity(self.rows))
-    }
-
     /// Element-wise maximum absolute difference against another matrix of the
     /// same shape; `None` on shape mismatch.
     pub fn max_abs_diff(&self, other: &Matrix) -> Option<f64> {
@@ -227,7 +191,7 @@ mod tests {
     #[test]
     fn identity_times_anything_is_identity_map() {
         let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        let i = Matrix::identity(2);
+        let i = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
         assert_eq!(i.matmul(&a).unwrap(), a);
         assert_eq!(a.matmul(&i).unwrap(), a);
     }
@@ -289,19 +253,14 @@ mod tests {
     #[test]
     fn inverse_times_original_is_identity() {
         let a = Matrix::from_vec(2, 2, vec![4.0, 7.0, 2.0, 6.0]).unwrap();
-        let inv = a.inverse().unwrap();
+        let identity = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]).unwrap();
+        let inv = a.solve(&identity).unwrap();
         let prod = a.matmul(&inv).unwrap();
-        assert!(prod.max_abs_diff(&Matrix::identity(2)).unwrap() < 1e-9);
+        assert!(prod.max_abs_diff(&identity).unwrap() < 1e-9);
     }
 
     #[test]
     fn from_vec_rejects_wrong_length() {
         assert!(Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0]).is_none());
-    }
-
-    #[test]
-    fn row_extraction() {
-        let a = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
-        assert_eq!(a.row(1), vec![3.0, 4.0]);
     }
 }

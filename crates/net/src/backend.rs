@@ -156,11 +156,6 @@ impl NetBackend {
         self
     }
 
-    /// Registrations required before dispatch begins.
-    pub(crate) fn wait_for(&self) -> usize {
-        self.policy.wait_for
-    }
-
     /// Whether this backend spawns worker processes of its own.
     fn spawns_workers(&self) -> bool {
         self.spawn_workers > 0 || self.policy.join_spawn.is_some()

@@ -19,7 +19,7 @@
 //!   either way unit conservation holds;
 //! * everything runs over the [`grasp_core::transport`] traits, so the
 //!   same master drives TCP sockets in production and the deterministic
-//!   in-memory [`loopback`] network — with scripted per-frame faults — in
+//!   in-memory `loopback` network — with scripted per-frame faults — in
 //!   tests.
 //!
 //! ## The worker binary
@@ -28,7 +28,7 @@
 //! (`cargo build` produces it); it connects to the endpoint given as its
 //! first argument.  The backend resolves the binary through, in order: an
 //! explicit [`grasp_core::config::BackendConfig::worker_bin`] path (applied
-//! via [`NetBackend::with_config`]), the [`WORKER_BIN_ENV`] environment
+//! via [`NetBackend::with_config`]), the `WORKER_BIN_ENV` environment
 //! variable, and a search next to the current executable
 //! ([`find_worker_bin`]).
 //!

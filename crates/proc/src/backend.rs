@@ -103,11 +103,6 @@ impl ProcBackend {
         self
     }
 
-    /// Number of worker processes.
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
-    }
-
     /// Spawn worker `w` on the configured transport and hand it to `master`.
     fn spawn(&self, w: usize, bin: &Path, master: &mut FrameMaster) -> Result<(), GraspError> {
         let unavailable = |e: std::io::Error| GraspError::WorkerUnavailable {

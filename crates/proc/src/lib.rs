@@ -33,7 +33,7 @@
 //! `grasp-proc-worker` binary of the workspace root (`cargo build` produces
 //! it next to every other artefact).  The backend resolves it through, in
 //! order: an explicit [`grasp_core::config::BackendConfig::worker_bin`] path
-//! (applied via [`ProcBackend::with_config`]), the [`WORKER_BIN_ENV`]
+//! (applied via [`ProcBackend::with_config`]), the `WORKER_BIN_ENV`
 //! environment variable, and a search next to the current executable
 //! ([`find_worker_bin`]).
 //!

@@ -8,9 +8,9 @@
 //! thread per member, an event channel, a wall clock, and a link table
 //! owning the frame halves, processes and shared-memory rings — and reports
 //! a refused send back as `Input::Undelivered`.  The process backend hands the driver its
-//! spawned links ([`FrameMaster::arrive`]); the socket backend lets it
+//! spawned links (`FrameMaster::arrive`); the socket backend lets it
 //! accept and handshake them during the run ([`FrameMaster::listen`]).
-//! Each maps the returned [`FrameReport`] to its own `OutcomeDetail`.
+//! Each maps the returned `FrameReport` to its own `OutcomeDetail`.
 
 mod core;
 
@@ -362,7 +362,7 @@ pub struct FrameRun {
 }
 
 /// The threaded driver of the master core (see the module docs): build
-/// it, hand it links ([`FrameMaster::arrive`]) or an acceptor
+/// it, hand it links (`FrameMaster::arrive`) or an acceptor
 /// ([`FrameMaster::listen`]), then [`FrameMaster::run`] it.
 pub struct FrameMaster<'a> {
     core: MasterCore<'a>,

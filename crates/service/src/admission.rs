@@ -49,16 +49,6 @@ impl<T> AdmissionQueue<T> {
         self.lanes.iter().map(VecDeque::len).sum()
     }
 
-    /// Whether nothing is waiting.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.lanes.iter().all(VecDeque::is_empty)
-    }
-
-    /// The backlog bound.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Admit a job, or refuse it when the backlog is full.  The error is
     /// `(backlog, capacity)` — the payload of `GraspError::Rejected`.
     pub fn push(

@@ -38,15 +38,6 @@ impl JobPriority {
             JobPriority::High => 2,
         }
     }
-
-    /// A short name for reports.
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            JobPriority::Batch => "batch",
-            JobPriority::Normal => "normal",
-            JobPriority::High => "high",
-        }
-    }
 }
 
 /// Per-submission metadata: how to admit the job and which calibration
@@ -103,11 +94,6 @@ pub struct JobHandle {
 }
 
 impl JobHandle {
-    /// The service-assigned job id.
-    pub(crate) fn id(&self) -> JobId {
-        self.id
-    }
-
     /// Block until the job completes and return its outcome.  Errors with
     /// [`GraspError::WorkerUnavailable`] when the service shut down before
     /// the job ran.
@@ -117,11 +103,6 @@ impl JobHandle {
                 detail: format!("the service shut down before {} completed", self.id),
             })
         })
-    }
-
-    /// Non-blocking probe: `Some(outcome)` once the job has completed.
-    pub(crate) fn try_wait(&self) -> Option<Result<SkeletonOutcome, GraspError>> {
-        self.rx.try_recv().ok()
     }
 }
 

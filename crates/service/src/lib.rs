@@ -14,13 +14,13 @@
 //!   worker out of rotation; drift invalidates the calibration cache and
 //!   re-bases the threshold), exactly like the one-shot backends.
 //! * [`GraspService::submit`] admits a [`grasp_core::prelude::Skeleton`]
-//!   with a [`JobSpec`] into a **bounded fair-share queue** ([`admission`]):
+//!   with a [`JobSpec`] into a **bounded fair-share queue** (`admission`):
 //!   priority first, round-robin across tenants within a priority, and a
 //!   typed [`grasp_core::prelude::GraspError::Rejected`] when the backlog is
 //!   full.  Small jobs are batched into **shared dispatch rounds**, so the
 //!   per-round overhead is paid once per batch, not once per job.
 //! * Calibration profiles are cached per `(worker, payload-kind)`
-//!   ([`cache`]) and reused by every later job of the same kind; they are
+//!   (`cache`) and reused by every later job of the same kind; they are
 //!   invalidated **only** when the shared engine flags drift.
 //! * Every job keeps its own identity: unit ids live in a per-job
 //!   namespace, so `conserves_units_of` holds per job, and each

@@ -140,7 +140,6 @@ struct Inner {
 /// engine flags drift.
 pub struct GraspService {
     inner: Arc<Inner>,
-    config: ServiceConfig,
     dispatcher: Option<JoinHandle<()>>,
 }
 
@@ -164,7 +163,6 @@ impl GraspService {
         });
         let dispatcher = {
             let inner = Arc::clone(&inner);
-            let config = config.clone();
             std::thread::Builder::new()
                 .name("grasp-service-dispatch".to_string())
                 .spawn(move || dispatcher_loop(inner, config))
@@ -172,14 +170,8 @@ impl GraspService {
         };
         GraspService {
             inner,
-            config,
             dispatcher: Some(dispatcher),
         }
-    }
-
-    /// Start with [`ServiceConfig::with_workers`].
-    pub(crate) fn with_workers(workers: usize) -> Self {
-        GraspService::start(ServiceConfig::with_workers(workers))
     }
 
     /// Submit a skeleton job.  Returns the job's handle, or
@@ -225,11 +217,6 @@ impl GraspService {
             profile: self.inner.cache.lock().stats(),
             backlog: self.inner.queue.lock().len(),
         }
-    }
-
-    /// The service configuration in force.
-    pub(crate) fn config(&self) -> &ServiceConfig {
-        &self.config
     }
 
     /// Inject `extra_secs_per_unit` of artificial per-work-unit delay into

@@ -281,14 +281,6 @@ impl ImagePipeline {
             .collect()
     }
 
-    /// The capability mask a worker must advertise in its registration
-    /// handshake to serve this pipeline's payloads (the imaging kernel plus
-    /// the spin kernel every job needs for calibration probes).
-    pub(crate) fn wire_capabilities(&self) -> u32 {
-        use grasp_core::wire::{payload_capability, CAP_SPIN};
-        CAP_SPIN | payload_capability(PAYLOAD_IMAGING)
-    }
-
     /// The stream split into `lanes` independent sub-streams, each flowing
     /// through its own pipeline instance (a **farm-of-pipelines**): frames
     /// are mutually independent, so the outer farm may route whole lanes to
@@ -510,11 +502,6 @@ mod tests {
         assert_eq!(payloads.len(), p.frames);
         let (id, kind, bytes) = &payloads[2];
         assert_eq!(*kind, PAYLOAD_IMAGING);
-        assert_ne!(
-            p.wire_capabilities() & grasp_core::wire::payload_capability(*kind),
-            0,
-            "the capability mask covers the shipped payload kind"
-        );
         let task = ImagingFrameTask::decode(bytes).unwrap();
         assert_eq!(task.frame, *id);
         // The decoded task computes exactly the local reference chain.

@@ -17,7 +17,7 @@
 //!   edge detect → threshold) for the pipeline skeleton;
 //! * [`blackscholes`] — a Black–Scholes option-pricing sweep (fine-grained
 //!   farm tasks);
-//! * [`servicemix`] — a deterministic Poisson stream of mixed-shape small
+//! * `servicemix` — a deterministic Poisson stream of mixed-shape small
 //!   jobs for exercising the resident multi-job service.
 //!
 //! Every module offers both the **real kernel** (usable by the `grasp-exec`

@@ -125,14 +125,6 @@ impl MatMulJob {
             .map(|id| (id, PAYLOAD_MATMUL, self.band_task(id).encode()))
             .collect()
     }
-
-    /// The capability mask a worker must advertise in its registration
-    /// handshake to serve this job's payloads (the mat-mul kernel plus the
-    /// spin kernel every job needs for calibration probes).
-    pub(crate) fn wire_capabilities(&self) -> u32 {
-        use grasp_core::wire::{payload_capability, CAP_SPIN};
-        CAP_SPIN | payload_capability(PAYLOAD_MATMUL)
-    }
 }
 
 /// One serializable, self-contained mat-mul band computation: the job
@@ -286,13 +278,6 @@ mod tests {
     #[test]
     fn band_tasks_round_trip_and_digest_deterministically() {
         let job = MatMulJob::small();
-        // Every payload kind the job ships is covered by its capability mask.
-        for (_, kind, _) in job.wire_payloads() {
-            assert_ne!(
-                job.wire_capabilities() & grasp_core::wire::payload_capability(kind),
-                0
-            );
-        }
         for (id, kind, payload) in job.wire_payloads() {
             assert_eq!(kind, PAYLOAD_MATMUL);
             let back = MatMulBandTask::decode(&payload).unwrap();

@@ -54,6 +54,7 @@ impl QuadratureJob {
 
     /// The analytically known reference value of the full integral, obtained
     /// by a very fine composite Simpson evaluation (used to validate panels).
+    #[cfg(test)]
     pub(crate) fn reference_value(&self) -> f64 {
         self.integrate_range(self.a, self.b, 400_000)
     }

@@ -51,15 +51,6 @@ impl Default for ServiceMixJob {
 }
 
 impl ServiceMixJob {
-    /// A small stream suitable for unit tests and smoke runs.
-    pub(crate) fn small() -> Self {
-        ServiceMixJob {
-            jobs: 12,
-            units_per_job: 8,
-            ..ServiceMixJob::default()
-        }
-    }
-
     /// The deterministic arrival schedule: `jobs` entries with strictly
     /// increasing arrival stamps and shapes cycling farm → pipeline →
     /// farm-of-farms.
@@ -119,9 +110,18 @@ impl ServiceMixJob {
 mod tests {
     use super::*;
 
+    /// A small stream.
+    fn small() -> ServiceMixJob {
+        ServiceMixJob {
+            jobs: 12,
+            units_per_job: 8,
+            ..ServiceMixJob::default()
+        }
+    }
+
     #[test]
     fn arrivals_are_deterministic_and_increasing() {
-        let job = ServiceMixJob::small();
+        let job = small();
         let a = job.arrivals();
         let b = job.arrivals();
         assert_eq!(a.len(), job.jobs);
@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn the_mix_cycles_all_three_shapes_with_constant_units() {
-        let job = ServiceMixJob::small();
+        let job = small();
         let arrivals = job.arrivals();
         let shapes: std::collections::BTreeSet<&str> = arrivals.iter().map(|a| a.shape).collect();
         assert_eq!(
@@ -152,11 +152,8 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_schedules() {
-        let a = ServiceMixJob::small();
-        let b = ServiceMixJob {
-            seed: 7,
-            ..ServiceMixJob::small()
-        };
+        let a = small();
+        let b = ServiceMixJob { seed: 7, ..small() };
         assert_ne!(
             a.arrivals().last().unwrap().arrival_s,
             b.arrivals().last().unwrap().arrival_s

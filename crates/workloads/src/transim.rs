@@ -74,14 +74,6 @@ pub(crate) struct PartitionOutcome {
     pub(crate) state_digest: u64,
 }
 
-impl PartitionOutcome {
-    /// Committed / processed — the classic Time-Warp efficiency metric
-    /// (1.0 means no speculation was wasted).
-    pub(crate) fn efficiency(&self) -> f64 {
-        self.committed_events as f64 / self.processed_events.max(1) as f64
-    }
-}
-
 /// One timestamped transfer inside a partition.
 #[derive(Debug, Clone, Copy)]
 struct Txn {
@@ -100,23 +92,6 @@ fn fnv_mix(mut hash: u64, value: u64) -> u64 {
 }
 
 impl TranSimJob {
-    /// A small job suitable for unit tests.
-    pub(crate) fn small() -> Self {
-        TranSimJob {
-            partitions: 6,
-            accounts_per_partition: 8,
-            events_per_partition: 60,
-            skew: 4.0,
-            kernel_iters: 8,
-            seed: 7,
-        }
-    }
-
-    /// Committed transactions over the whole job.
-    pub(crate) fn total_committed(&self) -> usize {
-        self.partitions * self.events_per_partition
-    }
-
     /// The partition's transaction stream in timestamp order, with the
     /// arrival permutation its jitter induces.
     fn generate(&self, partition: usize) -> (Vec<Txn>, Vec<usize>) {
@@ -216,13 +191,9 @@ impl TranSimJob {
         }
     }
 
-    /// Optimistically replay one partition (the real per-task kernel).
-    pub(crate) fn simulate_partition(&self, partition: usize) -> PartitionOutcome {
-        self.replay(partition, self.kernel_iters)
-    }
-
     /// The committed-state digest of a strictly timestamp-ordered sequential
     /// execution — the ground truth the optimistic replay must match.
+    #[cfg(test)]
     pub(crate) fn sequential_digest(&self, partition: usize) -> u64 {
         let (txns, _) = self.generate(partition);
         let mut balances = vec![1_000i64; self.accounts_per_partition.max(2)];
@@ -265,14 +236,26 @@ impl TranSimJob {
 mod tests {
     use super::*;
 
+    /// A small job suitable for unit tests.
+    fn small() -> TranSimJob {
+        TranSimJob {
+            partitions: 6,
+            accounts_per_partition: 8,
+            events_per_partition: 60,
+            skew: 4.0,
+            kernel_iters: 8,
+            seed: 7,
+        }
+    }
+
     #[test]
     fn optimistic_replay_matches_sequential_execution() {
         // The Time-Warp correctness property: whatever the arrival skew and
         // however many rollbacks it forces, the committed state equals the
         // timestamp-ordered sequential execution.
-        let job = TranSimJob::small();
+        let job = small();
         for p in 0..job.partitions {
-            let outcome = job.simulate_partition(p);
+            let outcome = job.replay(p, job.kernel_iters);
             assert_eq!(
                 outcome.state_digest,
                 job.sequential_digest(p),
@@ -284,37 +267,39 @@ mod tests {
 
     #[test]
     fn skewed_arrivals_pay_for_rollbacks_and_in_order_arrivals_do_not() {
-        let skewed = TranSimJob::small();
+        let skewed = small();
         let ordered = TranSimJob {
             skew: 0.0,
             ..skewed
         };
         let total_rollbacks: usize = (0..skewed.partitions)
-            .map(|p| skewed.simulate_partition(p).rollbacks)
+            .map(|p| skewed.replay(p, skewed.kernel_iters).rollbacks)
             .sum();
         assert!(total_rollbacks > 0, "skew 4.0 must force some rollbacks");
         for p in 0..ordered.partitions {
-            let outcome = ordered.simulate_partition(p);
+            let outcome = ordered.replay(p, ordered.kernel_iters);
             assert_eq!(outcome.rollbacks, 0);
             assert_eq!(outcome.processed_events, outcome.committed_events);
-            assert!((outcome.efficiency() - 1.0).abs() < 1e-12);
         }
     }
 
     #[test]
     fn replay_is_deterministic_and_partitions_differ() {
-        let job = TranSimJob::small();
-        assert_eq!(job.simulate_partition(0), job.simulate_partition(0));
+        let job = small();
+        assert_eq!(
+            job.replay(0, job.kernel_iters),
+            job.replay(0, job.kernel_iters)
+        );
         assert_ne!(
-            job.simulate_partition(0).state_digest,
-            job.simulate_partition(1).state_digest,
+            job.replay(0, job.kernel_iters).state_digest,
+            job.replay(1, job.kernel_iters).state_digest,
             "distinct partitions must carry distinct streams"
         );
     }
 
     #[test]
     fn tasks_are_sized_by_exact_processed_events_and_are_irregular() {
-        let job = TranSimJob::small();
+        let job = small();
         let tasks = job.as_tasks(10.0);
         assert_eq!(tasks.len(), job.partitions);
         let counts = job.processed_event_counts();
@@ -332,9 +317,9 @@ mod tests {
     fn kernel_cost_does_not_change_the_committed_state_shape() {
         // The sizing pre-pass runs the same control flow with the kernel
         // off; rollback/processed accounting must agree with the real run.
-        let job = TranSimJob::small();
+        let job = small();
         for p in 0..job.partitions {
-            let real = job.simulate_partition(p);
+            let real = job.replay(p, job.kernel_iters);
             let sized = job.replay(p, 0);
             assert_eq!(real.processed_events, sized.processed_events);
             assert_eq!(real.rollbacks, sized.rollbacks);
