@@ -15,10 +15,10 @@
 //!   rounds** (the service's pool); each round runs the farm's own worker
 //!   loop on them, so the two differ only in how long their threads live.
 //! * [`pipeline::ThreadPipeline`] runs each stage on its own thread connected
-//!   by bounded channels, measures per-stage service times, and can
-//!   **replicate the bottleneck stage** when its observed service time
-//!   exceeds the adaptation threshold — the shared-memory analogue of
-//!   remapping a stage to a faster node.
+//!   by bounded channels, measures per-stage service times, and — through
+//!   the adaptation engine — **replicates a stage** whose observed service
+//!   time breaches its threshold, the shared-memory analogue of remapping a
+//!   stage to a faster node.
 //!
 //! Every engine delivers results in submission order, and none uses
 //! `unsafe`.

@@ -433,13 +433,15 @@ impl<T: Send + 'static> ThreadPipeline<T> {
                                     let mut migrated_away = false;
                                     if !activated[i].load(Ordering::Relaxed) {
                                         if let Some(engines) = engines_ref {
-                                            let service = t0.elapsed().as_secs_f64();
+                                            // Wall time of the whole call,
+                                            // retried attempts included.
+                                            let observed = t0.elapsed().as_secs_f64();
                                             let now = clock_ref.now();
                                             let mut eng = engines[i].lock();
                                             if let Some(AdaptationDirective::RemapStage {
                                                 recent_mean,
                                                 ..
-                                            }) = eng.observe_stage(now, i, service)
+                                            }) = eng.observe_stage(now, i, observed)
                                             {
                                                 if !activated[i].swap(true, Ordering::Relaxed) {
                                                     eng.try_consume_recalibration();
