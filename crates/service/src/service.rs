@@ -121,11 +121,10 @@ struct Inner {
     demotions: AtomicU64,
     recalibrations: AtomicU64,
     cache: Mutex<ProfileCache>,
-    /// Test knob: extra seconds per work unit injected into each worker's
-    /// handler, one slot per pool worker holding the `f64`'s bits (0.0 = none;
-    /// simulates external load so adaptation paths can be driven
+    /// Test/ops knob: extra seconds per work unit injected into a worker's
+    /// handler (simulates external load so adaptation paths can be driven
     /// deterministically, like the thread backend's slowdown injection).
-    slowdown: Box<[AtomicU64]>,
+    slowdown: Mutex<HashMap<usize, f64>>,
 }
 
 /// A long-lived, multi-job GRASP service over a resident worker pool.
@@ -157,9 +156,7 @@ impl GraspService {
             demotions: AtomicU64::new(0),
             recalibrations: AtomicU64::new(0),
             cache: Mutex::new(ProfileCache::new()),
-            slowdown: (0..config.workers.max(1))
-                .map(|_| AtomicU64::new(0.0f64.to_bits()))
-                .collect(),
+            slowdown: Mutex::new(HashMap::new()),
         });
         let dispatcher = {
             let inner = Arc::clone(&inner);
@@ -222,11 +219,13 @@ impl GraspService {
     /// Inject `extra_secs_per_unit` of artificial per-work-unit delay into
     /// `worker`'s handler (0 removes the injection) — the service analogue
     /// of the thread backend's slowdown injection, used to drive the
-    /// adaptation paths deterministically in tests.  An out-of-range worker
-    /// index is ignored.
+    /// adaptation paths deterministically in tests.
     pub fn inject_worker_slowdown(&self, worker: usize, extra_secs_per_unit: f64) {
-        if let Some(slot) = self.inner.slowdown.get(worker) {
-            slot.store(extra_secs_per_unit.max(0.0).to_bits(), Ordering::Relaxed);
+        let mut map = self.inner.slowdown.lock();
+        if extra_secs_per_unit <= 0.0 {
+            map.remove(&worker);
+        } else {
+            map.insert(worker, extra_secs_per_unit);
         }
     }
 
@@ -276,7 +275,7 @@ fn dispatcher_loop(inner: Arc<Inner>, config: ServiceConfig) {
         let inner = Arc::clone(&inner);
         WorkerPool::start(config.workers, move |worker, task: &UnitTask| {
             let started = Instant::now();
-            let extra = f64::from_bits(inner.slowdown[worker].load(Ordering::Relaxed));
+            let extra = inner.slowdown.lock().get(&worker).copied().unwrap_or(0.0);
             spin((task.work * spin_per_unit as f64).max(1.0) as u64);
             if extra > 0.0 {
                 std::thread::sleep(std::time::Duration::from_secs_f64(
