@@ -8,10 +8,9 @@
 //! why a run adapted.
 
 use gridsim::{NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One adaptation decision taken during execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum AdaptationAction {
     /// The monitor fed back into the calibration phase: the node pool was
     /// re-sampled and re-ranked.
@@ -110,7 +109,7 @@ impl AdaptationAction {
 }
 
 /// A timestamped adaptation event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdaptationEvent {
     /// When the action was taken.
     pub time: SimTime,
@@ -123,7 +122,7 @@ pub struct AdaptationEvent {
 }
 
 /// Chronological record of every adaptation taken during one run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdaptationLog {
     events: Vec<AdaptationEvent>,
 }

@@ -22,11 +22,14 @@ use crate::error::GraspError;
 use crate::task::{TaskOutcome, TaskSpec};
 use gridmon::MonitorRegistry;
 use gridsim::{Grid, NodeId, SimTime};
-use gridstats::{mean, multivariate_regression, reject_outliers};
-use serde::{Deserialize, Serialize};
+use gridstats::{mean, multivariate_regression, reject_outliers, OutlierPolicy};
+
+/// Outlier rejection applied to each node's sample times before ranking:
+/// Tukey fences at the conventional 1.5 interquartile ranges.
+const OUTLIER_POLICY: OutlierPolicy = OutlierPolicy::Iqr { k: 1.5 };
 
 /// How node performance is extrapolated from the calibration samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CalibrationMode {
     /// Rank by raw mean execution time ("the faster a node the fitter it is").
     TimeOnly,
@@ -51,7 +54,7 @@ impl CalibrationMode {
 }
 
 /// The calibration measurements for one node (one row of the table *T*).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeCalibration {
     /// The node.
     pub node: NodeId,
@@ -75,7 +78,7 @@ pub struct NodeCalibration {
 }
 
 /// The result of running Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationReport {
     /// Extrapolation mode that produced this report.
     pub mode: CalibrationMode,
@@ -300,7 +303,7 @@ impl Calibrator {
                 sample_times.iter().map(|&(_, s)| s).collect()
             };
             let sample_times: Vec<f64> = normalized;
-            let filtered = reject_outliers(&sample_times, self.config.outlier_policy);
+            let filtered = reject_outliers(&sample_times, OUTLIER_POLICY);
             let mean_time = mean(&filtered).unwrap_or(f64::INFINITY);
             table.push(NodeCalibration {
                 node,
@@ -495,7 +498,6 @@ mod tests {
             samples_per_node: 2,
             selection_fraction: 0.5,
             min_nodes: 1,
-            ..CalibrationConfig::default()
         }
     }
 

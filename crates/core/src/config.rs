@@ -9,12 +9,10 @@ use crate::error::GraspError;
 use crate::scheduler::SchedulePolicy;
 use crate::threshold::ThresholdPolicy;
 use gridsim::NodeId;
-use gridstats::OutlierPolicy;
-use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 
 /// Parameters of the calibration phase (Algorithm 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CalibrationConfig {
     /// How node performance is extrapolated from the samples.
     pub mode: CalibrationMode,
@@ -24,8 +22,6 @@ pub struct CalibrationConfig {
     pub selection_fraction: f64,
     /// Never select fewer than this many nodes (provided enough are up).
     pub min_nodes: usize,
-    /// Outlier rejection applied to each node's sample times before ranking.
-    pub outlier_policy: OutlierPolicy,
 }
 
 impl Default for CalibrationConfig {
@@ -39,13 +35,12 @@ impl Default for CalibrationConfig {
             // lower this (the calibration experiments use 0.5).
             selection_fraction: 1.0,
             min_nodes: 1,
-            outlier_policy: OutlierPolicy::Iqr { k: 1.5 },
         }
     }
 }
 
 /// Parameters of the adaptive execution phase (Algorithm 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutionConfig {
     /// How the performance threshold *Z* is derived from calibration.
     pub threshold: ThresholdPolicy,
@@ -102,7 +97,7 @@ impl Default for ExecutionConfig {
 }
 
 /// Complete configuration of a GRASP job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraspConfig {
     /// Calibration-phase parameters.
     pub calibration: CalibrationConfig,
@@ -147,7 +142,6 @@ impl GraspConfig {
                 samples_per_node: 0,
                 selection_fraction: 1.0,
                 min_nodes: 1,
-                outlier_policy: OutlierPolicy::None,
             },
             execution: ExecutionConfig {
                 adaptive: false,

@@ -25,11 +25,10 @@
 
 use gridsim::{NodeId, SimTime};
 use gridstats::mean;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What the monitor concluded at the end of an interval.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonitorVerdict {
     /// When the verdict was produced.
     pub(crate) time: SimTime,
@@ -48,7 +47,7 @@ pub struct MonitorVerdict {
 }
 
 /// The monitor-node state of Algorithm 2.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExecutionMonitor {
     threshold: f64,
     interval_s: f64,

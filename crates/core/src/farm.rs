@@ -29,7 +29,6 @@ use crate::properties::SkeletonProperties;
 use crate::task::{total_work, TaskOutcome, TaskSpec};
 use gridmon::MonitorRegistry;
 use gridsim::{EventQueue, Grid, NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Horizon (simulated seconds) after which an in-flight chunk on a node is
@@ -44,7 +43,7 @@ pub struct TaskFarm {
 }
 
 /// Everything a farm run produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FarmOutcome {
     /// Virtual time from job start to the last result arriving at the master.
     pub makespan: SimTime,

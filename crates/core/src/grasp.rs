@@ -22,7 +22,6 @@ use crate::config::GraspConfig;
 use crate::error::GraspError;
 use crate::skeleton::{Backend, Skeleton, SkeletonOutcome};
 use gridsim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Virtual-time accounting of the four phases.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// kept in the report so the life-cycle of Figure 1 is visible to callers.
 /// Times are in the executing backend's clock: virtual seconds for the
 /// simulated grid, wall-clock seconds for real threads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseTimings {
     /// Programming phase (static, always zero job seconds).
     pub programming: SimTime,
@@ -61,7 +60,7 @@ impl PhaseTimings {
 }
 
 /// The result of driving a job through all four phases.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GraspRunReport<O> {
     /// Per-phase time accounting.
     pub phases: PhaseTimings,

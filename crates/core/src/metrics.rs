@@ -6,7 +6,6 @@
 //! adaptation-response figures visualise a load spike being absorbed).
 
 use gridsim::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// Classic speedup: reference (e.g. sequential or non-adaptive) time divided
 /// by the measured time.  Returns 0 when the measured time is non-positive.
@@ -32,7 +31,7 @@ pub fn efficiency(reference_time: f64, measured_time: f64, workers: usize) -> f6
 /// Every completion is assigned to the bucket containing its completion
 /// time; the timeline then reports tasks/second per bucket, which is the
 /// series plotted by the adaptation-response experiment (E7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputTimeline {
     interval_s: f64,
     buckets: Vec<u64>,

@@ -27,10 +27,9 @@ use crate::properties::SkeletonProperties;
 use crate::task::TaskSpec;
 use gridmon::MonitorRegistry;
 use gridsim::{Grid, NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Static description of one pipeline stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageSpec {
     /// Stage index (0-based position in the chain).
     pub id: usize,
@@ -62,7 +61,7 @@ impl StageSpec {
 }
 
 /// Everything a pipeline run produced.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PipelineOutcome {
     /// Virtual time until the last item left the last stage.
     pub makespan: SimTime,

@@ -8,10 +8,8 @@
 //! hard-coding per-skeleton behaviour, so new skeletons can be added by
 //! describing their properties.
 
-use serde::{Deserialize, Serialize};
-
 /// Which structured pattern a job uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SkeletonKind {
     /// Independent tasks distributed from a master to workers.
     TaskFarm,
@@ -36,7 +34,7 @@ impl SkeletonKind {
 }
 
 /// How work may be redistributed when the skeleton adapts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Rebalancing {
     /// Any pending task may be given to any worker (farm-like freedom).
     AnyTaskAnyWorker,
@@ -46,7 +44,7 @@ pub(crate) enum Rebalancing {
 
 /// The intrinsic, structural properties of a skeleton instance that GRASP
 /// instruments.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SkeletonProperties {
     /// The pattern.
     pub(crate) kind: SkeletonKind,

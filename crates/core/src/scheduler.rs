@@ -8,10 +8,8 @@
 //! adaptive policy which weights chunks by the calibrated relative speed of
 //! the requesting node.
 
-use serde::{Deserialize, Serialize};
-
 /// Chunking policy used when a worker requests work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedulePolicy {
     /// Split the workload into one equal block per worker up front.  No
     /// adaptation at all — the classic static baseline.

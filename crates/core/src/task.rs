@@ -7,10 +7,9 @@
 //! pragmatic rules depend on.
 
 use gridsim::{NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Static description of one farm task.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSpec {
     /// Task identifier, unique within a job.
     pub id: usize,
@@ -67,7 +66,7 @@ pub fn total_work(tasks: &[TaskSpec]) -> f64 {
 }
 
 /// The record of one completed task, as logged by the execution phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskOutcome {
     /// Which task completed.
     pub task: usize,

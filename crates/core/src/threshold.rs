@@ -8,10 +8,8 @@
 //! The policy decides how *Z* is derived from what calibration measured and,
 //! optionally, from what execution has observed since.
 
-use serde::{Deserialize, Serialize};
-
 /// How the performance threshold *Z* is computed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ThresholdPolicy {
     /// `Z = factor × (best calibrated per-work-unit time)`.  The paper's
     /// basic scheme: tolerate slowdowns up to a fixed multiple of what the

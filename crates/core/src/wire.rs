@@ -8,8 +8,10 @@
 //! transport — is the contract: any future remote backend (sockets, batch
 //! systems) reuses these types unchanged.
 //!
-//! The workspace's offline `serde` shim derives are markers (no codegen), so
-//! framing is explicit and versioned:
+//! Framing is hand-written rather than derived, so the byte layout itself is
+//! the contract both ends check, every decode failure is a typed error, and
+//! the borrowed receive path stays allocation-free.  It is explicit and
+//! versioned:
 //!
 //! ```text
 //! +-------+---------+-----+-------------+---------+-------------+

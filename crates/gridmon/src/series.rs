@@ -7,11 +7,10 @@
 //! a sliding history.
 
 use gridsim::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// A bounded, append-only series of timestamped observations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TimeSeries {
     capacity: usize,
     times: VecDeque<f64>,

@@ -4,7 +4,6 @@
 //! dedicated newtype rather than a bare `f64` keeps time values from being
 //! mixed up with work units or load fractions, while remaining cheap to copy.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
@@ -12,7 +11,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub};
 ///
 /// `SimTime` is totally ordered; NaN values are rejected at construction via
 /// [`SimTime::new`] (which clamps NaN to zero) so ordering is always defined.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct SimTime(f64);
 
 impl SimTime {

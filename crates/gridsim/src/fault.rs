@@ -16,10 +16,9 @@ use crate::clock::SimTime;
 use crate::node::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// What happens to the node at the event time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The node is revoked: it stops making progress and loses in-flight work.
     Revoke,
@@ -28,7 +27,7 @@ pub enum FaultKind {
 }
 
 /// One scheduled state transition for a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Affected node.
     pub node: NodeId,
@@ -39,7 +38,7 @@ pub struct FaultEvent {
 }
 
 /// A deterministic schedule of node revocations/recoveries.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     /// All events, sorted by time (the public, chronological view).
     events: Vec<FaultEvent>,
@@ -47,10 +46,7 @@ pub struct FaultPlan {
     /// binary-search instead of scanning the whole schedule.  Rebuilt by
     /// every constructor/mutator; ties at equal `(node, time)` preserve the
     /// chronological order (stable sort), so query semantics match a linear
-    /// scan of `events` exactly.  Derived state: skipped by serde (a
-    /// deserialized plan has an empty index), and queries fall back to the
-    /// linear scan whenever the index does not cover `events`.
-    #[serde(skip)]
+    /// scan of `events` exactly.
     by_node: Vec<FaultEvent>,
 }
 
@@ -157,63 +153,32 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// The `(node, time)`-sorted query index, or `None` when it does not
-    /// cover `events` (e.g. the plan was deserialized, which skips the
-    /// derived index) — callers then fall back to a linear scan, so a plan
-    /// is never silently wrong, only slower.
-    fn index(&self) -> Option<&[FaultEvent]> {
-        (self.by_node.len() == self.events.len()).then_some(self.by_node.as_slice())
-    }
-
-    /// Index of the first indexed event belonging to `node`.
-    fn node_start(index: &[FaultEvent], node: NodeId) -> usize {
-        index.partition_point(|e| e.node < node)
-    }
-
     /// Index one past the last indexed event of `node` with `time <= t`.
-    fn upper_bound(index: &[FaultEvent], node: NodeId, t: SimTime) -> usize {
-        index.partition_point(|e| e.node < node || (e.node == node && e.time <= t))
+    fn upper_bound(&self, node: NodeId, t: SimTime) -> usize {
+        self.by_node
+            .partition_point(|e| e.node < node || (e.node == node && e.time <= t))
     }
 
     /// Is `node` up at time `t`?  Nodes start up; the most recent transition
-    /// at or before `t` decides the state.  `O(log events)` through the
-    /// index, `O(events)` on the deserialized fallback.
+    /// at or before `t` decides the state.  `O(log events)`: the indexed
+    /// event just before the upper bound is that transition when it belongs
+    /// to `node`.
     pub(crate) fn is_up(&self, node: NodeId, t: SimTime) -> bool {
-        if let Some(index) = self.index() {
-            let start = Self::node_start(index, node);
-            let end = Self::upper_bound(index, node, t);
-            if end > start {
-                matches!(index[end - 1].kind, FaultKind::Recover)
-            } else {
-                true
+        match self.upper_bound(node, t).checked_sub(1) {
+            Some(i) if self.by_node[i].node == node => {
+                matches!(self.by_node[i].kind, FaultKind::Recover)
             }
-        } else {
-            let mut up = true;
-            for ev in &self.events {
-                if ev.time > t {
-                    break;
-                }
-                if ev.node == node {
-                    up = matches!(ev.kind, FaultKind::Recover);
-                }
-            }
-            up
+            _ => true,
         }
     }
 
     /// The next transition affecting `node` strictly after `t`, if any.
-    /// `O(log events)` through the index, `O(events)` on the deserialized
-    /// fallback.
+    /// `O(log events)`.
     pub fn next_transition(&self, node: NodeId, t: SimTime) -> Option<FaultEvent> {
-        if let Some(index) = self.index() {
-            let idx = Self::upper_bound(index, node, t);
-            index.get(idx).filter(|e| e.node == node).copied()
-        } else {
-            self.events
-                .iter()
-                .find(|ev| ev.node == node && ev.time > t)
-                .copied()
-        }
+        self.by_node
+            .get(self.upper_bound(node, t))
+            .filter(|e| e.node == node)
+            .copied()
     }
 }
 
@@ -296,60 +261,78 @@ mod tests {
 
     #[test]
     fn indexed_queries_agree_with_a_linear_scan() {
-        // The binary-searched index must reproduce the reference linear-scan
-        // semantics on a dense multi-node plan, including at exact event
-        // times and before/after the whole schedule.
+        // Every constructor and mutator must leave the binary-searched index
+        // covering `events`: on a plan from each of them, queries reproduce
+        // the reference linear-scan semantics, including at exact event
+        // times, at ties on `(node, time)`, and before/after the schedule.
+        let at = SimTime::new;
+        let ev = |node, time, kind| FaultEvent {
+            node: NodeId(node),
+            time: SimTime::new(time),
+            kind,
+        };
         let nodes: Vec<NodeId> = (0..12).map(NodeId).collect();
-        let plan = FaultPlan::random(&nodes, 0.8, 50.0, 10.0, 1234);
-        let linear_is_up = |node: NodeId, t: SimTime| {
-            let mut up = true;
-            for ev in plan.events() {
-                if ev.time > t {
-                    break;
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::default(),
+            // Unsorted input.
+            FaultPlan::from_events(vec![
+                ev(3, 9.0, FaultKind::Recover),
+                ev(1, 4.0, FaultKind::Revoke),
+                ev(3, 2.0, FaultKind::Revoke),
+                ev(1, 6.0, FaultKind::Recover),
+            ]),
+            // Ties at equal `(node, time)`: the last one in input order decides.
+            FaultPlan::from_events(vec![
+                ev(2, 5.0, FaultKind::Revoke),
+                ev(4, 7.0, FaultKind::Recover),
+                ev(2, 5.0, FaultKind::Recover),
+                ev(4, 1.0, FaultKind::Revoke),
+                ev(2, 5.0, FaultKind::Revoke),
+                ev(4, 7.0, FaultKind::Revoke),
+            ]),
+            FaultPlan::none()
+                .with_outage(NodeId(5), at(10.0), at(20.0))
+                .with_outage(NodeId(0), at(15.0), at(30.0))
+                .with_outage(NodeId(5), at(18.0), at(25.0)),
+            FaultPlan::none()
+                .revoked_from(NodeId(7), at(3.0))
+                .with_outage(NodeId(7), at(1.0), at(2.0))
+                .revoked_from(NodeId(8), at(3.0)),
+            FaultPlan::random(&nodes, 0.8, 50.0, 10.0, 1234),
+        ];
+        for plan in &plans {
+            let linear_is_up = |node: NodeId, t: SimTime| {
+                let mut up = true;
+                for ev in plan.events() {
+                    if ev.time > t {
+                        break;
+                    }
+                    if ev.node == node {
+                        up = matches!(ev.kind, FaultKind::Recover);
+                    }
                 }
-                if ev.node == node {
-                    up = matches!(ev.kind, FaultKind::Recover);
+                up
+            };
+            let linear_next = |node: NodeId, t: SimTime| {
+                plan.events()
+                    .iter()
+                    .find(|ev| ev.node == node && ev.time > t)
+                    .copied()
+            };
+            let mut probes: Vec<SimTime> = plan.events().iter().map(|e| e.time).collect();
+            probes.extend((0..200).map(|i| SimTime::new(i as f64 * 0.37)));
+            probes.push(SimTime::new(1e9));
+            for &node in &nodes {
+                for &t in &probes {
+                    assert_eq!(plan.is_up(node, t), linear_is_up(node, t), "{node:?} {t}");
+                    assert_eq!(
+                        plan.next_transition(node, t),
+                        linear_next(node, t),
+                        "{node:?} {t}"
+                    );
                 }
             }
-            up
-        };
-        let linear_next = |node: NodeId, t: SimTime| {
-            plan.events()
-                .iter()
-                .find(|ev| ev.node == node && ev.time > t)
-                .copied()
-        };
-        let mut probes: Vec<SimTime> = plan.events().iter().map(|e| e.time).collect();
-        probes.extend((0..200).map(|i| SimTime::new(i as f64 * 0.37)));
-        for &node in &nodes {
-            for &t in &probes {
-                assert_eq!(plan.is_up(node, t), linear_is_up(node, t), "{node:?} {t}");
-                assert_eq!(
-                    plan.next_transition(node, t),
-                    linear_next(node, t),
-                    "{node:?} {t}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn queries_survive_a_missing_index() {
-        // A deserialized plan arrives without the derived `by_node` index
-        // (serde skips it); queries must fall back to the linear scan and
-        // stay correct rather than reporting everything up.
-        let plan = FaultPlan::none().with_outage(NodeId(1), SimTime::new(10.0), SimTime::new(20.0));
-        let stripped = FaultPlan {
-            events: plan.events().to_vec(),
-            by_node: Vec::new(),
-        };
-        for t in [0.0, 10.0, 15.0, 20.0, 99.0] {
-            let t = SimTime::new(t);
-            assert_eq!(stripped.is_up(NodeId(1), t), plan.is_up(NodeId(1), t));
-            assert_eq!(
-                stripped.next_transition(NodeId(1), t),
-                plan.next_transition(NodeId(1), t)
-            );
         }
     }
 

@@ -6,10 +6,8 @@
 //! scaled by `1 − background_utilisation(t)`, mirroring how node speed is
 //! scaled by external CPU load.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of a network link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkSpec {
     /// Nominal bandwidth in MiB per second.
     pub(crate) bandwidth_mib_s: f64,

@@ -5,11 +5,10 @@
 //! is expressed through differing base speeds and differing external load.
 
 use crate::site::SiteId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a node within a `GridTopology`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 impl fmt::Display for NodeId {
@@ -26,7 +25,7 @@ impl NodeId {
 }
 
 /// Static description of a grid node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     /// Node identifier (assigned by the topology builder).
     pub(crate) id: NodeId,

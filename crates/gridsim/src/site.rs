@@ -8,11 +8,10 @@
 
 use crate::link::LinkSpec;
 use crate::node::NodeId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a site within a topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SiteId(pub(crate) usize);
 
 impl fmt::Display for SiteId {
@@ -29,7 +28,7 @@ impl SiteId {
 }
 
 /// An administrative domain: a named cluster with a local interconnect.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Site {
     /// Site identifier (assigned by the topology builder).
     pub id: SiteId,

@@ -11,11 +11,10 @@ use crate::node::{NodeId, NodeSpec};
 use crate::site::{Site, SiteId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The static description of a computational grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridTopology {
     nodes: Vec<NodeSpec>,
     sites: Vec<Site>,

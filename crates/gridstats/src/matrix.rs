@@ -7,10 +7,9 @@
 //! (partial pivoting) over blocking or SIMD.
 
 use crate::regression::StatsError;
-use serde::{Deserialize, Serialize};
 
 /// Dense row-major matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -2,16 +2,14 @@
 //!
 //! A calibration sample taken while a node suffered a transient spike (page
 //! fault storm, competing burst) would poison a least-squares fit.  The
-//! calibration layer therefore optionally filters samples through a robust
-//! policy before ranking: either interquartile fences (Tukey) or the median
-//! absolute deviation rule.
-
-use serde::{Deserialize, Serialize};
+//! calibration layer therefore filters samples through interquartile fences
+//! (Tukey) before ranking; the median absolute deviation rule is the other
+//! robust policy offered.
 
 use crate::descriptive::{median, percentile};
 
 /// Outlier rejection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OutlierPolicy {
     /// Keep every sample.
     None,

@@ -14,11 +14,10 @@
 //! is what the ranking is then based on.
 
 use crate::matrix::Matrix;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Errors produced by the statistics layer.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StatsError {
     /// Not enough observations for the requested fit.
     InsufficientData {
@@ -59,7 +58,7 @@ impl fmt::Display for StatsError {
 impl std::error::Error for StatsError {}
 
 /// Result of a univariate (simple) linear regression `y = intercept + slope·x`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Intercept β₀.
     pub intercept: f64,
@@ -124,7 +123,7 @@ pub fn linear_regression(x: &[f64], y: &[f64]) -> Result<LinearFit, StatsError> 
 }
 
 /// Result of a multivariate OLS fit `y = β₀ + Σ βᵢ·xᵢ`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultivariateFit {
     /// Coefficients `[β₀, β₁, …, βₖ]`; index 0 is the intercept.
     pub coefficients: Vec<f64>,

@@ -10,10 +10,9 @@ use grasp_core::wire::{ByteReader, ByteWriter, Fnv64, PAYLOAD_IMAGING};
 use grasp_core::{FarmedStage, Skeleton, StageSpec, TaskSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A synthetic greyscale frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticImage {
     /// Width in pixels.
     pub(crate) width: usize,
@@ -157,7 +156,7 @@ impl SyntheticImage {
 }
 
 /// The four-stage image pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImagePipeline {
     /// Frame width.
     pub width: usize,
@@ -304,7 +303,7 @@ impl ImagePipeline {
 /// four-stage chain on frame `frame` of `pipeline`.  Like
 /// [`crate::matmul::MatMulBandTask`], the frame itself is derived from the
 /// job seed rather than shipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ImagingFrameTask {
     /// The enclosing pipeline job (frame geometry, stream length, seed).
     pub pipeline: ImagePipeline,

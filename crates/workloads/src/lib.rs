@@ -9,22 +9,23 @@
 //! * [`matmul`] — blocked dense matrix multiplication: a regular,
 //!   compute-bound farm;
 //! * [`quadrature`] — numerical integration panels with a tunable
-//!   computation/communication ratio;
+//!   computation/communication ratio (descriptors only);
 //! * [`seqmatch`] — synthetic pairwise sequence alignment (Smith–Waterman
 //!   scoring on random sequences): the BLAST-style parameter sweep the
 //!   companion task-farm paper motivates;
 //! * [`imaging`] — a four-stage image-processing pipeline (blur → sharpen →
 //!   edge detect → threshold) for the pipeline skeleton;
 //! * [`blackscholes`] — a Black–Scholes option-pricing sweep (fine-grained
-//!   farm tasks);
+//!   farm tasks; descriptors only);
 //! * `servicemix` — a deterministic Poisson stream of mixed-shape small
 //!   jobs for exercising the resident multi-job service.
 //!
-//! Every module offers both the **real kernel** (usable by the `grasp-exec`
-//! shared-memory backend and by Criterion micro-benchmarks) and a
-//! **descriptor generator** that turns the workload into the abstract
-//! [`grasp_core::TaskSpec`] / [`grasp_core::StageSpec`] lists the simulated
-//! grid executes, with work units calibrated to the kernels' relative costs.
+//! Every module offers a **descriptor generator** that turns the workload
+//! into the abstract [`grasp_core::TaskSpec`] / [`grasp_core::StageSpec`]
+//! lists the simulated grid executes, with work units calibrated to the
+//! kernels' relative costs.  All but `quadrature` and `blackscholes` also
+//! carry the **real kernel** (usable by the `grasp-exec` shared-memory
+//! backend).
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]

@@ -6,10 +6,9 @@
 //! that demand-driven and adaptive scheduling exploit.
 
 use grasp_core::TaskSpec;
-use serde::{Deserialize, Serialize};
 
 /// A Mandelbrot rendering job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MandelbrotJob {
     /// Image width in pixels.
     pub width: usize,
@@ -42,7 +41,7 @@ impl Default for MandelbrotJob {
 }
 
 /// One rectangular tile of the image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tile {
     /// Tile identifier (row-major).
     pub(crate) id: usize,

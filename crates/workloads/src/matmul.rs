@@ -10,10 +10,9 @@ use grasp_core::wire::{ByteReader, ByteWriter, Fnv64, PAYLOAD_MATMUL};
 use grasp_core::TaskSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A blocked mat-mul job description.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatMulJob {
     /// Matrix dimension (square `n × n` matrices).
     pub n: usize,
@@ -131,7 +130,7 @@ impl MatMulJob {
 /// parameters plus the band coordinates.  Inputs are *derived* (regenerated
 /// from the job seed), not shipped — the grid model this reproduces
 /// broadcasts descriptors, not matrices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MatMulBandTask {
     /// The enclosing job (dimension, blocking, input seed).
     pub(crate) job: MatMulJob,

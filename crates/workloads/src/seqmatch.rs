@@ -11,11 +11,10 @@
 use grasp_core::TaskSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A synthetic sequence-matching job: every query is scored against every
 /// subject; one farm task = one query against the whole subject set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SequenceMatchJob {
     /// Number of query sequences (= number of farm tasks).
     pub queries: usize,

@@ -9,7 +9,6 @@
 
 use grasp_core::prelude::{Skeleton, StageSpec};
 use grasp_core::TaskSpec;
-use serde::{Deserialize, Serialize};
 
 /// One job of the stream: when it arrives and what it asks for.
 #[derive(Debug, Clone)]
@@ -24,7 +23,7 @@ pub struct ServiceArrival {
 }
 
 /// A reproducible mixed-shape Poisson job stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceMixJob {
     /// Jobs in the stream.
     pub jobs: usize,

@@ -21,12 +21,11 @@
 use grasp_core::TaskSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A synthetic Time-Warp transaction-simulation job: `partitions` farm
 /// tasks, each replaying `events_per_partition` skewed-arrival transfers
 /// over its own `accounts_per_partition` accounts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TranSimJob {
     /// Number of account partitions (= number of farm tasks).
     pub partitions: usize,

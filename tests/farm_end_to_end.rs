@@ -115,7 +115,6 @@ fn quadrature_panels_and_blackscholes_batches_complete() {
     let sweep = BlackScholesSweep {
         options: 2_000,
         batch_size: 100,
-        seed: 3,
     };
     let out = TaskFarm::new(GraspConfig::self_scheduling_baseline())
         .run(&loaded_grid(6), &sweep.as_tasks(50.0))
