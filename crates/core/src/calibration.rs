@@ -22,11 +22,11 @@ use crate::error::GraspError;
 use crate::task::{TaskOutcome, TaskSpec};
 use gridmon::MonitorRegistry;
 use gridsim::{Grid, NodeId, SimTime};
-use gridstats::{mean, multivariate_regression, reject_outliers, OutlierPolicy};
+use gridstats::{mean, multivariate_regression, reject_outliers};
 
 /// Outlier rejection applied to each node's sample times before ranking:
 /// Tukey fences at the conventional 1.5 interquartile ranges.
-const OUTLIER_POLICY: OutlierPolicy = OutlierPolicy::Iqr { k: 1.5 };
+const OUTLIER_IQR_K: f64 = 1.5;
 
 /// How node performance is extrapolated from the calibration samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -303,7 +303,7 @@ impl Calibrator {
                 sample_times.iter().map(|&(_, s)| s).collect()
             };
             let sample_times: Vec<f64> = normalized;
-            let filtered = reject_outliers(&sample_times, OUTLIER_POLICY);
+            let filtered = reject_outliers(&sample_times, OUTLIER_IQR_K);
             let mean_time = mean(&filtered).unwrap_or(f64::INFINITY);
             table.push(NodeCalibration {
                 node,

@@ -67,10 +67,9 @@ pub struct ExecutionConfig {
     /// more than `speculate_tail_fraction × total` units remain in flight,
     /// idle workers may duplicate in-flight units (first verified result
     /// wins, the loser is discarded).  `0.0` (the default) disables
-    /// speculation; the decision itself routes through the
-    /// [`AdaptationEngine`](crate::engine::AdaptationEngine) as a
-    /// [`Speculate`](crate::engine::AdaptationDirective::Speculate)
-    /// directive, like every other adaptation.  Must be in `[0, 1]`.
+    /// speculation; the decision itself routes through
+    /// [`AdaptationEngine::maybe_speculate`](crate::engine::AdaptationEngine::maybe_speculate),
+    /// like every other adaptation.  Must be in `[0, 1]`.
     pub speculate_tail_fraction: f64,
     /// Stage breach response: `false` (the default) activates a pre-spawned
     /// standby replica alongside the slow worker (replication); `true`

@@ -19,7 +19,12 @@
 //!   [`ExecutorSet`], the one thing a surface supplies: what "demote node
 //!   3" means (drop it from the chosen set, stop handing a worker thread
 //!   chunks, close a member's channel) is the set's business; the pool
-//!   floor, the recalibration budget and the audit log are the engine's.
+//!   floor, the recalibration budget and the audit log are the engine's;
+//! * in stage mode a pipeline supplies a [`StageSet`] the same way: what a
+//!   stage remap means (recompute the stage→node mapping, activate a
+//!   standby replica, re-home the stage) is the set's business; the
+//!   window, the spacing gate, the budget, the log and *Zₛ* are the
+//!   engine's.
 //!
 //! Two monitoring disciplines are supported, matching the paper's two
 //! skeletons:
@@ -30,9 +35,8 @@
 //!   (recalibrate), a single executor beyond `demote_factor × Z` is demoted.
 //! * **stage mode** ([`AdaptationEngine::for_stages`]) — the pipeline's
 //!   variant: each stage has its own threshold *Zₛ* and a recent-service
-//!   window; a full window whose mean exceeds *Zₛ* yields a
-//!   [`AdaptationDirective::RemapStage`] directive, which the pipeline
-//!   applies itself.
+//!   window; a full window whose mean exceeds *Zₛ* is a breach that the
+//!   pipeline's [`StageSet`] meets ([`AdaptationEngine::observe_stage`]).
 //!
 //! Recalibration comes in two flavours because the backends have different
 //! information available ([`Recalibration`]).  The simulated farm re-ranks
@@ -45,6 +49,7 @@
 
 use crate::adaptation::{AdaptationAction, AdaptationLog};
 use crate::config::ExecutionConfig;
+use crate::error::GraspError;
 use crate::execution::{ExecutionMonitor, MonitorVerdict};
 use crate::task::normalize_time;
 use crate::threshold::ThresholdPolicy;
@@ -89,56 +94,6 @@ impl Default for WallClock {
     }
 }
 
-/// A typed adaptation decision.
-///
-/// Executor-mode decisions ([`AdaptationDirective::DemoteExecutor`],
-/// [`AdaptationDirective::Recalibrate`]) are applied by the engine itself
-/// through [`AdaptationEngine::steer`]; [`AdaptationEngine::poll`] exposes
-/// them without applying anything.  Stage remaps and tail speculation are
-/// answers to a caller's question ([`AdaptationEngine::observe_stage`],
-/// [`AdaptationEngine::maybe_speculate`]): the caller acts and records what
-/// it did through the matching `note_*` method.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AdaptationDirective {
-    /// The whole pool degraded (`min T > Z`): feed back into calibration.
-    Recalibrate,
-    /// One executor's recent mean exceeded `demote_factor × Z`: drop it
-    /// from the active set without a full recalibration.
-    DemoteExecutor {
-        /// The pathological executor.
-        executor: NodeId,
-        /// Its recent mean time (seconds per work unit).
-        recent_mean: f64,
-    },
-    /// A pipeline stage's recent mean service exceeded its threshold *Zₛ*:
-    /// remap it to a better executor (sim) or replicate it (threads).
-    RemapStage {
-        /// Index of the degraded stage.
-        stage: usize,
-        /// Its recent mean service time (seconds per item).
-        recent_mean: f64,
-    },
-    /// The job is in its tail (every unit handed out, few enough still in
-    /// flight): idle workers may duplicate in-flight units, first verified
-    /// result wins.  Emitted by [`AdaptationEngine::maybe_speculate`]; the
-    /// caller picks the concrete units, launches the duplicates, and
-    /// reports each one via [`AdaptationEngine::note_speculated`].
-    Speculate {
-        /// Units still in flight when the directive fired.
-        in_flight: usize,
-    },
-}
-
-/// The result of one executor-mode monitoring evaluation: the raw monitor
-/// verdict plus the directives the engine derived from it.
-#[derive(Debug, Clone)]
-pub struct EnginePoll {
-    /// The monitor's verdict (table *T*, `min T`, threshold *Z* in force).
-    pub verdict: MonitorVerdict,
-    /// Directives derived from the verdict, demotions first.
-    pub(crate) directives: Vec<AdaptationDirective>,
-}
-
 /// What a whole-pool breach does to an [`ExecutorSet`] (see
 /// [`ExecutorSet::recalibrate`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -170,6 +125,48 @@ pub trait ExecutorSet {
     fn recalibrate(&mut self, _now: SimTime) -> Recalibration {
         Recalibration::Resample
     }
+}
+
+/// What a stage breach did to a [`StageSet`] (see [`StageSet::remap`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum StageRemap {
+    /// Nothing to apply: no budget is spent, nothing is logged and the
+    /// spacing gate stays where it was.
+    Decline,
+    /// The stage gained a worker (the shared-memory realisation of a remap).
+    Replicated {
+        /// Workers serving the stage from now on.
+        replicas: usize,
+    },
+    /// The stage was re-homed, its queued items checkpointed and moved with
+    /// it, and the old home stopped (the Cactus-Worm realisation).
+    Migrated {
+        /// The stage's old home.
+        from: NodeId,
+        /// Its new home.
+        to: NodeId,
+        /// Queued items the checkpoint carried.
+        checkpointed_items: usize,
+    },
+    /// The whole stage→executor mapping was recomputed (the simulated
+    /// pipeline feeding back into calibration).
+    Remapped {
+        /// Every stage that changed executor, as `(stage, from, to)`.
+        moves: Vec<(usize, NodeId, NodeId)>,
+        /// The new mapping's executors, in stage order.
+        chosen: Vec<NodeId>,
+        /// The new per-stage thresholds *Zₛ*.
+        thresholds: Vec<f64>,
+    },
+}
+
+/// The stages a stage-mode engine steers — all a pipeline supplies to
+/// [`AdaptationEngine::observe_stage`] and
+/// [`AdaptationEngine::remap_lost_stage`].
+pub trait StageSet {
+    /// Meet a breach of `stage` at `now`; called only with budget left.  An
+    /// error ends the caller's run and leaves the engine untouched.
+    fn remap(&mut self, now: SimTime, stage: usize) -> Result<StageRemap, GraspError>;
 }
 
 /// The backend-neutral calibrate→monitor→act loop (see module docs).
@@ -265,31 +262,11 @@ impl AdaptationEngine {
         self
     }
 
-    /// Override the stage-mode recent-service window size (defaults to the
-    /// shared `monitor_window` of the execution config).
-    pub(crate) fn with_stage_window(mut self, window: usize) -> Self {
-        self.stage_window_cap = window.max(1);
-        self
-    }
-
     /// Space stage-mode actions at least `interval_s` apart on the engine's
     /// clock (see [`AdaptationEngine`] field docs; 0 disables the gate).
     pub fn with_stage_action_interval(mut self, interval_s: f64) -> Self {
         self.stage_action_interval_s = interval_s.max(0.0);
         self
-    }
-
-    /// Whether Algorithm 2 is enabled at all.
-    pub(crate) fn adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// The per-stage threshold *Zₛ* currently in force (stage mode).
-    pub(crate) fn stage_threshold(&self, stage: usize) -> f64 {
-        self.stage_thresholds
-            .get(stage)
-            .copied()
-            .unwrap_or(f64::INFINITY)
     }
 
     /// Completed monitoring evaluations (executor mode).
@@ -312,9 +289,9 @@ impl AdaptationEngine {
         self.recalibrations
     }
 
-    /// Whether the recalibration budget allows another feedback round.
-    pub(crate) fn can_recalibrate(&self) -> bool {
-        self.recalibrations < self.max_recalibrations
+    /// Whether adaptation is on and the budget allows another action.
+    fn can_act(&self) -> bool {
+        self.adaptive && self.recalibrations < self.max_recalibrations
     }
 
     /// Complete (or redo) Algorithm 1: derive *Z* from freshly calibrated
@@ -331,16 +308,6 @@ impl AdaptationEngine {
         self.monitor
             .set_threshold(self.policy.compute(reference_times));
         self.monitor.reset(now);
-    }
-
-    /// Consume one unit of recalibration budget if available.
-    pub fn try_consume_recalibration(&mut self) -> bool {
-        if self.can_recalibrate() {
-            self.recalibrations += 1;
-            true
-        } else {
-            false
-        }
     }
 
     // ------------------------- executor mode -------------------------
@@ -397,17 +364,14 @@ impl AdaptationEngine {
         self.monitor.due(now)
     }
 
-    /// Run one monitoring evaluation if the interval has elapsed.
-    ///
-    /// Returns the verdict and the derived directives: one
-    /// [`AdaptationDirective::DemoteExecutor`] per executor beyond the
-    /// demotion threshold, then [`AdaptationDirective::Recalibrate`] when
-    /// `min T > Z` and the recalibration budget is not exhausted.  Returns
-    /// `None` when adaptation is disabled, the interval has not elapsed, no
-    /// times were reported, or a pending resample consumed the interval to
-    /// re-base *Z* (see [`Recalibration::Resample`]).  Applies nothing:
+    /// Run one monitoring evaluation if the interval has elapsed, returning
+    /// the monitor's verdict (table *T*, `min T`, the executors beyond the
+    /// demotion threshold, and *Z*).  Returns `None` when adaptation is
+    /// disabled, the interval has not elapsed, no times were reported, or a
+    /// pending resample consumed the interval to re-base *Z* (see
+    /// [`Recalibration::Resample`]).  Applies nothing:
     /// [`AdaptationEngine::steer`] is the poll that acts.
-    pub fn poll(&mut self, now: SimTime) -> Option<EnginePoll> {
+    pub fn poll(&mut self, now: SimTime) -> Option<MonitorVerdict> {
         if !self.adaptive {
             return None;
         }
@@ -422,101 +386,77 @@ impl AdaptationEngine {
             self.pending_rebase = false;
             return None;
         }
-        let mut directives: Vec<AdaptationDirective> = verdict
-            .demote
-            .iter()
-            .map(|slow| AdaptationDirective::DemoteExecutor {
-                executor: *slow,
-                recent_mean: verdict
-                    .per_node_mean
-                    .iter()
-                    .find(|(n, _)| n == slow)
-                    .map(|(_, m)| *m)
-                    .unwrap_or(f64::NAN),
-            })
-            .collect();
-        if verdict.recalibrate && self.can_recalibrate() {
-            directives.push(AdaptationDirective::Recalibrate);
-        }
-        Some(EnginePoll {
-            verdict,
-            directives,
-        })
+        Some(verdict)
     }
 
     /// Algorithm 2's action step: [`AdaptationEngine::poll`] at `now`, then
-    /// apply its directives to `set` — every demotion first, each only while
+    /// apply its verdict to `set` — every demotion first, each only while
     /// more than `max(1, min_active_nodes)` executors are active and only if
-    /// `set` accepts it, then a whole-pool breach through
-    /// [`ExecutorSet::recalibrate`].  Every applied action is logged against
-    /// the verdict that caused it; a declined recalibration logs nothing and
-    /// consumes no budget.
+    /// `set` accepts it, then a whole-pool breach (`min T > Z`) with budget
+    /// left through [`ExecutorSet::recalibrate`].  Every applied action is
+    /// logged against the verdict that caused it; a declined recalibration
+    /// logs nothing and consumes no budget.
     pub fn steer(&mut self, now: SimTime, set: &mut impl ExecutorSet) {
-        let Some(poll) = self.poll(now) else {
+        let Some(verdict) = self.poll(now) else {
             return;
         };
-        let verdict = poll.verdict;
-        for directive in poll.directives {
-            let action = match directive {
-                AdaptationDirective::DemoteExecutor {
-                    executor,
-                    recent_mean,
-                } => {
-                    if set.active().len() <= self.min_active || !set.demote(executor) {
-                        continue;
-                    }
-                    AdaptationAction::NodeDemoted {
-                        node: executor,
-                        recent_mean_time: recent_mean,
-                    }
-                }
-                AdaptationDirective::Recalibrate => {
-                    match set.recalibrate(now) {
-                        Recalibration::Decline => continue,
-                        Recalibration::Resample => self.pending_rebase = true,
-                        Recalibration::Rebase(expected) if !expected.is_empty() => {
-                            self.monitor.set_threshold(self.policy.compute(&expected))
-                        }
-                        Recalibration::Rebase(_) => {}
-                    }
-                    self.monitor.reset(now);
-                    self.recalibrations += 1;
-                    AdaptationAction::Recalibrated {
-                        new_chosen: set.active(),
-                    }
-                }
-                // Never emitted by an executor-mode poll.
-                AdaptationDirective::RemapStage { .. } | AdaptationDirective::Speculate { .. } => {
-                    continue
-                }
+        for &executor in &verdict.demote {
+            if set.active().len() <= self.min_active || !set.demote(executor) {
+                continue;
+            }
+            let recent_mean_time = verdict
+                .per_node_mean
+                .iter()
+                .find(|(n, _)| *n == executor)
+                .map_or(f64::NAN, |(_, m)| *m);
+            let action = AdaptationAction::NodeDemoted {
+                node: executor,
+                recent_mean_time,
             };
             self.log
                 .record(now, action, verdict.threshold, verdict.min_time);
         }
+        if !verdict.recalibrate || !self.can_act() {
+            return;
+        }
+        match set.recalibrate(now) {
+            Recalibration::Decline => return,
+            Recalibration::Resample => self.pending_rebase = true,
+            Recalibration::Rebase(expected) if !expected.is_empty() => {
+                self.monitor.set_threshold(self.policy.compute(&expected))
+            }
+            Recalibration::Rebase(_) => {}
+        }
+        self.monitor.reset(now);
+        self.recalibrations += 1;
+        let action = AdaptationAction::Recalibrated {
+            new_chosen: set.active(),
+        };
+        self.log
+            .record(now, action, verdict.threshold, verdict.min_time);
     }
 
     /// Tail-speculation decision (Time-Warp-flavoured optimistic execution):
     /// the caller reports that every unit has been handed out (nothing
     /// pending) and `in_flight` of `total` units are still running; the
-    /// engine answers with [`AdaptationDirective::Speculate`] when idle
-    /// workers may duplicate them.
+    /// engine answers whether idle workers may duplicate them.
     ///
     /// Fires only when adaptation is on, speculation is enabled
     /// (`speculate_tail_fraction > 0`), at least one unit is in flight, and
     /// the in-flight count is within the configured tail fraction of the
     /// job (`in_flight ≤ max(1, ⌈fraction × total⌉)`) — duplicating earlier
     /// than the tail would burn capacity the pending queue still wants.
-    /// Like every directive this is a *request*: the caller picks concrete
-    /// units (each at most once), launches duplicates on workers that would
-    /// otherwise go idle, and reports launches/wins back via
+    /// A `true` is a *permission*: the caller picks concrete units (each at
+    /// most once), launches duplicates on workers that would otherwise go
+    /// idle, and reports launches/wins back via
     /// [`AdaptationEngine::note_speculated`] /
     /// [`AdaptationEngine::note_speculation_won`].
-    pub fn maybe_speculate(&self, in_flight: usize, total: usize) -> Option<AdaptationDirective> {
+    pub fn maybe_speculate(&self, in_flight: usize, total: usize) -> bool {
         if !self.adaptive || self.speculate_tail_fraction <= 0.0 || in_flight == 0 {
-            return None;
+            return false;
         }
         let allowance = ((self.speculate_tail_fraction * total as f64).ceil() as usize).max(1);
-        (in_flight <= allowance).then_some(AdaptationDirective::Speculate { in_flight })
+        in_flight <= allowance
     }
 
     /// Record that the caller launched a speculative duplicate of `unit` on
@@ -573,139 +513,118 @@ impl AdaptationEngine {
 
     // --------------------------- stage mode ---------------------------
 
-    /// Stage-side report: one item took `service_s` seconds at `stage`.
-    ///
-    /// Returns a [`AdaptationDirective::RemapStage`] when the stage's
-    /// recent-service window is full, its mean exceeds *Zₛ*, adaptation is
-    /// enabled, budget remains, and the action-spacing gate allows it.
+    /// Stage-side report: one item took `service_s` seconds at `stage`,
+    /// finishing at `now`.  A breach — the stage's recent-service window is
+    /// full and its mean exceeds *Zₛ*, with adaptation on, budget left and
+    /// the action-spacing gate open — is met by `set`, and the engine
+    /// applies the answer (see [`StageRemap`]); only `set`'s error returns.
     pub fn observe_stage(
         &mut self,
         now: SimTime,
         stage: usize,
         service_s: f64,
-    ) -> Option<AdaptationDirective> {
+        set: &mut impl StageSet,
+    ) -> Result<(), GraspError> {
         let cap = self.stage_window_cap;
-        let adaptive = self.adaptive;
-        let budget_left = self.can_recalibrate();
-        let window = self.stage_windows.get_mut(stage)?;
+        let Some(window) = self.stage_windows.get_mut(stage) else {
+            return Ok(());
+        };
         window.push_back(service_s);
         if window.len() > cap {
             window.pop_front();
         }
-        if !adaptive || !budget_left || window.len() < cap {
-            return None;
+        if window.len() < cap || !self.can_act() {
+            return Ok(());
         }
         if self.stage_action_interval_s > 0.0
             && (now - self.last_stage_action).as_secs() < self.stage_action_interval_s
         {
-            return None;
+            return Ok(());
         }
+        let window = &self.stage_windows[stage];
         let mean = window.iter().sum::<f64>() / window.len() as f64;
-        if mean > self.stage_thresholds[stage] {
-            Some(AdaptationDirective::RemapStage {
-                stage,
-                recent_mean: mean,
-            })
-        } else {
-            None
+        if mean > self.threshold_of(stage) {
+            self.remap_stage(now, stage, mean, set)?;
         }
+        Ok(())
     }
 
-    /// Record that the caller moved a stage to a different executor.
-    pub(crate) fn note_stage_remapped(
+    /// The executor of `stage` died at `now`: with adaptation on and budget
+    /// left, `set` remaps the stage whatever its window and the spacing gate
+    /// say, logged with an infinite trigger.  `Ok(false)` when nothing was
+    /// applied (the caller has lost the item).
+    pub fn remap_lost_stage(
         &mut self,
         now: SimTime,
         stage: usize,
-        from: NodeId,
-        to: NodeId,
-        trigger_value: f64,
-    ) {
-        let threshold = self.stage_threshold(stage);
-        self.log.record(
-            now,
-            AdaptationAction::StageRemapped { stage, from, to },
-            threshold,
-            trigger_value,
-        );
-        self.last_stage_action = now;
+        set: &mut impl StageSet,
+    ) -> Result<bool, GraspError> {
+        if !self.can_act() {
+            return Ok(false);
+        }
+        self.remap_stage(now, stage, f64::INFINITY, set)
     }
 
-    /// Record that the caller replicated a stage across more executors (the
-    /// shared-memory realisation of a stage remap).
-    pub fn note_stage_replicated(
+    /// The threshold *Zₛ* in force for `stage`.
+    fn threshold_of(&self, stage: usize) -> f64 {
+        self.stage_thresholds
+            .get(stage)
+            .copied()
+            .unwrap_or(f64::INFINITY)
+    }
+
+    /// Ask `set` to meet a breach of `stage` and apply its answer: log it
+    /// against the *Zₛ* in force (a whole-mapping remap logs each move, then
+    /// the recalibration, then installs its *Zₛ*), clear every window —
+    /// times from before the action must not condemn what it built — spend
+    /// one unit of budget and restart the spacing gate.
+    fn remap_stage(
         &mut self,
         now: SimTime,
         stage: usize,
-        replicas: usize,
-        trigger_value: f64,
-    ) {
-        let threshold = self.stage_threshold(stage);
-        self.log.record(
-            now,
-            AdaptationAction::StageReplicated { stage, replicas },
-            threshold,
-            trigger_value,
-        );
-        self.last_stage_action = now;
-    }
-
-    /// Record that the caller **live-migrated** a stage: checkpointed its
-    /// `checkpointed_items` queued items and re-homed it from worker `from`
-    /// to worker `to`, the old worker stopping (the Cactus-Worm realisation
-    /// of a stage remap, chosen over replication when
-    /// `ExecutionConfig::migrate_stages` is set).
-    pub fn note_stage_migrated(
-        &mut self,
-        now: SimTime,
-        stage: usize,
-        from: NodeId,
-        to: NodeId,
-        checkpointed_items: usize,
-        trigger_value: f64,
-    ) {
-        let threshold = self.stage_threshold(stage);
-        self.log.record(
-            now,
-            AdaptationAction::StageMigrated {
-                stage,
+        trigger: f64,
+        set: &mut impl StageSet,
+    ) -> Result<bool, GraspError> {
+        let threshold = self.threshold_of(stage);
+        match set.remap(now, stage)? {
+            StageRemap::Decline => return Ok(false),
+            StageRemap::Replicated { replicas } => {
+                let action = AdaptationAction::StageReplicated { stage, replicas };
+                self.log.record(now, action, threshold, trigger);
+            }
+            StageRemap::Migrated {
                 from,
                 to,
                 checkpointed_items,
-            },
-            threshold,
-            trigger_value,
-        );
-        self.last_stage_action = now;
-    }
-
-    /// Record the pipeline-style whole-mapping recalibration that drives
-    /// stage remaps.
-    pub(crate) fn note_stages_recalibrated(
-        &mut self,
-        now: SimTime,
-        new_chosen: Vec<NodeId>,
-        trigger_value: f64,
-    ) {
-        self.log.record(
-            now,
-            AdaptationAction::Recalibrated { new_chosen },
-            0.0,
-            trigger_value,
-        );
-        self.last_stage_action = now;
-    }
-
-    /// Replace every stage threshold (after a remap recomputed them).
-    pub(crate) fn set_stage_thresholds(&mut self, thresholds: Vec<f64>) {
-        self.stage_thresholds = thresholds;
-    }
-
-    /// Forget all recent stage services (after a remap: times from the old
-    /// mapping must not condemn the new one).
-    pub(crate) fn clear_stage_windows(&mut self) {
-        for w in &mut self.stage_windows {
-            w.clear();
+            } => {
+                let action = AdaptationAction::StageMigrated {
+                    stage,
+                    from,
+                    to,
+                    checkpointed_items,
+                };
+                self.log.record(now, action, threshold, trigger);
+            }
+            StageRemap::Remapped {
+                moves,
+                chosen,
+                thresholds,
+            } => {
+                for (s, from, to) in moves {
+                    let action = AdaptationAction::StageRemapped { stage: s, from, to };
+                    self.log.record(now, action, self.threshold_of(s), trigger);
+                }
+                let action = AdaptationAction::Recalibrated { new_chosen: chosen };
+                self.log.record(now, action, 0.0, trigger);
+                self.stage_thresholds = thresholds;
+            }
         }
+        for window in &mut self.stage_windows {
+            window.clear();
+        }
+        self.recalibrations += 1;
+        self.last_stage_action = now;
+        Ok(true)
     }
 
     // ----------------------------- results -----------------------------
@@ -744,9 +663,14 @@ mod tests {
         assert!((e.monitor.threshold() - 2.0).abs() < 1e-12);
         e.observe(NodeId(0), 1.1);
         e.observe(NodeId(1), 1.5);
-        let poll = e.poll(t(1.0)).unwrap();
-        assert!(poll.directives.is_empty());
-        assert!(!poll.verdict.recalibrate);
+        let verdict = e.clone().poll(t(1.0)).unwrap();
+        assert!(verdict.demote.is_empty());
+        assert!(!verdict.recalibrate);
+        let mut pool = Pool::of(&[0, 1], Recalibration::Resample);
+        e.steer(t(1.0), &mut pool);
+        assert!(e.log().is_empty());
+        assert_eq!(pool.active.len(), 2);
+        assert_eq!(e.recalibrations(), 0);
         assert_eq!(e.evaluations(), 1);
     }
 
@@ -761,8 +685,8 @@ mod tests {
         assert_eq!(ranks, vec![(NodeId(0), 2.0), (NodeId(1), 0.5)]);
         // Non-destructive: the interval evaluation still fires on the same
         // observations afterwards.
-        let poll = e.poll(t(1.0)).unwrap();
-        assert_eq!(poll.verdict.per_node_mean, ranks);
+        let verdict = e.poll(t(1.0)).unwrap();
+        assert_eq!(verdict.per_node_mean, ranks);
         assert!(e.rank_snapshot().is_empty(), "poll consumed the window");
     }
 
@@ -770,6 +694,7 @@ mod tests {
     struct Pool {
         active: Vec<NodeId>,
         recalibration: Recalibration,
+        recalibrate_calls: usize,
     }
 
     impl Pool {
@@ -777,6 +702,7 @@ mod tests {
             Pool {
                 active: nodes.iter().copied().map(NodeId).collect(),
                 recalibration,
+                recalibrate_calls: 0,
             }
         }
     }
@@ -793,6 +719,7 @@ mod tests {
         }
 
         fn recalibrate(&mut self, _now: SimTime) -> Recalibration {
+            self.recalibrate_calls += 1;
             self.recalibration.clone()
         }
     }
@@ -802,21 +729,20 @@ mod tests {
         let mut e = AdaptationEngine::for_executors(&exec(1.0), &[1.0], SimTime::ZERO);
         e.observe(NodeId(0), 5.0);
         e.observe(NodeId(1), 6.0);
-        let poll = e.clone().poll(t(1.0)).unwrap();
-        assert!(poll.directives.contains(&AdaptationDirective::Recalibrate));
+        assert!(e.clone().poll(t(1.0)).unwrap().recalibrate);
         // Steering applies the recalibration: Z is re-based and the action
         // logged.
-        e.steer(
-            t(1.0),
-            &mut Pool::of(&[0, 1], Recalibration::Rebase(vec![5.0, 6.0])),
-        );
+        let mut pool = Pool::of(&[0, 1], Recalibration::Rebase(vec![5.0, 6.0]));
+        e.steer(t(1.0), &mut pool);
         assert!((e.monitor.threshold() - 10.0).abs() < 1e-12);
         assert_eq!(e.recalibrations(), 1);
         assert_eq!(e.log().recalibrations(), 1);
         // The new Z covers the degraded times: the next interval is quiet.
         e.observe(NodeId(0), 5.0);
-        let poll = e.poll(t(2.0)).unwrap();
-        assert!(poll.directives.is_empty());
+        e.steer(t(2.0), &mut pool);
+        assert_eq!(e.evaluations(), 2);
+        assert_eq!(pool.recalibrate_calls, 1);
+        assert_eq!(e.log().len(), 1);
     }
 
     #[test]
@@ -825,15 +751,18 @@ mod tests {
         cfg.max_recalibrations = 0;
         let mut e = AdaptationEngine::for_executors(&cfg, &[1.0], SimTime::ZERO);
         e.observe(NodeId(0), 50.0);
-        let poll = e.poll(t(1.0)).unwrap();
         assert!(
-            poll.verdict.recalibrate,
+            e.clone().poll(t(1.0)).unwrap().recalibrate,
             "the verdict still reports the breach"
         );
-        assert!(
-            !poll.directives.contains(&AdaptationDirective::Recalibrate),
-            "but no directive is emitted without budget"
+        let mut pool = Pool::of(&[0], Recalibration::Resample);
+        e.steer(t(1.0), &mut pool);
+        assert_eq!(
+            pool.recalibrate_calls, 0,
+            "but the set is not asked without budget"
         );
+        assert!(e.log().is_empty());
+        assert_eq!(e.recalibrations(), 0);
     }
 
     #[test]
@@ -841,19 +770,23 @@ mod tests {
         let mut e = AdaptationEngine::for_executors(&exec(1.0), &[1.0], SimTime::ZERO);
         e.observe(NodeId(0), 1.1);
         e.observe(NodeId(7), 60.0); // > demote_factor (3) × Z (2)
-        let poll = e.clone().poll(t(1.0)).unwrap();
-        match &poll.directives[..] {
-            [AdaptationDirective::DemoteExecutor {
-                executor,
-                recent_mean,
-            }] => {
-                assert_eq!(*executor, NodeId(7));
-                assert!((recent_mean - 60.0).abs() < 1e-12);
-            }
-            other => panic!("unexpected directives {other:?}"),
+        let mut pool = Pool::of(&[0, 5, 7], Recalibration::Resample);
+        e.steer(t(1.0), &mut pool);
+        match e.log().events() {
+            [event] => match &event.action {
+                AdaptationAction::NodeDemoted {
+                    node,
+                    recent_mean_time,
+                } => {
+                    assert_eq!(*node, NodeId(7));
+                    assert!((recent_mean_time - 60.0).abs() < 1e-12);
+                }
+                other => panic!("unexpected action {other:?}"),
+            },
+            other => panic!("unexpected log {other:?}"),
         }
-        e.steer(t(1.0), &mut Pool::of(&[0, 5, 7], Recalibration::Resample));
-        assert_eq!(e.log().demotions(), 1);
+        assert_eq!(pool.active, vec![NodeId(0), NodeId(5)]);
+        assert_eq!(pool.recalibrate_calls, 0, "min T is within Z");
     }
 
     #[test]
@@ -870,9 +803,9 @@ mod tests {
     fn resample_rebases_z_from_the_next_fresh_interval() {
         let mut e = AdaptationEngine::for_executors(&exec(1.0), &[1.0], SimTime::ZERO);
         e.observe(NodeId(0), 9.0);
-        let poll = e.clone().poll(t(1.0)).unwrap();
-        assert!(poll.directives.contains(&AdaptationDirective::Recalibrate));
-        e.steer(t(1.0), &mut Pool::of(&[0], Recalibration::Resample));
+        assert!(e.clone().poll(t(1.0)).unwrap().recalibrate);
+        let mut pool = Pool::of(&[0], Recalibration::Resample);
+        e.steer(t(1.0), &mut pool);
         assert_eq!(e.log().recalibrations(), 1);
         // The next interval's fresh observations are the recalibration
         // sample: they re-base Z instead of producing a verdict.
@@ -884,9 +817,29 @@ mod tests {
         );
         // Steady degraded times are now within Z: no further recalibration.
         e.observe(NodeId(0), 8.0);
-        let poll = e.poll(t(3.0)).unwrap();
-        assert!(poll.directives.is_empty());
+        e.steer(t(3.0), &mut pool);
+        assert_eq!(pool.recalibrate_calls, 1);
+        assert_eq!(e.log().recalibrations(), 1);
         assert_eq!(e.recalibrations(), 1);
+    }
+
+    /// A stage set that meets every breach with `answer`, counting calls.
+    struct Stages {
+        answer: StageRemap,
+        calls: usize,
+    }
+
+    impl Stages {
+        fn answering(answer: StageRemap) -> Self {
+            Stages { answer, calls: 0 }
+        }
+    }
+
+    impl StageSet for Stages {
+        fn remap(&mut self, _now: SimTime, _stage: usize) -> Result<StageRemap, GraspError> {
+            self.calls += 1;
+            Ok(self.answer.clone())
+        }
     }
 
     #[test]
@@ -894,28 +847,36 @@ mod tests {
         let mut cfg = exec(1.0);
         cfg.monitor_window = 3;
         let mut e = AdaptationEngine::for_stages(&cfg, vec![0.5, 2.0]);
+        let mut set = Stages::answering(StageRemap::Remapped {
+            moves: vec![(1, NodeId(2), NodeId(5))],
+            chosen: vec![NodeId(5)],
+            thresholds: vec![0.5, 10.0],
+        });
         // Stage 0 healthy, stage 1 needs a full hot window first.
-        assert!(e.observe_stage(t(0.1), 0, 0.1).is_none());
-        assert!(e.observe_stage(t(0.2), 1, 5.0).is_none());
-        assert!(e.observe_stage(t(0.3), 1, 5.0).is_none());
-        match e.observe_stage(t(0.4), 1, 5.0) {
-            Some(AdaptationDirective::RemapStage { stage, recent_mean }) => {
-                assert_eq!(stage, 1);
-                assert!((recent_mean - 5.0).abs() < 1e-12);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert!(e.try_consume_recalibration());
-        e.note_stage_remapped(t(0.4), 1, NodeId(2), NodeId(5), 5.0);
-        e.note_stages_recalibrated(t(0.4), vec![NodeId(5)], 5.0);
-        e.clear_stage_windows();
-        e.set_stage_thresholds(vec![0.5, 10.0]);
+        e.observe_stage(t(0.1), 0, 0.1, &mut set).unwrap();
+        e.observe_stage(t(0.2), 1, 5.0, &mut set).unwrap();
+        e.observe_stage(t(0.3), 1, 5.0, &mut set).unwrap();
+        assert_eq!(set.calls, 0);
+        e.observe_stage(t(0.4), 1, 5.0, &mut set).unwrap();
+        assert_eq!(set.calls, 1);
+        assert_eq!(e.recalibrations(), 1);
         assert_eq!(e.log().stage_remaps(), 1);
         assert_eq!(e.log().recalibrations(), 1);
+        // The move is logged against the Zₛ it breached, the recalibration
+        // against none, both triggered by the window mean.
+        let [moved, recalibrated] = e.log().events() else {
+            panic!("unexpected log {:?}", e.log().events());
+        };
+        assert_eq!((moved.threshold, moved.trigger_value), (2.0, 5.0));
+        assert_eq!(
+            (recalibrated.threshold, recalibrated.trigger_value),
+            (0.0, 5.0)
+        );
         // Cleared windows + relaxed threshold: no immediate re-trigger.
-        assert!(e.observe_stage(t(0.5), 1, 5.0).is_none());
-        assert!(e.observe_stage(t(0.6), 1, 5.0).is_none());
-        assert!(e.observe_stage(t(0.7), 1, 5.0).is_none());
+        e.observe_stage(t(0.5), 1, 5.0, &mut set).unwrap();
+        e.observe_stage(t(0.6), 1, 5.0, &mut set).unwrap();
+        e.observe_stage(t(0.7), 1, 5.0, &mut set).unwrap();
+        assert_eq!(set.calls, 1);
     }
 
     #[test]
@@ -923,17 +884,40 @@ mod tests {
         let mut cfg = exec(1.0);
         cfg.monitor_window = 1;
         let mut e = AdaptationEngine::for_stages(&cfg, vec![0.1]).with_stage_action_interval(10.0);
+        let mut set = Stages::answering(StageRemap::Replicated { replicas: 2 });
         // Breaches inside the first interval are suppressed — like the farm
         // monitor, the gate spaces actions one full interval apart, so
         // wall-clock start-up jitter cannot trigger an instant action.
-        assert!(e.observe_stage(t(0.5), 0, 9.0).is_none());
-        assert!(e.observe_stage(t(10.5), 0, 9.0).is_some());
-        e.note_stage_replicated(t(10.5), 0, 2, 9.0);
+        e.observe_stage(t(0.5), 0, 9.0, &mut set).unwrap();
+        assert_eq!(set.calls, 0);
+        e.observe_stage(t(10.5), 0, 9.0, &mut set).unwrap();
+        assert_eq!(set.calls, 1);
         assert_eq!(e.log().stage_replications(), 1);
         // An immediate follow-up breach is suppressed again until the next
         // interval elapses.
-        assert!(e.observe_stage(t(11.0), 0, 9.0).is_none());
-        assert!(e.observe_stage(t(20.6), 0, 9.0).is_some());
+        e.observe_stage(t(11.0), 0, 9.0, &mut set).unwrap();
+        assert_eq!(set.calls, 1);
+        e.observe_stage(t(20.6), 0, 9.0, &mut set).unwrap();
+        assert_eq!(set.calls, 2);
+    }
+
+    #[test]
+    fn a_lost_stage_is_remapped_past_the_window_and_the_gate() {
+        let mut cfg = exec(1.0);
+        cfg.monitor_window = 4;
+        cfg.max_recalibrations = 1;
+        let mut e = AdaptationEngine::for_stages(&cfg, vec![1.0]).with_stage_action_interval(10.0);
+        let mut set = Stages::answering(StageRemap::Remapped {
+            moves: vec![(0, NodeId(0), NodeId(1))],
+            chosen: vec![NodeId(1)],
+            thresholds: vec![3.0],
+        });
+        assert!(e.remap_lost_stage(t(0.5), 0, &mut set).unwrap());
+        let trigger = e.log().events()[0].trigger_value;
+        assert!(trigger.is_infinite(), "a death triggers at infinity");
+        // The budget is spent: the next loss cannot be remapped.
+        assert!(!e.remap_lost_stage(t(20.0), 0, &mut set).unwrap());
+        assert_eq!(set.calls, 1);
     }
 
     #[test]
@@ -961,34 +945,28 @@ mod tests {
         cfg.speculate_tail_fraction = 0.25;
         let e = AdaptationEngine::for_executors(&cfg, &[1.0], SimTime::ZERO);
         // 100 units, fraction 0.25 → allowance 25 in flight.
-        assert!(e.maybe_speculate(26, 100).is_none(), "still mid-job");
-        assert_eq!(
-            e.maybe_speculate(25, 100),
-            Some(AdaptationDirective::Speculate { in_flight: 25 })
-        );
-        assert_eq!(
-            e.maybe_speculate(1, 100),
-            Some(AdaptationDirective::Speculate { in_flight: 1 })
-        );
-        assert!(e.maybe_speculate(0, 100).is_none(), "nothing to duplicate");
+        assert!(!e.maybe_speculate(26, 100), "still mid-job");
+        assert!(e.maybe_speculate(25, 100));
+        assert!(e.maybe_speculate(1, 100));
+        assert!(!e.maybe_speculate(0, 100), "nothing to duplicate");
         // Tiny jobs: the allowance never rounds below one unit.
         let mut tiny = exec(1.0);
         tiny.speculate_tail_fraction = 0.01;
         let e = AdaptationEngine::for_executors(&tiny, &[1.0], SimTime::ZERO);
-        assert!(e.maybe_speculate(1, 3).is_some());
+        assert!(e.maybe_speculate(1, 3));
     }
 
     #[test]
     fn speculation_respects_the_master_switches() {
         // Disabled by default (fraction 0).
         let e = AdaptationEngine::for_executors(&exec(1.0), &[1.0], SimTime::ZERO);
-        assert!(e.maybe_speculate(1, 100).is_none());
+        assert!(!e.maybe_speculate(1, 100));
         // Disabled when Algorithm 2 is off, whatever the fraction says.
         let mut cfg = exec(1.0);
         cfg.speculate_tail_fraction = 1.0;
         cfg.adaptive = false;
         let e = AdaptationEngine::for_executors(&cfg, &[1.0], SimTime::ZERO);
-        assert!(e.maybe_speculate(1, 100).is_none());
+        assert!(!e.maybe_speculate(1, 100));
     }
 
     #[test]
@@ -1007,8 +985,13 @@ mod tests {
         let mut cfg = exec(1.0);
         cfg.monitor_window = 1;
         let mut e = AdaptationEngine::for_stages(&cfg, vec![0.1]).with_stage_action_interval(10.0);
-        assert!(e.observe_stage(t(10.5), 0, 9.0).is_some());
-        e.note_stage_migrated(t(10.5), 0, NodeId(0), NodeId(4), 6, 9.0);
+        let mut set = Stages::answering(StageRemap::Migrated {
+            from: NodeId(0),
+            to: NodeId(4),
+            checkpointed_items: 6,
+        });
+        e.observe_stage(t(10.5), 0, 9.0, &mut set).unwrap();
+        assert_eq!(set.calls, 1);
         assert_eq!(e.log().stage_migrations(), 1);
         match &e.log().events()[0].action {
             AdaptationAction::StageMigrated {
@@ -1025,7 +1008,8 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         // The migration consumed the action slot: the next breach waits.
-        assert!(e.observe_stage(t(11.0), 0, 9.0).is_none());
+        e.observe_stage(t(11.0), 0, 9.0, &mut set).unwrap();
+        assert_eq!(set.calls, 1);
     }
 
     #[test]

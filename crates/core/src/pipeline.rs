@@ -20,7 +20,7 @@
 use crate::adaptation::AdaptationLog;
 use crate::calibration::{CalibrationReport, Calibrator};
 use crate::config::GraspConfig;
-use crate::engine::{AdaptationDirective, AdaptationEngine};
+use crate::engine::{AdaptationEngine, StageRemap, StageSet};
 use crate::error::GraspError;
 use crate::metrics::ThroughputTimeline;
 use crate::properties::SkeletonProperties;
@@ -177,7 +177,7 @@ impl Pipeline {
             SimTime::ZERO,
         )?;
 
-        let mut assignment = Self::map_stages(stages, &calibration.ranking);
+        let assignment = Self::map_stages(stages, &calibration.ranking);
         if assignment.len() != stages.len() {
             return Err(GraspError::CalibrationFailed(
                 "not enough usable nodes to host every stage".to_string(),
@@ -188,31 +188,36 @@ impl Pipeline {
         // the node each stage is currently mapped to.  The stage-mode
         // adaptation engine owns the thresholds, the recent-service windows,
         // the remap budget and the audit log; this pipeline feeds it service
-        // observations and applies the remap directives it emits.
+        // observations and the stage map it steers.
         let exec_cfg = &self.config.execution;
         let mut engine = AdaptationEngine::for_stages(
             exec_cfg,
             Self::stage_thresholds(grid, stages, &assignment, &self.config, SimTime::ZERO),
-        )
-        .with_stage_window(exec_cfg.monitor_window);
+        );
 
         // ------------------------------ Execution ----------------------------
         let start = calibration.duration;
         let mut timeline = ThroughputTimeline::new(exec_cfg.monitor_interval_s);
         let mut item_completions = Vec::with_capacity(items);
-        // stage_free[s] = when stage s finished (or will finish) its latest item.
-        let mut stage_free: Vec<SimTime> = vec![start; stages.len()];
+        let mut map = StageMap {
+            grid,
+            stages,
+            candidates,
+            config: &self.config,
+            registry,
+            assignment,
+            stage_free: vec![start; stages.len()],
+            banned: Vec::new(),
+        };
 
         for item in 0..items {
             // The item enters stage 0 as soon as stage 0 is free.
-            let mut ready = stage_free[0];
+            let mut ready = map.stage_free[0];
             for (s, stage) in stages.iter().enumerate() {
-                let node = assignment[s].1;
                 // Wait for the stage to be free (previous item still in it).
-                let enter = ready.max(stage_free[s]);
-                let mut attempt_node = node;
+                let enter = ready.max(map.stage_free[s]);
+                let mut attempt_node = map.assignment[s].1;
                 let mut attempt_enter = enter;
-                let mut banned: Vec<NodeId> = Vec::new();
                 let finish = loop {
                     match grid.execute_within(attempt_node, stage.work_per_item, attempt_enter, 1e6)
                     {
@@ -222,64 +227,33 @@ impl Pipeline {
                             // and never recovers).  Feed back into calibration
                             // — excluding nodes already seen to fail for this
                             // item — and retry the stage on its new node.
-                            if !engine.adaptive()
-                                || !engine.can_recalibrate()
-                                || banned.len() >= candidates.len()
-                            {
+                            if map.banned.len() >= candidates.len() {
                                 return Err(GraspError::TaskLost { task: item });
                             }
-                            banned.push(attempt_node);
-                            engine.try_consume_recalibration();
-                            Self::remap_all(
-                                grid,
-                                &mut registry,
-                                stages,
-                                candidates,
-                                &banned,
-                                &mut assignment,
-                                &mut stage_free,
-                                &mut engine,
-                                &self.config,
-                                attempt_enter,
-                                f64::INFINITY,
-                            )?;
-                            attempt_node = assignment[s].1;
-                            attempt_enter = ready.max(stage_free[s]);
+                            map.banned.push(attempt_node);
+                            if !engine.remap_lost_stage(attempt_enter, s, &mut map)? {
+                                return Err(GraspError::TaskLost { task: item });
+                            }
+                            attempt_node = map.assignment[s].1;
+                            attempt_enter = ready.max(map.stage_free[s]);
                         }
                     }
                 };
+                map.banned.clear();
                 let service = (finish - enter).as_secs();
-                stage_free[s] = finish;
+                map.stage_free[s] = finish;
 
                 // ---------------- per-stage Algorithm 2 ----------------
                 // The engine watches each stage's recent services against
-                // its threshold Zₛ and emits a remap directive on breach;
-                // the pipeline applies it by re-ranking and remapping the
-                // whole chain (the only legal move for an ordered,
-                // possibly stateful stage structure).
-                if let Some(AdaptationDirective::RemapStage { recent_mean, .. }) =
-                    engine.observe_stage(finish, s, service)
-                {
-                    engine.try_consume_recalibration();
-                    Self::remap_all(
-                        grid,
-                        &mut registry,
-                        stages,
-                        candidates,
-                        &[],
-                        &mut assignment,
-                        &mut stage_free,
-                        &mut engine,
-                        &self.config,
-                        finish,
-                        recent_mean,
-                    )?;
-                }
+                // its threshold Zₛ; on a breach the stage map re-ranks and
+                // remaps the whole chain (the only legal move for an
+                // ordered, possibly stateful stage structure).
+                engine.observe_stage(finish, s, service, &mut map)?;
 
                 // Forward the item to the next stage.
-                let node_now = assignment[s].1;
+                let node_now = map.assignment[s].1;
                 ready = if s + 1 < stages.len() {
-                    let next_node = assignment[s + 1].1;
+                    let next_node = map.assignment[s + 1].1;
                     let xfer = grid
                         .transfer(node_now, next_node, stage.forward_bytes, finish)
                         .map(|e| e.duration)
@@ -304,7 +278,7 @@ impl Pipeline {
             makespan,
             items,
             throughput,
-            stage_assignment: assignment,
+            stage_assignment: map.assignment,
             calibration,
             adaptation: engine.into_log(),
             timeline,
@@ -354,35 +328,42 @@ impl Pipeline {
             })
             .collect()
     }
+}
 
-    /// Feed back into calibration: re-rank every candidate node from the
-    /// monitor's current readings, recompute the whole stage→node mapping and
-    /// migrate the state of every stage that moved.  This is the pipeline's
-    /// adaptation action ("modifying the task scheduling according to the
-    /// inherent properties of the skeleton in hand" — for a pipeline the only
-    /// legal move is remapping whole stages).
-    #[allow(clippy::too_many_arguments)]
-    fn remap_all(
-        grid: &Grid,
-        registry: &mut MonitorRegistry,
-        stages: &[StageSpec],
-        candidates: &[NodeId],
-        exclude: &[NodeId],
-        assignment: &mut Vec<(usize, NodeId)>,
-        stage_free: &mut [SimTime],
-        engine: &mut AdaptationEngine,
-        config: &GraspConfig,
-        now: SimTime,
-        trigger_value: f64,
-    ) -> Result<(), GraspError> {
+/// The stage→node mapping of one pipeline run: the [`StageSet`] its engine
+/// steers.  A breach feeds back into calibration: every candidate node is
+/// re-ranked from the monitor's current readings, the whole mapping is
+/// recomputed and every stage that moved pays for its state transfer —
+/// "modifying the task scheduling according to the inherent properties of
+/// the skeleton in hand", and for a pipeline the only legal move is
+/// remapping whole stages.
+struct StageMap<'a> {
+    grid: &'a Grid,
+    stages: &'a [StageSpec],
+    candidates: &'a [NodeId],
+    config: &'a GraspConfig,
+    registry: MonitorRegistry,
+    assignment: Vec<(usize, NodeId)>,
+    /// `stage_free[s]` = when stage s finished (or will finish) its latest
+    /// item.
+    stage_free: Vec<SimTime>,
+    /// Nodes seen to fail the current item at the current stage, which a
+    /// remap avoids.
+    banned: Vec<NodeId>,
+}
+
+impl StageSet for StageMap<'_> {
+    fn remap(&mut self, now: SimTime, _stage: usize) -> Result<StageRemap, GraspError> {
+        let grid = self.grid;
         // Rank candidates by the speed the monitor currently attributes to
         // them (base speed × observed availability).
-        let mut ranked: Vec<(NodeId, f64)> = candidates
+        let mut ranked: Vec<(NodeId, f64)> = self
+            .candidates
             .iter()
             .copied()
-            .filter(|&n| grid.is_up(n, now) && !exclude.contains(&n))
+            .filter(|&n| grid.is_up(n, now) && !self.banned.contains(&n))
             .map(|n| {
-                let obs = registry.observe(grid, n, now);
+                let obs = self.registry.observe(grid, n, now);
                 let base = grid.node(n).map(|s| s.base_speed).unwrap_or(1.0);
                 (n, base * (1.0 - obs.cpu_load))
             })
@@ -392,32 +373,29 @@ impl Pipeline {
         }
         ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         let ranking: Vec<NodeId> = ranked.iter().map(|(n, _)| *n).collect();
-        let new_assignment = Self::map_stages(stages, &ranking);
+        let assignment = Pipeline::map_stages(self.stages, &ranking);
 
-        for (s, stage) in stages.iter().enumerate() {
-            let old = assignment[s].1;
-            let new = new_assignment[s].1;
+        let mut moves = Vec::new();
+        for (s, stage) in self.stages.iter().enumerate() {
+            let (old, new) = (self.assignment[s].1, assignment[s].1);
             if old != new {
                 let migration = grid
                     .transfer(old, new, stage.state_bytes, now)
                     .map(|e| e.duration)
                     .unwrap_or(SimTime::ZERO);
-                stage_free[s] = stage_free[s].max(now) + migration;
-                engine.note_stage_remapped(now, s, old, new, trigger_value);
+                self.stage_free[s] = self.stage_free[s].max(now) + migration;
+                moves.push((s, old, new));
             }
         }
-        // Times observed under the old mapping must not condemn the new one.
-        engine.clear_stage_windows();
-        *assignment = new_assignment;
-        engine.note_stages_recalibrated(
-            now,
-            assignment.iter().map(|(_, n)| *n).collect(),
-            trigger_value,
-        );
-        engine.set_stage_thresholds(Self::stage_thresholds(
-            grid, stages, assignment, config, now,
-        ));
-        Ok(())
+        let thresholds =
+            Pipeline::stage_thresholds(grid, self.stages, &assignment, self.config, now);
+        let chosen = assignment.iter().map(|(_, n)| *n).collect();
+        self.assignment = assignment;
+        Ok(StageRemap::Remapped {
+            moves,
+            chosen,
+            thresholds,
+        })
     }
 }
 

@@ -2,7 +2,7 @@
 //! bookkeeping and configuration validation.
 
 use grasp_core::calibration::Calibrator;
-use grasp_core::engine::{ExecutorSet, Recalibration};
+use grasp_core::engine::{ExecutorSet, Recalibration, StageRemap, StageSet};
 use grasp_core::execution::ExecutionMonitor;
 use grasp_core::prelude::*;
 use gridmon::MonitorRegistry;
@@ -59,6 +59,38 @@ impl ExecutorSet for FakeSet {
         };
         self.chosen_after.push(self.active.clone());
         answer
+    }
+}
+
+/// A scripted stage set: `answers` says how it meets each breach (0
+/// decline, 1 replicate, 2 migrate, 3 remap the whole chain onto the
+/// thresholds `remap_z`).  It records when and for which stage it was asked.
+struct FakeStages {
+    stages: usize,
+    answers: Vec<u8>,
+    remap_z: f64,
+    calls: Vec<(SimTime, usize)>,
+}
+
+impl StageSet for FakeStages {
+    fn remap(&mut self, now: SimTime, stage: usize) -> Result<StageRemap, GraspError> {
+        let answer = self.answers[self.calls.len() % self.answers.len()];
+        self.calls.push((now, stage));
+        let home = NodeId(self.stages + stage);
+        Ok(match answer {
+            0 => StageRemap::Decline,
+            1 => StageRemap::Replicated { replicas: 2 },
+            2 => StageRemap::Migrated {
+                from: NodeId(stage),
+                to: home,
+                checkpointed_items: 3,
+            },
+            _ => StageRemap::Remapped {
+                moves: vec![(stage, NodeId(stage), home)],
+                chosen: (0..self.stages).map(NodeId).collect(),
+                thresholds: vec![self.remap_z; self.stages],
+            },
+        })
     }
 }
 
@@ -150,20 +182,20 @@ proptest! {
             // mean can only grow.
             worse.observe(NodeId(*node), *t * degradations[i % degradations.len()]);
         }
-        let base_poll = base.poll(SimTime::new(5.0)).expect("observations were reported");
-        let worse_poll = worse.poll(SimTime::new(5.0)).expect("observations were reported");
-        if base_poll.verdict.recalibrate {
+        let base_verdict = base.poll(SimTime::new(5.0)).expect("observations were reported");
+        let worse_verdict = worse.poll(SimTime::new(5.0)).expect("observations were reported");
+        if base_verdict.recalibrate {
             prop_assert!(
-                worse_poll.verdict.recalibrate,
+                worse_verdict.recalibrate,
                 "worsening times un-breached the threshold: base min {} worse min {} Z {}",
-                base_poll.verdict.min_time,
-                worse_poll.verdict.min_time,
-                base_poll.verdict.threshold,
+                base_verdict.min_time,
+                worse_verdict.min_time,
+                base_verdict.threshold,
             );
         }
-        for node in &base_poll.verdict.demote {
+        for node in &base_verdict.demote {
             prop_assert!(
-                worse_poll.verdict.demote.contains(node),
+                worse_verdict.demote.contains(node),
                 "worsening times un-demoted node {node:?}"
             );
         }
@@ -230,6 +262,93 @@ proptest! {
         // Declined breaches spent nothing: the budget used is exactly the
         // applied recalibrations.
         prop_assert_eq!(engine.recalibrations(), set.chosen_after.len());
+    }
+
+    /// The engine steers any stage set under one discipline, checked event
+    /// by event against a reference: a breach asks the set only with a full
+    /// window over *Zₛ*, budget left and the spacing gate open (a lost stage
+    /// needs only the budget); a decline logs nothing, spends nothing and
+    /// leaves the gate where it was; an applied action is logged against
+    /// the *Zₛ* in force, spends one unit and clears every window, and a
+    /// remap installs its *Zₛ*.  Stage actions never outnumber the budget,
+    /// and breach-driven ones never come closer than the interval.
+    #[test]
+    fn stage_steering_respects_the_window_the_gate_and_the_budget(
+        stages in 1usize..4,
+        window in 1usize..5,
+        interval in 0.0f64..3.0,
+        budget in 0usize..=3,
+        z0 in 0.5f64..10.0,
+        remap_z in 0.5f64..20.0,
+        answers in prop::collection::vec(0u8..4, 1..8),
+        events in prop::collection::vec((0usize..3, 0.05f64..30.0, 0.0f64..1.0, 0u8..12), 1..80),
+    ) {
+        // A third of the cases run without a gate, like the simulated
+        // pipeline.
+        let interval = if interval < 1.0 { 0.0 } else { interval };
+        let exec = ExecutionConfig {
+            monitor_window: window,
+            max_recalibrations: budget,
+            ..ExecutionConfig::default()
+        };
+        let mut engine = AdaptationEngine::for_stages(&exec, vec![z0; stages])
+            .with_stage_action_interval(interval);
+        let mut set = FakeStages { stages, answers: answers.clone(), remap_z, calls: Vec::new() };
+        // The reference state: windows, Zₛ, budget spent, last action.
+        let mut windows: Vec<Vec<f64>> = vec![Vec::new(); stages];
+        let mut z = vec![z0; stages];
+        let (mut spent, mut last_action, mut now) = (0usize, 0.0f64, 0.0f64);
+        for &(stage, service, dt, kind) in &events {
+            now += dt;
+            let stage = stage % stages;
+            let lost = kind == 0;
+            let (asked, logged) = (set.calls.len(), engine.log().len());
+            if lost {
+                engine.remap_lost_stage(SimTime::new(now), stage, &mut set).unwrap();
+            } else {
+                engine.observe_stage(SimTime::new(now), stage, service, &mut set).unwrap();
+                windows[stage].push(service);
+                if windows[stage].len() > window {
+                    windows[stage].remove(0);
+                }
+            }
+            let w = &windows[stage];
+            let hot = w.len() == window && w.iter().sum::<f64>() / w.len() as f64 > z[stage];
+            let gate_open = interval == 0.0 || now - last_action >= interval;
+            let breach = spent < budget && (lost || (hot && gate_open));
+            prop_assert_eq!(set.calls.len(), asked + usize::from(breach), "asked at t={}", now);
+            let answer = answers[asked % answers.len()];
+            if !breach || answer == 0 {
+                prop_assert_eq!(engine.log().len(), logged, "nothing applied at t={}", now);
+                prop_assert_eq!(engine.recalibrations(), spent);
+                continue;
+            }
+            let first = &engine.log().events()[logged];
+            prop_assert_eq!(first.threshold, z[stage], "logged against the Zₛ in force");
+            prop_assert_eq!(first.trigger_value.is_infinite(), lost);
+            prop_assert_eq!(engine.log().len(), logged + if answer == 3 { 2 } else { 1 });
+            spent += 1;
+            last_action = now;
+            windows.iter_mut().for_each(Vec::clear);
+            if answer == 3 {
+                z = vec![remap_z; stages];
+            }
+            prop_assert_eq!(engine.recalibrations(), spent);
+        }
+        let actions: Vec<_> = engine
+            .log()
+            .events()
+            .iter()
+            .filter(|e| !matches!(e.action, AdaptationAction::Recalibrated { .. }))
+            .collect();
+        prop_assert!(actions.len() <= budget);
+        for pair in actions.windows(2) {
+            let gap = (pair[1].time - pair[0].time).as_secs();
+            prop_assert!(
+                pair[1].trigger_value.is_infinite() || gap >= interval,
+                "breach-driven actions {} s apart, interval {}", gap, interval
+            );
+        }
     }
 
     /// Config validation accepts exactly the documented parameter ranges.

@@ -371,14 +371,11 @@ impl ThreadAdaptation {
 
 /// The farm asks the engine before duplicating a straggler, and reports
 /// launches/wins back so the run's [`AdaptationLog`] records them — the
-/// Speculate directive routed through the same decision point as demotion
-/// and recalibration.
+/// speculation decision routed through the same engine as demotion and
+/// recalibration.
 impl SpeculationPolicy for ThreadAdaptation {
     fn allow(&self, in_flight: usize, total: usize) -> bool {
-        self.engine
-            .lock()
-            .maybe_speculate(in_flight, total)
-            .is_some()
+        self.engine.lock().maybe_speculate(in_flight, total)
     }
 
     fn note_launched(&self, unit: usize, worker: usize) {

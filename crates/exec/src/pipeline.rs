@@ -14,28 +14,32 @@
 //! the configured attempt budget (the worker clones the item before an
 //! attempt only while a further retry is still permitted — the final attempt
 //! moves it).  An item that fails every attempt turns the run into a typed
-//! [`GraspError::WorkerFailed`] instead of tearing down the process.
+//! [`GraspError::WorkerFailed`] instead of tearing down the process.  A run
+//! is `Ok` only when every item came back exactly once.
 //!
-//! Mid-run replication has one path, through the engine: with
+//! Mid-run adaptation has one path, through the engine: with
 //! [`ThreadPipeline::with_adaptation`] the pipeline runs the shared
 //! calibrate→monitor→act loop of
 //! [`grasp_core::engine::AdaptationEngine`]: the probe prefix calibrates a
 //! per-stage threshold *Zₛ*, stage workers feed wall-clock service times to
-//! the engine, and a mid-run breach **activates a standby replica** of the
-//! degraded stage — the shared-memory realisation of the pipeline's
-//! stage-remap adaptation (a thread cannot migrate to a better node, but
-//! the stage can be served by one more worker).  An idle standby holds no
+//! the engine, and the engine meets a mid-run breach through the stage's
+//! [`StageSet`], which **activates the stage's standby** — as one more
+//! replica (a thread cannot migrate to a better node, but the stage can be
+//! served by one more worker), or, with a [`ThreadPipeline::with_migration`]
+//! codec, as the stage's new home.  The engine spends the budget and writes
+//! the log.  Primaries and standbys run one stage-worker loop; a standby is
+//! a worker that first waits for its activation.  An idle standby holds no
 //! channel endpoints (it receives them through its activation message), so
 //! it can never keep the pipeline alive: when the last real worker of its
 //! stage exits, the activation channel closes and the standby exits too.
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use grasp_core::adaptation::AdaptationLog;
+use grasp_core::adaptation::{AdaptationAction, AdaptationLog};
 use grasp_core::config::ExecutionConfig;
-use grasp_core::engine::{AdaptationDirective, AdaptationEngine, WallClock};
+use grasp_core::engine::{AdaptationEngine, StageRemap, StageSet, WallClock};
 use grasp_core::error::GraspError;
 use grasp_core::wire::{ByteReader, ByteWriter};
-use gridsim::NodeId;
+use gridsim::{NodeId, SimTime};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -84,8 +88,8 @@ pub struct PipelineStats {
     pub(crate) retried: usize,
     /// Audit trail of the engine-driven adaptation loop (empty unless
     /// [`ThreadPipeline::with_adaptation`] enabled it): stage replications
-    /// and the threshold context they fired under, in wall-clock seconds
-    /// since run start.
+    /// or migrations and the threshold context they fired under, in
+    /// wall-clock seconds since run start.
     pub(crate) adaptation: AdaptationLog,
 }
 
@@ -103,9 +107,8 @@ pub struct ThreadPipeline<T> {
     /// [`ThreadPipeline::with_adaptation`]); `None` disables it.
     adaptation: Option<ExecutionConfig>,
     /// Checkpoint codec for live stage migration (see
-    /// [`ThreadPipeline::with_migration`]); `None` keeps the
-    /// replicate-on-breach behaviour even when the execution config asks
-    /// for migration (items that cannot be serialized cannot move homes).
+    /// [`ThreadPipeline::with_migration`]); `None` replicates on a breach
+    /// instead (items that cannot be serialized cannot move homes).
     migration: Option<MigrationCodec<T>>,
 }
 
@@ -122,16 +125,15 @@ impl<T: Send + 'static> ThreadPipeline<T> {
     }
 
     /// Enable **live stage migration**: when the adaptation engine flags a
-    /// sustained stage breach *and* the execution config sets
-    /// `migrate_stages`, the breaching worker checkpoints the stage's
+    /// sustained stage breach, the breaching worker checkpoints the stage's
     /// queued items — serialized through the wire payload machinery
     /// ([`ByteWriter`]/[`ByteReader`], the same format the process and
     /// network backends frame tasks with) — hands queue and checkpoint to
     /// the stage's standby worker, and **stops serving the stage**.  The
     /// stage is re-homed (logged as `StageMigrated`), not replicated: the
-    /// worker count stays the same.  Without a codec (or without
-    /// `migrate_stages`) a breach falls back to activating the standby as
-    /// an extra replica.
+    /// worker count stays the same.  Without a codec a breach activates the
+    /// standby as an extra replica.  A checkpoint that does not decode
+    /// cleanly fails the run with [`GraspError::WireProtocol`].
     pub fn with_migration(
         mut self,
         encode: impl Fn(&T, &mut ByteWriter) + Send + Sync + 'static,
@@ -146,12 +148,12 @@ impl<T: Send + 'static> ThreadPipeline<T> {
     /// from `exec.threshold`, stage workers report wall-clock service times
     /// to the engine, and a stage whose recent mean (over
     /// `exec.monitor_window` items) breaches *Zₛ* is **replicated** by
-    /// activating a standby worker — the shared-memory stage remap, and the
-    /// pipeline's only mid-run replication path.  Breaches are spaced at
-    /// least `exec.monitor_interval_s` apart on the wall clock, so scheduler
-    /// jitter on a shared machine cannot thrash; runs shorter than one
-    /// interval never adapt.  A no-op when
-    /// `exec.adaptive` is false.
+    /// activating a standby worker (or re-homed on it, with a
+    /// [`ThreadPipeline::with_migration`] codec) — the shared-memory stage
+    /// remap, and the pipeline's only mid-run adaptation.  Breaches are
+    /// spaced at least `exec.monitor_interval_s` apart on the wall clock, so
+    /// scheduler jitter on a shared machine cannot thrash; runs shorter than
+    /// one interval never adapt.  A no-op when `exec.adaptive` is false.
     pub fn with_adaptation(mut self, exec: ExecutionConfig) -> Self {
         self.adaptation = Some(exec);
         self
@@ -201,8 +203,10 @@ impl<T: Send + 'static> ThreadPipeline<T> {
 
     /// Run the stream through the pipeline, returning the transformed items
     /// in submission order plus statistics, or a typed error when an item
-    /// exhausts its per-stage retry budget.  An empty stage list returns the
-    /// input unchanged.
+    /// exhausts its per-stage retry budget
+    /// ([`GraspError::WorkerFailed`]), a migration checkpoint does not
+    /// decode ([`GraspError::WireProtocol`]), or an item does not come back
+    /// exactly once.  An empty stage list returns the input unchanged.
     pub fn try_run(&self, items: Vec<T>) -> Result<(Vec<T>, PipelineStats), GraspError>
     where
         T: Clone,
@@ -272,13 +276,6 @@ impl<T: Send + 'static> ThreadPipeline<T> {
         // sequentially through each stage (cheap relative to the stream):
         // its measured service times are the engine's calibration sample.
         let adapt_cfg = self.adaptation.filter(|e| e.adaptive);
-        // Live migration needs both the config's consent and a codec; with
-        // either missing, a breach falls back to replication.
-        let migration = if adapt_cfg.is_some_and(|e| e.migrate_stages) {
-            self.migration.clone()
-        } else {
-            None
-        };
         let mut items = items;
         let mut probe_results: Vec<(usize, T)> = Vec::new();
         let mut probe_samples: Vec<Vec<f64>> = vec![Vec::new(); n_stages];
@@ -321,8 +318,8 @@ impl<T: Send + 'static> ThreadPipeline<T> {
         // end.
         let engines: Option<Vec<Mutex<AdaptationEngine>>> = adapt_cfg.map(|exec| {
             // Every engine carries the full Zₛ vector (so stage indices in
-            // directives, thresholds and log entries line up), but engine i
-            // only ever observes stage i.
+            // thresholds and log entries line up), but engine i only ever
+            // observes stage i.
             let thresholds: Vec<f64> = probe_samples
                 .iter()
                 .map(|s| exec.threshold.compute(s))
@@ -338,7 +335,6 @@ impl<T: Send + 'static> ThreadPipeline<T> {
         });
         let clock = WallClock::start();
         let activated: Vec<AtomicBool> = (0..n_stages).map(|_| AtomicBool::new(false)).collect();
-        let extra_replicas: Vec<AtomicUsize> = (0..n_stages).map(|_| AtomicUsize::new(0)).collect();
 
         // ----------------------------- plumbing -----------------------------
         // stage i reads from rx[i] and writes to tx[i+1]; the sink collects
@@ -350,40 +346,87 @@ impl<T: Send + 'static> ThreadPipeline<T> {
             senders.push(tx);
             receivers.push(rx);
         }
-        // One standby worker per stage when the engine is on.  Activation
-        // hands the standby its stage's channel endpoints *through* the
-        // activation message, so an idle standby holds no endpoints and can
-        // never keep the pipeline from draining: when the last real worker
-        // of its stage exits, the activation channel closes and the standby
-        // exits with it.  The third slot is a migration checkpoint: `None`
-        // activates the standby as an extra replica, `Some(buf)` re-homes
-        // the stage (the sender stops serving it) with `buf` holding the
-        // drained queue in wire payload format.
-        type Activation<T> = (Receiver<(usize, T)>, Sender<(usize, T)>, Option<Vec<u8>>);
-        let mut act_txs: Vec<Sender<Activation<T>>> = Vec::new();
-        let mut act_rxs: Vec<Receiver<Activation<T>>> = Vec::new();
-        if engines.is_some() {
-            for _ in 0..n_stages {
-                let (tx, rx) = bounded::<Activation<T>>(1);
-                act_txs.push(tx);
-                act_rxs.push(rx);
-            }
-        }
-
-        let collected: Mutex<BTreeMap<usize, T>> = Mutex::new(BTreeMap::new());
-        for (seq, item) in probe_results {
-            collected.lock().insert(seq, item);
-        }
+        // One standby worker per stage when the engine is on (see
+        // `Activation`).
+        let (act_txs, act_rxs): (Vec<_>, Vec<_>) = match engines {
+            Some(_) => (0..n_stages).map(|_| bounded::<Activation<T>>(1)).unzip(),
+            None => (Vec::new(), Vec::new()),
+        };
 
         // Per-stage (service-time sum, item count), seeded with the probe's
-        // samples and topped up with what every worker and standby returns.
+        // samples and topped up with what every worker returns.
         let mut service_totals: Vec<(f64, usize)> = probe_samples
             .iter()
             .map(|s| (s.iter().sum(), s.len()))
             .collect();
-        let mut replicas_per_stage = self.stage_replicas.clone();
+        // A checkpoint that did not decode: the run's typed failure.
+        let mut lost: Option<GraspError> = None;
 
-        std::thread::scope(|scope| {
+        // One stage-worker loop for primaries and standbys: replay a
+        // migration checkpoint first, then serve the live queue until it
+        // closes or the stage is re-homed elsewhere.  A primary carries
+        // its stage's activation sender and feeds the stage's engine
+        // until the stage is activated; an activated stage skips its
+        // engine entirely — no further action is possible for it, so
+        // observing on would be pure lock traffic.  Returns the stage
+        // index with this worker's (service-time sum, item count).
+        let worker = |i: usize,
+                      rx: Receiver<(usize, T)>,
+                      tx: Sender<(usize, T)>,
+                      checkpoint: Option<Vec<u8>>,
+                      activation: Option<Sender<Activation<T>>>|
+         -> Result<(usize, f64, usize), GraspError> {
+            let mut replay = match (checkpoint, &self.migration) {
+                (Some(buf), Some((_, decode))) => decode_checkpoint(&buf, &**decode)?,
+                _ => Vec::new(),
+            }
+            .into_iter();
+            let (mut sum, mut served) = (0.0f64, 0usize);
+            while let Some((seq, item)) = replay.next().or_else(|| rx.recv().ok()) {
+                let t0 = Instant::now();
+                let Some((out, service)) = apply_stage(&self.stages[i], item) else {
+                    // Exhausted attempts: the item is dropped and the run
+                    // reports a typed failure; the stream keeps flowing
+                    // so other items finish.
+                    failed.lock().push(seq);
+                    continue;
+                };
+                sum += service;
+                served += 1;
+                let mut migrated = false;
+                if let (Some(engines), Some(activation)) = (&engines, &activation) {
+                    if !activated[i].load(Ordering::Relaxed) {
+                        // Wall time of the whole call, retried attempts
+                        // included.
+                        let observed = t0.elapsed().as_secs_f64();
+                        let now = clock.now();
+                        let mut standby = Standby {
+                            n_stages,
+                            replicas: self.stage_replicas[i] + 1,
+                            activated: &activated[i],
+                            activation,
+                            rx: &rx,
+                            tx: &tx,
+                            encode: self.migration.as_ref().map(|(encode, _)| &**encode),
+                            migrated: false,
+                        };
+                        engines[i]
+                            .lock()
+                            .observe_stage(now, i, observed, &mut standby)?;
+                        migrated = standby.migrated;
+                    }
+                }
+                // Re-homed, not replicated: the old worker stops serving
+                // the stage.
+                if tx.send((seq, out)).is_err() || migrated {
+                    break;
+                }
+            }
+            Ok((i, sum, served))
+        };
+        let worker = &worker;
+
+        let (collected, arrivals) = std::thread::scope(|scope| {
             // Source: feed the remaining items with sequence numbers.
             let source_tx = senders[0].clone();
             scope.spawn(move || {
@@ -395,212 +438,34 @@ impl<T: Send + 'static> ThreadPipeline<T> {
             });
 
             // Stages: each runs its explicit replica count (stage_replicated)
-            // of workers.  Every worker and standby returns its stage index
-            // with its own (service-time sum, item count).
+            // of workers.
             let mut workers = Vec::new();
-            let engines_ref = engines.as_ref();
-            let clock_ref = &clock;
-            for (i, stage) in self.stages.iter().enumerate() {
-                let worker_count = replicas_per_stage[i];
-                for _ in 0..worker_count {
-                    let rx = receivers[i].clone();
-                    let tx = senders[i + 1].clone();
-                    let stage = Arc::clone(stage);
-                    let apply = &apply_stage;
-                    let failed = &failed;
-                    let act_tx = act_txs.get(i).cloned();
-                    let activated = &activated;
-                    let extra_replicas = &extra_replicas;
-                    let codec = migration.as_ref();
-                    workers.push(scope.spawn(move || {
-                        let (mut sum, mut served) = (0.0f64, 0usize);
-                        while let Ok((seq, item)) = rx.recv() {
-                            let t0 = Instant::now();
-                            match apply(&stage, item) {
-                                Some((out, service)) => {
-                                    sum += service;
-                                    served += 1;
-                                    // Feed this stage's engine its observed
-                                    // service time; a breach directive is
-                                    // applied by activating the stage's
-                                    // standby — as an extra replica, or
-                                    // (with a migration codec) as the
-                                    // stage's new home — once, first breach
-                                    // wins.  An activated stage skips its
-                                    // engine entirely: no further action is
-                                    // possible for it, so observing on
-                                    // would be pure lock traffic.
-                                    let mut migrated_away = false;
-                                    if !activated[i].load(Ordering::Relaxed) {
-                                        if let Some(engines) = engines_ref {
-                                            // Wall time of the whole call,
-                                            // retried attempts included.
-                                            let observed = t0.elapsed().as_secs_f64();
-                                            let now = clock_ref.now();
-                                            let mut eng = engines[i].lock();
-                                            if let Some(AdaptationDirective::RemapStage {
-                                                recent_mean,
-                                                ..
-                                            }) = eng.observe_stage(now, i, observed)
-                                            {
-                                                if !activated[i].swap(true, Ordering::Relaxed) {
-                                                    eng.try_consume_recalibration();
-                                                    let checkpoint = codec.map(|(encode, _)| {
-                                                        // Live migration:
-                                                        // checkpoint the queued
-                                                        // items through the wire
-                                                        // payload format.  The
-                                                        // drain frees channel
-                                                        // slots, so the source
-                                                        // never blocks on a
-                                                        // stopped stage.
-                                                        let mut drained = Vec::new();
-                                                        while let Ok(q) = rx.try_recv() {
-                                                            drained.push(q);
-                                                        }
-                                                        let mut w = ByteWriter::new();
-                                                        w.put_u64(drained.len() as u64);
-                                                        for (s, it) in &drained {
-                                                            w.put_u64(*s as u64);
-                                                            encode(it, &mut w);
-                                                        }
-                                                        (drained.len(), w.into_vec())
-                                                    });
-                                                    match checkpoint {
-                                                        Some((count, buf)) => {
-                                                            // The standby's home
-                                                            // is named after its
-                                                            // slot beyond the
-                                                            // primary stage ids.
-                                                            eng.note_stage_migrated(
-                                                                now,
-                                                                i,
-                                                                NodeId(i),
-                                                                NodeId(n_stages + i),
-                                                                count,
-                                                                recent_mean,
-                                                            );
-                                                            drop(eng);
-                                                            if let Some(act_tx) = &act_tx {
-                                                                let _ = act_tx.send((
-                                                                    rx.clone(),
-                                                                    tx.clone(),
-                                                                    Some(buf),
-                                                                ));
-                                                            }
-                                                            migrated_away = true;
-                                                        }
-                                                        None => {
-                                                            extra_replicas[i]
-                                                                .fetch_add(1, Ordering::Relaxed);
-                                                            eng.note_stage_replicated(
-                                                                now,
-                                                                i,
-                                                                worker_count + 1,
-                                                                recent_mean,
-                                                            );
-                                                            drop(eng);
-                                                            if let Some(act_tx) = &act_tx {
-                                                                let _ = act_tx.send((
-                                                                    rx.clone(),
-                                                                    tx.clone(),
-                                                                    None,
-                                                                ));
-                                                            }
-                                                        }
-                                                    }
-                                                }
-                                            }
-                                        }
-                                    }
-                                    if tx.send((seq, out)).is_err() {
-                                        break;
-                                    }
-                                    if migrated_away {
-                                        // Re-homed, not replicated: the old
-                                        // worker stops serving the stage.
-                                        break;
-                                    }
-                                }
-                                // Exhausted attempts: the item is dropped and
-                                // the run reports a typed failure; the stream
-                                // keeps flowing so other items finish.
-                                None => failed.lock().push(seq),
-                            }
-                        }
-                        (i, sum, served)
-                    }));
+            for (i, &count) in self.stage_replicas.iter().enumerate() {
+                for _ in 0..count {
+                    let (rx, tx) = (receivers[i].clone(), senders[i + 1].clone());
+                    let activation = act_txs.get(i).cloned();
+                    workers.push(scope.spawn(move || worker(i, rx, tx, None, activation)));
                 }
             }
-
-            // Standby replicas: parked on their activation channel, holding
-            // no stage endpoints until (unless) a breach hands them some.
-            // A migration activation additionally ships the checkpointed
-            // queue, replayed from the wire payload before the live queue.
+            // Standbys: a worker that first waits for its activation.
             for (i, act_rx) in act_rxs.into_iter().enumerate() {
-                let stage = Arc::clone(&self.stages[i]);
-                let apply = &apply_stage;
-                let failed = &failed;
-                let codec = migration.as_ref();
-                workers.push(scope.spawn(move || {
-                    let (mut sum, mut served) = (0.0f64, 0usize);
-                    let mut serve = |seq: usize, item: T, tx: &Sender<(usize, T)>| -> bool {
-                        match apply(&stage, item) {
-                            Some((out, service)) => {
-                                sum += service;
-                                served += 1;
-                                tx.send((seq, out)).is_ok()
-                            }
-                            None => {
-                                failed.lock().push(seq);
-                                true
-                            }
-                        }
-                    };
-                    if let Ok((rx, tx, checkpoint)) = act_rx.recv() {
-                        let mut open = true;
-                        if let Some(buf) = checkpoint {
-                            let (_, decode) =
-                                codec.expect("a checkpoint only ships when a codec is configured");
-                            let mut r = ByteReader::new(&buf);
-                            let total = r.take_u64().unwrap_or(0);
-                            for _ in 0..total {
-                                let Ok(seq) = r.take_u64() else { break };
-                                let seq = seq as usize;
-                                match decode(&mut r) {
-                                    Ok(item) => {
-                                        if !serve(seq, item, &tx) {
-                                            open = false;
-                                            break;
-                                        }
-                                    }
-                                    // A checkpoint that cannot be decoded
-                                    // loses its remaining items: report
-                                    // them failed rather than hang the
-                                    // reorder sink.
-                                    Err(_) => {
-                                        failed.lock().push(seq);
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        while open {
-                            let Ok((seq, item)) = rx.recv() else { break };
-                            open = serve(seq, item, &tx);
-                        }
-                    }
-                    (i, sum, served)
+                workers.push(scope.spawn(move || match act_rx.recv() {
+                    Ok((rx, tx, checkpoint)) => worker(i, rx, tx, checkpoint, None),
+                    Err(_) => Ok((i, 0.0, 0)),
                 }));
             }
 
-            // Sink.
+            // Sink: every item that came back, by sequence number, and how
+            // many arrived.
             let sink_rx = receivers[n_stages].clone();
-            let collected = &collected;
-            scope.spawn(move || {
+            let sink = scope.spawn(move || {
+                let mut collected: BTreeMap<usize, T> = probe_results.into_iter().collect();
+                let mut arrivals = collected.len();
                 while let Ok((seq, item)) = sink_rx.recv() {
-                    collected.lock().insert(seq, item);
+                    collected.insert(seq, item);
+                    arrivals += 1;
                 }
+                (collected, arrivals)
             });
 
             // Drop the original channel endpoints held by this thread so the
@@ -613,26 +478,19 @@ impl<T: Send + 'static> ThreadPipeline<T> {
             drop(act_txs);
 
             for worker in workers {
-                let (i, sum, served) = worker
+                match worker
                     .join()
-                    .expect("stage panics are caught inside the stage call");
-                service_totals[i].0 += sum;
-                service_totals[i].1 += served;
-            }
-        });
-
-        let ordered: Vec<T> = {
-            let mut map = collected.into_inner();
-            let mut out = Vec::with_capacity(n_items);
-            let mut keys: Vec<usize> = map.keys().copied().collect();
-            keys.sort_unstable();
-            for k in keys {
-                if let Some(v) = map.remove(&k) {
-                    out.push(v);
+                    .expect("stage panics are caught inside the stage call")
+                {
+                    Ok((i, sum, served)) => {
+                        service_totals[i].0 += sum;
+                        service_totals[i].1 += served;
+                    }
+                    Err(e) => lost = Some(e),
                 }
             }
-            out
-        };
+            sink.join().expect("the sink does not panic")
+        });
 
         let mean_stage_service: Vec<f64> = service_totals
             .iter()
@@ -652,33 +510,43 @@ impl<T: Send + 'static> ThreadPipeline<T> {
                 attempts: max_attempts,
             });
         }
-
-        // Mid-run activations raise the reported worker counts.
-        for (r, extra) in replicas_per_stage.iter_mut().zip(&extra_replicas) {
-            *r += extra.load(Ordering::Relaxed);
+        if let Some(e) = lost {
+            return Err(e);
         }
-        // Merge the per-stage engine logs back into one chronological trail.
-        let adaptation = match engines {
-            Some(engines) => {
-                let mut events: Vec<_> = engines
-                    .into_iter()
-                    .flat_map(|m| m.into_inner().into_log().events().to_vec())
-                    .collect();
-                events.sort_by(|a, b| {
-                    a.time
-                        .partial_cmp(&b.time)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                let mut log = AdaptationLog::new();
-                for e in events {
-                    log.record(e.time, e.action, e.threshold, e.trigger_value);
+        // The run is whole only when the sink holds each sequence number
+        // 0..n exactly once.
+        if let Some(task) = (0..n_items).find(|seq| !collected.contains_key(seq)) {
+            return Err(GraspError::TaskLost { task });
+        }
+        if arrivals != n_items {
+            return Err(GraspError::WireProtocol {
+                detail: format!("{arrivals} items reached the sink for a stream of {n_items}"),
+            });
+        }
+
+        // Merge the per-stage engine logs back into one chronological trail;
+        // mid-run activations raise the reported worker counts.
+        let mut adaptation = AdaptationLog::new();
+        let mut replicas_per_stage = self.stage_replicas.clone();
+        if let Some(engines) = engines {
+            let mut events: Vec<_> = engines
+                .into_iter()
+                .flat_map(|m| m.into_inner().into_log().events().to_vec())
+                .collect();
+            events.sort_by(|a, b| {
+                a.time
+                    .partial_cmp(&b.time)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+            });
+            for e in events {
+                if let AdaptationAction::StageReplicated { stage, replicas } = e.action {
+                    replicas_per_stage[stage] = replicas;
                 }
-                log
+                adaptation.record(e.time, e.action, e.threshold, e.trigger_value);
             }
-            None => AdaptationLog::new(),
-        };
+        }
         Ok((
-            ordered,
+            collected.into_values().collect(),
             PipelineStats {
                 mean_stage_service,
                 items_per_stage,
@@ -691,6 +559,83 @@ impl<T: Send + 'static> ThreadPipeline<T> {
             },
         ))
     }
+}
+
+/// What a primary worker hands its stage's standby on activation: the
+/// stage's channel endpoints and, for a migration, the checkpoint — the
+/// drained queue in wire payload format (`None` activates the standby as an
+/// extra replica).  An idle standby holds no endpoints, so it can never keep
+/// the pipeline from draining: when the last real worker of its stage exits,
+/// the activation channel closes and the standby exits with it.
+type Activation<T> = (Receiver<(usize, T)>, Sender<(usize, T)>, Option<Vec<u8>>);
+
+/// A primary worker's hold on its stage's standby: the [`StageSet`] of the
+/// stage's engine.  The first breach activates the standby — as an extra
+/// replica, or, with a migration codec, as the stage's new home with the
+/// queued items checkpointed — and every later breach declines.
+struct Standby<'a, T> {
+    n_stages: usize,
+    /// Workers serving the stage once the standby joins them.
+    replicas: usize,
+    activated: &'a AtomicBool,
+    activation: &'a Sender<Activation<T>>,
+    rx: &'a Receiver<(usize, T)>,
+    tx: &'a Sender<(usize, T)>,
+    encode: Option<&'a EncodeItemFn<T>>,
+    /// Set when this worker handed its stage away and must stop serving it.
+    migrated: bool,
+}
+
+impl<T> StageSet for Standby<'_, T> {
+    fn remap(&mut self, _now: SimTime, stage: usize) -> Result<StageRemap, GraspError> {
+        if self.activated.swap(true, Ordering::Relaxed) {
+            return Ok(StageRemap::Decline);
+        }
+        let endpoints = (self.rx.clone(), self.tx.clone());
+        let Some(encode) = self.encode else {
+            let _ = self.activation.send((endpoints.0, endpoints.1, None));
+            return Ok(StageRemap::Replicated {
+                replicas: self.replicas,
+            });
+        };
+        // Live migration: checkpoint the queued items through the wire
+        // payload format.  The drain frees channel slots, so the source
+        // never blocks on a stopped stage.
+        let drained: Vec<(usize, T)> = std::iter::from_fn(|| self.rx.try_recv().ok()).collect();
+        let mut w = ByteWriter::new();
+        w.put_u64(drained.len() as u64);
+        for (seq, item) in &drained {
+            w.put_u64(*seq as u64);
+            encode(item, &mut w);
+        }
+        let _ = self
+            .activation
+            .send((endpoints.0, endpoints.1, Some(w.into_vec())));
+        self.migrated = true;
+        // The standby's home is named after its slot beyond the primary
+        // stage ids.
+        Ok(StageRemap::Migrated {
+            from: NodeId(stage),
+            to: NodeId(self.n_stages + stage),
+            checkpointed_items: drained.len(),
+        })
+    }
+}
+
+/// The `(seq, item)` pairs of a migration checkpoint, or a
+/// [`GraspError::WireProtocol`] when it does not decode cleanly: a short
+/// read, a decode error, or bytes left over.
+fn decode_checkpoint<T>(
+    buf: &[u8],
+    decode: &DecodeItemFn<T>,
+) -> Result<Vec<(usize, T)>, GraspError> {
+    let mut r = ByteReader::new(buf);
+    let count = r.take_u64()?;
+    let items = (0..count)
+        .map(|_| Ok((r.take_u64()? as usize, decode(&mut r)?)))
+        .collect::<Result<Vec<_>, GraspError>>()?;
+    r.finish()?;
+    Ok(items)
 }
 
 impl<T: Send + 'static> Default for ThreadPipeline<T> {
@@ -892,6 +837,52 @@ mod tests {
             "no codec, no checkpoint, no migration: {}",
             stats.adaptation.summary()
         );
+    }
+
+    #[test]
+    fn a_checkpoint_that_does_not_decode_fails_the_run() {
+        use grasp_core::ThresholdPolicy;
+        use std::sync::atomic::AtomicUsize;
+        // A migration breach with a codec whose decode reads one u64 where
+        // encode wrote two: the checkpoint cannot be rebuilt, so the run
+        // must fail typed instead of returning Ok without the checkpointed
+        // items.  The spacing gate holds every breach until 50 ms in, deep
+        // in the degraded phase, where the sleeping stage has long let the
+        // source fill its queue — even on a loaded machine.
+        let done = std::sync::Arc::new(AtomicUsize::new(0));
+        let hook = done.clone();
+        let exec = ExecutionConfig {
+            threshold: ThresholdPolicy::Factor { factor: 3.0 },
+            monitor_interval_s: 0.05,
+            migrate_stages: true,
+            ..ExecutionConfig::default()
+        };
+        let pipeline = ThreadPipeline::new()
+            .stage(move |x: u64| {
+                if hook.fetch_add(1, Ordering::Relaxed) >= 30 {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                } else {
+                    spin(2_000);
+                }
+                x * 2
+            })
+            .with_adaptation(exec)
+            .with_migration(
+                |x, w| {
+                    w.put_u64(*x);
+                    w.put_u64(*x);
+                },
+                |r| r.take_u64(),
+            );
+        match pipeline.try_run((0..150).collect()) {
+            Err(GraspError::WireProtocol { .. }) => {}
+            Err(other) => panic!("unexpected error {other:?}"),
+            Ok((out, stats)) => panic!(
+                "Ok with {} of 150 items: {}",
+                out.len(),
+                stats.adaptation.summary()
+            ),
+        }
     }
 
     #[test]

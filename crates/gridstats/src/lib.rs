@@ -18,8 +18,8 @@
 //!   with goodness-of-fit diagnostics (R², adjusted R², residuals);
 //! * `ranking` — ranking utilities (argsort, dense ranks, rank
 //!   correlation) used to order nodes by fitness;
-//! * `outlier` — robust outlier rejection (median absolute deviation,
-//!   interquartile fences) used to discard pathological calibration samples.
+//! * `outlier` — robust outlier rejection (interquartile fences) used to
+//!   discard pathological calibration samples.
 //!
 //! All routines operate on `f64` slices, are deterministic, and are
 //! panic-free on well-formed input; degenerate inputs (empty slices, singular
@@ -38,6 +38,6 @@ mod regression;
 
 pub use descriptive::{max, mean, median, min, percentile, sample_variance};
 pub use matrix::Matrix;
-pub use outlier::{reject_outliers, OutlierPolicy};
+pub use outlier::reject_outliers;
 pub use ranking::{argsort_ascending, argsort_descending, dense_ranks, spearman_rho};
 pub use regression::{linear_regression, multivariate_regression};

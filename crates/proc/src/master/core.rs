@@ -586,7 +586,7 @@ impl<'a> MasterCore<'a> {
         loop {
             let in_flight = self.total_in_flight();
             let engine = self.engine.as_ref();
-            if !engine.is_some_and(|e| e.maybe_speculate(in_flight, total).is_some()) {
+            if !engine.is_some_and(|e| e.maybe_speculate(in_flight, total)) {
                 return;
             }
             // An idle window slot, counting a member's speculative

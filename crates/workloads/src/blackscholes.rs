@@ -18,15 +18,6 @@ pub struct BlackScholesSweep {
     pub batch_size: usize,
 }
 
-impl Default for BlackScholesSweep {
-    fn default() -> Self {
-        BlackScholesSweep {
-            options: 100_000,
-            batch_size: 500,
-        }
-    }
-}
-
 impl BlackScholesSweep {
     /// Number of farm tasks (batches).
     pub(crate) fn task_count(&self) -> usize {

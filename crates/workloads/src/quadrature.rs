@@ -19,15 +19,6 @@ pub struct QuadratureJob {
     pub points_per_panel: usize,
 }
 
-impl Default for QuadratureJob {
-    fn default() -> Self {
-        QuadratureJob {
-            panels: 256,
-            points_per_panel: 10_000,
-        }
-    }
-}
-
 impl QuadratureJob {
     /// A small job suitable for unit tests.
     pub fn small() -> Self {

@@ -1,8 +1,8 @@
 //! Offline shim for the `rand` crate (0.8-era API surface).
 //!
 //! The build environment has no network access, so the workspace vendors the
-//! subset of `rand` it actually uses: [`SeedableRng::seed_from_u64`],
-//! [`Rng::gen_range`] over integer and float ranges, and [`Rng::gen_bool`].
+//! subset of `rand` it actually uses: [`SeedableRng::seed_from_u64`]
+//! and [`Rng::gen_range`] over integer and float ranges.
 //!
 //! The generator is xoshiro256++ seeded through SplitMix64. Streams are
 //! deterministic for a given seed but do **not** match the real `rand`
@@ -61,11 +61,6 @@ pub trait Rng: RngCore {
         R: SampleRange<T>,
     {
         range.sample_single(self)
-    }
-
-    /// Bernoulli sample: `true` with probability `p` (clamped to [0, 1]).
-    fn gen_bool(&mut self, p: f64) -> bool {
-        unit_f64(self.next_u64()) < p.clamp(0.0, 1.0)
     }
 }
 
@@ -210,15 +205,6 @@ mod tests {
             let inc = rng.gen_range(10i64..=12);
             assert!((10..=12).contains(&inc));
         }
-    }
-
-    #[test]
-    fn gen_bool_tracks_probability() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let hits = (0..10_000).filter(|_| rng.gen_bool(0.25)).count();
-        assert!((hits as f64 / 10_000.0 - 0.25).abs() < 0.03);
-        assert!((0..100).all(|_| !rng.gen_bool(0.0)));
-        assert!((0..100).all(|_| rng.gen_bool(1.0)));
     }
 
     #[test]
