@@ -70,16 +70,18 @@
 //!
 //! ## Unsafe code
 //!
-//! `grasp-core` denies unsafe code; the one exception is the private `sys`
-//! module here, which declares `mmap`, `munmap` and `syscall(SYS_futex)` and
-//! wraps them in a header mapping type and two futex functions.  Every
-//! unsafe block in it carries a `SAFETY:` comment, enforced by clippy.
+//! `grasp-core` denies unsafe code; the exceptions are the private `sys`
+//! module here and its twin in [`crate::transport`] (`poll`, `fcntl`,
+//! `shutdown`).  This one declares `mmap`, `munmap` and
+//! `syscall(SYS_futex)` and wraps them in a header mapping type and two
+//! futex functions.  Every unsafe block in it carries a `SAFETY:`
+//! comment, enforced by clippy.
 //! Targets without the futex wrappers park by sleeping 200 µs instead —
 //! the same loop, reporting each sleep as a timeout.
 
 use crate::error::GraspError;
 use crate::transport::{FrameSink, FrameSource};
-use crate::wire::{FrameView, MAX_FRAME_PAYLOAD, WIRE_MAGIC, WIRE_VERSION};
+use crate::wire::{frame_len, FrameView, FRAME_HEADER_LEN};
 use std::fs::{File, OpenOptions};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -142,7 +144,8 @@ impl Parker {
     }
 }
 
-/// The mapping, futex and sleep primitives: the crate's only unsafe code.
+/// The mapping, futex and sleep primitives: with the transport module's
+/// `sys`, the crate's only unsafe code.
 #[allow(unsafe_code)]
 #[warn(clippy::undocumented_unsafe_blocks)]
 mod sys {
@@ -717,31 +720,18 @@ impl ShmSource {
 
 impl FrameSource for ShmSource {
     fn recv_view(&mut self) -> Result<Option<FrameView<'_>>, GraspError> {
-        let mut header = [0u8; 10];
+        let mut header = [0u8; FRAME_HEADER_LEN];
         if !self.read_exact_ring(&mut header, true)? {
             return Ok(None); // clean EOF between frames
         }
-        if header[..4] != WIRE_MAGIC {
-            return Err(shm_err(format!("bad frame magic {:02x?}", &header[..4])));
-        }
-        if header[4] != WIRE_VERSION {
-            return Err(shm_err(format!(
-                "wire version mismatch: got {}, speak {WIRE_VERSION}",
-                header[4]
-            )));
-        }
-        let len = u32::from_le_bytes(header[6..10].try_into().unwrap()) as usize;
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(shm_err(format!(
-                "frame payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD} cap"
-            )));
-        }
-        let total = 10 + len + 4;
+        let Some(total) = frame_len(&header)? else {
+            return Err(shm_err("truncated frame header"));
+        };
         self.frame.clear();
         self.frame.resize(total, 0);
-        self.frame[..10].copy_from_slice(&header);
+        self.frame[..FRAME_HEADER_LEN].copy_from_slice(&header);
         let mut rest = std::mem::take(&mut self.frame);
-        let read = self.read_exact_ring(&mut rest[10..], false);
+        let read = self.read_exact_ring(&mut rest[FRAME_HEADER_LEN..], false);
         self.frame = rest;
         read?;
         Ok(Some(FrameView::decode_slice(&self.frame[..total])?.0))

@@ -581,11 +581,11 @@ pub enum OutcomeDetail {
         /// Bytes of frames received from the workers (hellos, results,
         /// heartbeats).
         bytes_received: u64,
-        /// Wall seconds the writer threads spent encoding and writing
-        /// frames (aggregate across workers) — the run's serialization cost.
+        /// Wall seconds the master spent writing encoded frames to the
+        /// transport (aggregate across workers).
         wire_write_s: f64,
-        /// Wall seconds of that spent *encoding* frames (the rest is the
-        /// transport write itself).
+        /// Wall seconds the master spent *encoding* frames — with
+        /// `wire_write_s`, the run's serialization cost.
         wire_encode_s: f64,
         /// Payload bytes copied beyond the one encode per frame (0 in
         /// steady state on the stream, TCP, and shm transports).
@@ -610,10 +610,10 @@ pub enum OutcomeDetail {
         bytes_sent: u64,
         /// Bytes of frames received from the workers.
         bytes_received: u64,
-        /// Wall seconds the writer threads spent encoding and writing
-        /// frames (aggregate across workers).
+        /// Wall seconds the master spent writing encoded frames to the
+        /// transport (aggregate across workers).
         wire_write_s: f64,
-        /// Wall seconds of that spent *encoding* frames.
+        /// Wall seconds the master spent *encoding* frames.
         wire_encode_s: f64,
         /// Payload bytes copied beyond the one encode per frame (the
         /// loopback transport's channel hand-off; 0 on TCP).

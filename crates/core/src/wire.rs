@@ -437,7 +437,7 @@ impl WireMsg {
 fn read_exactly<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), GraspError> {
     r.read_exact(buf).map_err(|e| {
         if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            wire_err("truncated frame: peer closed mid-message")
+            truncated()
         } else {
             wire_err(format!("transport read failed: {e}"))
         }
@@ -616,16 +616,24 @@ impl<'a> FrameView<'a> {
     /// it.
     pub fn encode_into(&self, frame: &mut Vec<u8>) {
         frame.clear();
-        frame.extend_from_slice(&WIRE_MAGIC);
-        frame.push(WIRE_VERSION);
-        frame.push(self.tag());
-        frame.extend_from_slice(&[0u8; 4]); // length, patched below
-        let body_start = frame.len();
-        self.write_body(frame);
-        let len = (frame.len() - body_start) as u32;
-        frame[6..10].copy_from_slice(&len.to_le_bytes());
-        let sum = fnv1a_32(self.tag(), &frame[body_start..]);
-        frame.extend_from_slice(&sum.to_le_bytes());
+        self.append_to(frame);
+    }
+
+    /// Encode this view as one complete frame at the end of `out`, after
+    /// whatever frames it already holds (an out-buffer that a peer drains
+    /// at its own pace).
+    pub(crate) fn append_to(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.extend_from_slice(&WIRE_MAGIC);
+        out.push(WIRE_VERSION);
+        out.push(self.tag());
+        out.extend_from_slice(&[0u8; 4]); // length, patched below
+        let body_start = out.len();
+        self.write_body(out);
+        let len = (out.len() - body_start) as u32;
+        out[start + 6..start + FRAME_HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        let sum = fnv1a_32(self.tag(), &out[body_start..]);
+        out.extend_from_slice(&sum.to_le_bytes());
     }
 
     /// Decode a message body without copying any variable-length field.
@@ -681,32 +689,13 @@ impl<'a> FrameView<'a> {
         if buf.is_empty() {
             return Err(wire_err("empty input where a frame was expected"));
         }
-        if buf.len() < 10 {
-            return Err(wire_err("truncated frame: peer closed mid-message"));
-        }
-        let magic = [buf[0], buf[1], buf[2], buf[3]];
-        if magic != WIRE_MAGIC {
-            return Err(wire_err(format!("bad frame magic {magic:02x?}")));
-        }
-        let version = buf[4];
-        if version != WIRE_VERSION {
-            return Err(wire_err(format!(
-                "wire version mismatch: got {version}, speak {WIRE_VERSION}"
-            )));
-        }
+        let total = match frame_len(buf)? {
+            Some(total) if buf.len() >= total => total,
+            _ => return Err(truncated()),
+        };
         let tag = buf[5];
-        let len = u32::from_le_bytes(buf[6..10].try_into().unwrap()) as usize;
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(wire_err(format!(
-                "frame payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD} cap"
-            )));
-        }
-        let total = 10 + len + 4;
-        if buf.len() < total {
-            return Err(wire_err("truncated frame: peer closed mid-message"));
-        }
-        let body = &buf[10..10 + len];
-        let expect = u32::from_le_bytes(buf[10 + len..total].try_into().unwrap());
+        let body = &buf[FRAME_HEADER_LEN..total - 4];
+        let expect = u32::from_le_bytes(buf[total - 4..total].try_into().unwrap());
         let got = fnv1a_32(tag, body);
         if got != expect {
             return Err(wire_err(format!(
@@ -781,51 +770,71 @@ impl<'a> FrameView<'a> {
     }
 }
 
+/// Bytes in a frame's fixed header: magic, version, tag and payload
+/// length.
+pub(crate) const FRAME_HEADER_LEN: usize = 10;
+
+/// The total length — header, payload and checksum — of the frame whose
+/// header opens `buf`, or `Ok(None)` while fewer than the header's 10
+/// bytes are at hand.  Checks the magic, the version and the payload cap:
+/// everything a reader must know before it waits for, or makes room for,
+/// the rest of a frame.  Every frame reader goes through this one copy of
+/// the header rules; the checksum and body are checked by
+/// [`FrameView::decode_slice`].
+pub fn frame_len(buf: &[u8]) -> Result<Option<usize>, GraspError> {
+    if buf.len() < FRAME_HEADER_LEN {
+        return Ok(None);
+    }
+    let magic = [buf[0], buf[1], buf[2], buf[3]];
+    if magic != WIRE_MAGIC {
+        return Err(wire_err(format!("bad frame magic {magic:02x?}")));
+    }
+    let version = buf[4];
+    if version != WIRE_VERSION {
+        return Err(wire_err(format!(
+            "wire version mismatch: got {version}, speak {WIRE_VERSION}"
+        )));
+    }
+    let len = u32::from_le_bytes([buf[6], buf[7], buf[8], buf[9]]) as usize;
+    if len > MAX_FRAME_PAYLOAD {
+        return Err(wire_err(format!(
+            "frame payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD} cap"
+        )));
+    }
+    Ok(Some(FRAME_HEADER_LEN + len + 4))
+}
+
+fn truncated() -> GraspError {
+    wire_err("truncated frame: peer closed mid-message")
+}
+
 /// Read one complete frame from a blocking reader into `buf`, clearing and
 /// reusing its capacity (no allocation once the buffer has grown to the
 /// working frame size), and return the frame's total length.  Returns
 /// `Ok(None)` on a clean end-of-stream boundary; an end-of-stream mid-frame
-/// is a truncation error.  The frame's magic, version and length cap are
-/// validated here (they bound the read); the checksum and body are
-/// validated by the [`FrameView::decode_slice`] call that follows.
+/// is a truncation error.  The header is checked by [`frame_len`] before
+/// the rest is read; the checksum and body are validated by the
+/// [`FrameView::decode_slice`] call that follows.
 pub(crate) fn read_frame_into<R: Read>(
     r: &mut R,
     buf: &mut Vec<u8>,
 ) -> Result<Option<usize>, GraspError> {
     // Distinguish a clean close (0 bytes available) from truncation.
-    let mut first = [0u8; 1];
+    let mut header = [0u8; FRAME_HEADER_LEN];
     loop {
-        match r.read(&mut first) {
+        match r.read(&mut header[..1]) {
             Ok(0) => return Ok(None),
             Ok(_) => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(wire_err(format!("transport read failed: {e}"))),
         }
     }
-    let mut header = [0u8; 9]; // magic[1..4] + version + tag + len
-    read_exactly(r, &mut header)?;
-    let magic = [first[0], header[0], header[1], header[2]];
-    if magic != WIRE_MAGIC {
-        return Err(wire_err(format!("bad frame magic {magic:02x?}")));
-    }
-    let version = header[3];
-    if version != WIRE_VERSION {
-        return Err(wire_err(format!(
-            "wire version mismatch: got {version}, speak {WIRE_VERSION}"
-        )));
-    }
-    let len = u32::from_le_bytes(header[5..9].try_into().unwrap()) as usize;
-    if len > MAX_FRAME_PAYLOAD {
-        return Err(wire_err(format!(
-            "frame payload of {len} bytes exceeds the {MAX_FRAME_PAYLOAD} cap"
-        )));
-    }
-    let total = 10 + len + 4;
+    read_exactly(r, &mut header[1..])?;
+    let total = frame_len(&header)?.ok_or_else(truncated)?;
     buf.clear();
     buf.resize(total, 0);
-    buf[0] = first[0];
-    buf[1..10].copy_from_slice(&header);
-    read_exactly(r, &mut buf[10..])?;
+    buf[..FRAME_HEADER_LEN].copy_from_slice(&header);
+    read_exactly(r, &mut buf[FRAME_HEADER_LEN..])?;
     Ok(Some(total))
 }
 
@@ -1037,6 +1046,35 @@ mod tests {
             decoded.push(view.to_owned());
         }
         assert_eq!(decoded, samples());
+    }
+
+    #[test]
+    fn frame_len_needs_only_the_header_and_frames_append_back_to_back() {
+        let mut stream = Vec::new();
+        for msg in samples() {
+            msg.as_view().append_to(&mut stream);
+        }
+        let mut at = 0;
+        let mut decoded = Vec::new();
+        while at < stream.len() {
+            let rest = &stream[at..];
+            for cut in 0..FRAME_HEADER_LEN {
+                assert_eq!(frame_len(&rest[..cut]).unwrap(), None);
+            }
+            let total = frame_len(&rest[..FRAME_HEADER_LEN]).unwrap().unwrap();
+            assert_eq!(frame_len(rest).unwrap(), Some(total));
+            let (view, used) = FrameView::decode_slice(&rest[..total]).unwrap();
+            assert_eq!(used, total);
+            decoded.push(view.to_owned());
+            at += total;
+        }
+        assert_eq!(decoded, samples());
+        let mut bad = WireMsg::Heartbeat.encode();
+        bad[0] ^= 1;
+        assert!(
+            frame_len(&bad).is_err(),
+            "a foreign header is an error at once"
+        );
     }
 
     #[test]

@@ -707,19 +707,34 @@ mod tests {
         assert_eq!(stats.items_per_stage, vec![80, 80, 80]);
     }
 
+    /// A stage body that is healthy (a 2 000-iteration spin) for its first
+    /// 30 items and then sleeps 1 ms per item.  Sleeping, not spinning,
+    /// degrades the stage without taking a core from the rest of the
+    /// pipeline.
+    fn degrade_from_item_30(items_seen: &AtomicUsize) {
+        if items_seen.fetch_add(1, Ordering::Relaxed) >= 30 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        } else {
+            spin(2_000);
+        }
+    }
+
     #[test]
     fn engine_breach_activates_the_standby_replica_mid_run() {
         use grasp_core::ThresholdPolicy;
         use std::sync::atomic::AtomicUsize;
-        // Stage 1 is healthy while the probe calibrates Zₛ, then degrades
-        // 40x from item 30 on — the wall-clock analogue of the grid
-        // pipeline's mid-run load spike.  The engine must notice the breach
-        // and replicate the stage by activating its standby worker.
+        // Stage 1 is healthy while the probe calibrates Zₛ, then sleeps
+        // 1 ms per item from item 30 on — the wall-clock analogue of the
+        // grid pipeline's mid-run load spike.  The engine must notice the
+        // breach and replicate the stage by activating its standby worker.
+        // The spacing gate holds every breach until 50 ms in, deep in the
+        // degraded phase, so scheduler jitter during the healthy phase
+        // cannot stand in for the slowdown.
         let done = std::sync::Arc::new(AtomicUsize::new(0));
         let hook = done.clone();
         let exec = ExecutionConfig {
             threshold: ThresholdPolicy::Factor { factor: 3.0 },
-            monitor_interval_s: 1e-4, // wall seconds: evaluate immediately
+            monitor_interval_s: 0.05,
             ..ExecutionConfig::default()
         };
         let pipeline = ThreadPipeline::new()
@@ -728,8 +743,7 @@ mod tests {
                 x + 1
             })
             .stage(move |x: u64| {
-                let n = hook.fetch_add(1, Ordering::Relaxed);
-                spin(if n >= 30 { 80_000 } else { 2_000 });
+                degrade_from_item_30(&hook);
                 x * 2
             })
             .with_adaptation(exec);
@@ -763,23 +777,23 @@ mod tests {
         // migration and the pipeline has a checkpoint codec: the degraded
         // stage must be re-homed on its standby (queued items round-tripped
         // through the wire payload), not replicated — the worker count
-        // stays 1 and the log says StageMigrated.
+        // stays 1 and the log says StageMigrated, with a non-empty
+        // checkpoint.
         let done = std::sync::Arc::new(AtomicUsize::new(0));
         let hook = done.clone();
         let exec = ExecutionConfig {
             threshold: ThresholdPolicy::Factor { factor: 3.0 },
-            monitor_interval_s: 1e-4,
+            monitor_interval_s: 0.05,
             migrate_stages: true,
             ..ExecutionConfig::default()
         };
         let pipeline = ThreadPipeline::new()
             .stage(|x: u64| {
-                crate::backend::spin(2_000);
+                spin(2_000);
                 x + 1
             })
             .stage(move |x: u64| {
-                let n = hook.fetch_add(1, Ordering::Relaxed);
-                crate::backend::spin(if n >= 30 { 80_000 } else { 2_000 });
+                degrade_from_item_30(&hook);
                 x * 2
             })
             .with_adaptation(exec)
@@ -792,9 +806,16 @@ mod tests {
         assert_eq!(out, expected, "migration preserves order and results");
         assert_eq!(stats.items_per_stage, vec![150, 150]);
         assert!(
-            stats.adaptation.stage_migrations() >= 1,
-            "{}",
-            stats.adaptation.summary()
+            stats.adaptation.events().iter().any(|e| matches!(
+                e.action,
+                AdaptationAction::StageMigrated {
+                    stage: 1,
+                    checkpointed_items,
+                    ..
+                } if checkpointed_items > 0
+            )),
+            "stage 1 migrated with its queued items: {:?}",
+            stats.adaptation.events()
         );
         assert_eq!(
             stats.adaptation.stage_replications(),
@@ -817,14 +838,13 @@ mod tests {
         let hook = done.clone();
         let exec = ExecutionConfig {
             threshold: ThresholdPolicy::Factor { factor: 3.0 },
-            monitor_interval_s: 1e-4,
+            monitor_interval_s: 0.05,
             migrate_stages: true,
             ..ExecutionConfig::default()
         };
         let pipeline = ThreadPipeline::new()
             .stage(move |x: u64| {
-                let n = hook.fetch_add(1, Ordering::Relaxed);
-                crate::backend::spin(if n >= 30 { 80_000 } else { 2_000 });
+                degrade_from_item_30(&hook);
                 x * 2
             })
             .with_adaptation(exec);
@@ -835,6 +855,11 @@ mod tests {
             stats.adaptation.stage_migrations(),
             0,
             "no codec, no checkpoint, no migration: {}",
+            stats.adaptation.summary()
+        );
+        assert!(
+            stats.adaptation.stage_replications() >= 1,
+            "the breach replicates instead: {}",
             stats.adaptation.summary()
         );
     }
@@ -859,11 +884,7 @@ mod tests {
         };
         let pipeline = ThreadPipeline::new()
             .stage(move |x: u64| {
-                if hook.fetch_add(1, Ordering::Relaxed) >= 30 {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                } else {
-                    spin(2_000);
-                }
+                degrade_from_item_30(&hook);
                 x * 2
             })
             .with_adaptation(exec)

@@ -18,7 +18,7 @@
 
 use grasp_core::error::GraspError;
 use grasp_core::transport::{Acceptor, FrameSink, FrameSource, FramedConnection};
-use grasp_core::wire::{FrameView, WireMsg, MAX_FRAME_PAYLOAD};
+use grasp_core::wire::{frame_len, FrameView, WireMsg};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -37,6 +37,9 @@ pub enum FrameFault {
     /// connection — the receiver sees a mid-frame EOF (a crash mid-write).
     TruncateAt(usize),
     /// Sleep this long before delivering the frame (a congested link).
+    /// The sender sleeps: on the worker's direction that holds the worker,
+    /// while the master writes its direction inline from its one loop, so
+    /// a delay scripted there holds the whole master.
     Delay(Duration),
     /// Kill the connection instead of sending the frame — the receiver
     /// sees a clean EOF at a frame boundary (a crash between writes).
@@ -188,25 +191,11 @@ impl LoopbackSource {
     }
 
     /// Length of the complete frame at the front of the buffer, if one is
-    /// fully buffered.
+    /// fully buffered.  A corrupt header is an error at once: never wait
+    /// for bytes that a corrupt length field promises but the sender will
+    /// not produce.
     fn buffered_frame_len(&self) -> Result<Option<usize>, GraspError> {
-        // Frame layout: magic(4) + version(1) + tag(1) + len(4) + payload + checksum(4).
-        if self.buf.len() < 10 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes([self.buf[6], self.buf[7], self.buf[8], self.buf[9]]) as usize;
-        if len > MAX_FRAME_PAYLOAD {
-            // Never wait for bytes that a corrupt length field promises but
-            // the sender will not produce.
-            return Err(GraspError::WireProtocol {
-                detail: format!("frame payload length {len} exceeds limit {MAX_FRAME_PAYLOAD}"),
-            });
-        }
-        let needed = 14 + len;
-        if self.buf.len() < needed {
-            return Ok(None);
-        }
-        Ok(Some(needed))
+        Ok(frame_len(&self.buf)?.filter(|&needed| self.buf.len() >= needed))
     }
 }
 
@@ -271,6 +260,9 @@ pub struct LoopbackNet {
 /// via `NetBackend::over`.
 pub struct LoopbackAcceptor {
     accept_rx: mpsc::Receiver<FramedConnection>,
+    /// Keeps the channel connected after every connector is dropped, so a
+    /// wait for a peer lasts its timeout instead of returning at once.
+    _keepalive: mpsc::Sender<FramedConnection>,
     label: String,
 }
 
@@ -280,11 +272,12 @@ impl LoopbackNet {
         let (accept_tx, accept_rx) = mpsc::channel();
         (
             LoopbackNet {
-                accept_tx,
+                accept_tx: accept_tx.clone(),
                 next_conn: Arc::new(AtomicUsize::new(0)),
             },
             LoopbackAcceptor {
                 accept_rx,
+                _keepalive: accept_tx,
                 label: "loopback".to_string(),
             },
         )
@@ -354,11 +347,11 @@ impl LoopbackNet {
 
 impl Acceptor for LoopbackAcceptor {
     fn poll_accept(&mut self) -> Result<Option<FramedConnection>, GraspError> {
-        match self.accept_rx.try_recv() {
-            Ok(conn) => Ok(Some(conn)),
-            // A fully dropped connector side just means no more joiners.
-            Err(mpsc::TryRecvError::Empty) | Err(mpsc::TryRecvError::Disconnected) => Ok(None),
-        }
+        Ok(self.accept_rx.try_recv().ok())
+    }
+
+    fn wait_accept(&mut self, timeout: Duration) -> Result<Option<FramedConnection>, GraspError> {
+        Ok(self.accept_rx.recv_timeout(timeout).ok())
     }
 
     fn endpoint(&self) -> String {

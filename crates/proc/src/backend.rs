@@ -2,8 +2,8 @@
 //!
 //! [`ProcBackend`] spawns a fixed pool of `grasp-proc-worker` processes,
 //! connects each over a pipe pair (or a shared-memory ring pair) and admits
-//! it straight into the shared [`FrameMaster`] — no acceptor, no greeter
-//! thread: membership is implied by the spawn.  A worker is configured with
+//! it straight into the shared [`FrameMaster`] — no acceptor, no
+//! handshake: membership is implied by the spawn.  A worker is configured with
 //! an `Init` frame and takes units once its `Hello` arrives.
 //! Everything after admission — demand windows, the Algorithm-2 adaptation
 //! loop, speculation, death detection by EOF and heartbeat timeout, requeue
@@ -13,12 +13,12 @@
 //! executors that can vanish without unwinding: this is the paper's grid
 //! model made concrete on one machine.
 
-use crate::master::{FrameJob, FrameMaster, FrameSettings, JoinPolicy};
+use crate::master::{FrameJob, FrameMaster, FrameSettings, JoinPolicy, Wire};
 use grasp_core::config::{BackendConfig, FaultInjection};
 use grasp_core::error::GraspError;
 use grasp_core::shm::{self, ShmRing};
 use grasp_core::skeleton::{Backend, OutcomeDetail, Skeleton, SkeletonOutcome};
-use grasp_core::transport::{stream_connection, FrameSink, FrameSource};
+use grasp_core::transport::FdLink;
 use grasp_core::GraspConfig;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -108,7 +108,7 @@ impl ProcBackend {
         let unavailable = |e: std::io::Error| GraspError::WorkerUnavailable {
             detail: format!("could not spawn {}: {e}", bin.display()),
         };
-        let (child, sink, source, ring) = match self.transport {
+        let (child, wire, ring) = match self.transport {
             Transport::Pipes => {
                 let mut child = Command::new(bin)
                     .stdin(Stdio::piped())
@@ -118,8 +118,14 @@ impl ProcBackend {
                     .map_err(unavailable)?;
                 let stdin = child.stdin.take().expect("stdin was piped");
                 let stdout = child.stdout.take().expect("stdout was piped");
-                let (sink, source) = stream_connection(format!("pipe:{w}"), stdin, stdout).split();
-                (child, sink, source, None)
+                match FdLink::pipes(stdin, stdout) {
+                    Ok(link) => (child, Wire::Fd(link), None),
+                    Err(e) => {
+                        let _ = child.kill();
+                        let _ = child.wait();
+                        return Err(e);
+                    }
+                }
             }
             Transport::Shm => {
                 let path = shm::ring_path(&format!("w{w}"));
@@ -133,15 +139,14 @@ impl ProcBackend {
                     .spawn()
                     .map_err(unavailable)?;
                 let (sink, source) = ring.into_halves(u64::from(child.id()));
-                (
-                    child,
-                    Box::new(sink) as Box<dyn FrameSink>,
-                    Box::new(source) as Box<dyn FrameSource>,
-                    Some(path),
-                )
+                let wire = Wire::Bridged {
+                    sink: Some(Box::new(sink)),
+                    source: Some(Box::new(source)),
+                };
+                (child, wire, Some(path))
             }
         };
-        master.arrive(u64::from(child.id()), sink, source, Some(child), ring)
+        master.arrive(u64::from(child.id()), wire, Some(child), ring)
     }
 }
 

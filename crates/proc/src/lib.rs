@@ -23,7 +23,7 @@
 //!   like the simulated grid's revocation path, so unit conservation and
 //!   the [`grasp_core::ResilienceReport`] hold.
 //!
-//! The master is a pure core behind one threaded driver,
+//! The master is a pure core behind one single-threaded `poll(2)` driver,
 //! [`master::FrameMaster`], which the socket backend (`grasp-net`) drives
 //! too; the worker's serve loop is [`worker::serve`], likewise shared.
 //!

@@ -117,9 +117,9 @@ pub struct FrameReport {
     pub bytes_sent: u64,
     /// Bytes of frames received from the workers.
     pub bytes_received: u64,
-    /// Wall seconds spent encoding and writing frames.
+    /// Wall seconds spent writing encoded frames.
     pub wire_write_s: f64,
-    /// Wall seconds of that spent encoding frames.
+    /// Wall seconds spent encoding frames.
     pub wire_encode_s: f64,
     /// Payload bytes copied beyond the one encode per frame.
     pub bytes_copied: u64,

@@ -18,7 +18,7 @@ use grasp_repro::grasp_workloads::matmul::MatMulJob;
 
 fn main() {
     let job = MatMulJob {
-        n: 192,
+        n: 512,
         block_rows: 16,
         seed: 9,
     };

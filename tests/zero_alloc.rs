@@ -6,19 +6,24 @@
 //! the reusable read buffer to its steady-state capacity), receiving and
 //! decoding a frame over the loopback transport or the shared-memory ring
 //! performs **zero** heap allocations on the receiving side.  The same pin
-//! holds a work-stealing drain and a warm forecaster's observe + predict.
+//! holds the frame master's receive path (a poll wait, a non-blocking read
+//! into a link's frame buffer, and the decode of its `Done` frames), a
+//! work-stealing drain and a warm forecaster's observe + predict.
 //! The counting global allocator comes from the offline
 //! `allocation-counter` shim (see `shims/README.md`), so the check needs no
 //! crates.io dependency and runs in every `cargo test`.
 
 use allocation_counter::measure;
 use grasp_repro::grasp_core::shm::{self, ShmRing};
-use grasp_repro::grasp_core::transport::{Acceptor, FrameSink, FrameSource};
+use grasp_repro::grasp_core::transport::{Acceptor, FdLink, FrameSink, FrameSource, PollSet};
 use grasp_repro::grasp_core::wire::{FrameView, WireMsg, PAYLOAD_SPIN};
 use grasp_repro::grasp_core::SchedulePolicy;
 use grasp_repro::grasp_exec::StealDeque;
 use grasp_repro::grasp_net::LoopbackNet;
 use grasp_repro::gridmon::{AdaptiveForecaster, Forecaster};
+use std::io::Write;
+use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 #[test]
 fn steady_state_frame_receive_and_decode_allocates_nothing() {
@@ -79,6 +84,68 @@ fn steady_state_frame_receive_and_decode_allocates_nothing() {
         info.count_total, 0,
         "steady-state recv_view must not touch the heap, but allocated \
          {} times ({} bytes) over {MEASURED} frames: {info:?}",
+        info.count_total, info.bytes_total
+    );
+}
+
+#[test]
+fn steady_state_master_receive_from_a_descriptor_allocates_nothing() {
+    // The frame master's receive path: wait in poll(2) for the member's
+    // socket, read what it holds into the link's reused frame buffer, and
+    // decode each Done to the owned message the master core is fed (a
+    // Done carries nothing on the heap).  The worker side writes one frame
+    // per round, so every measured round takes the whole path.
+    const WARMUP: u64 = 32;
+    const MEASURED: u64 = 256;
+
+    let (master_end, mut worker_end) = UnixStream::pair().expect("socketpair");
+    let mut link = FdLink::socket(master_end).expect("non-blocking link");
+    let frames: Vec<Vec<u8>> = (0..WARMUP + MEASURED)
+        .map(|unit_id| {
+            WireMsg::Done {
+                unit_id,
+                elapsed_s: 1e-3,
+                digest: unit_id,
+            }
+            .encode()
+        })
+        .collect();
+    let mut polls = PollSet::new();
+    let mut receive = |frame: &[u8]| -> Option<WireMsg> {
+        worker_end.write_all(frame).expect("worker write");
+        loop {
+            if let Some(view) = link.next_frame().expect("a valid frame") {
+                return Some(view.to_owned());
+            }
+            polls.clear();
+            let slot = polls.watch(link.read_fd()?, true, false);
+            if polls.wait(Duration::from_secs(5)).expect("poll") == 1 && polls.readable(slot) {
+                link.fill().expect("non-blocking read");
+            }
+        }
+    };
+
+    for (unit_id, frame) in frames[..WARMUP as usize].iter().enumerate() {
+        match receive(frame) {
+            Some(WireMsg::Done { unit_id: got, .. }) => assert_eq!(got, unit_id as u64),
+            other => panic!("warmup expected a Done frame, got {other:?}"),
+        }
+    }
+
+    let mut digests = 0u64;
+    let info = measure(|| {
+        for frame in &frames[WARMUP as usize..] {
+            match receive(frame) {
+                Some(WireMsg::Done { digest, .. }) => digests += digest,
+                other => panic!("steady state expected a Done frame, got {other:?}"),
+            }
+        }
+    });
+    assert_eq!(digests, (WARMUP..WARMUP + MEASURED).sum::<u64>());
+    assert_eq!(
+        info.count_total, 0,
+        "the master's steady-state receive path must not touch the heap, but \
+         allocated {} times ({} bytes) over {MEASURED} frames: {info:?}",
         info.count_total, info.bytes_total
     );
 }
